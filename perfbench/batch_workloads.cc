@@ -43,7 +43,8 @@ constexpr size_t kMinRuns = 2;
 // Every spilled tier is written and fsync'd to the score dir, so spill time
 // follows the disk. On a 4-vCPU KVM guest with a shared virtual disk, 1/32
 // (~280 tiers, 540 MB a run) spread match time by 20% between seeds; 1/4
-// (~50 tiers, 430 MB) by 8%, still ~30% slower than unbudgeted.
+// (~50 tiers, 430 MB) by 6-19%, ~30% slower than unbudgeted. 1/2 was no
+// steadier: runs at one seed differ as much between processes.
 constexpr uint64_t kSpillDivisor = 4;
 // A budget no workload reaches: the store reports its resident bytes but
 // never spills.
@@ -161,6 +162,9 @@ Outcome RunBatchWorkload(const Options& options, Tracer& tracer) {
     if (out.attempted == 1) first_digest = digest;
     if (fault.empty() && digest != first_digest) {
       fault = "matching differs from the warm-up run at the same seed";
+    }
+    if (fault.empty() && SumRounds(result.phases).new_links <= 0) {
+      fault = "the run linked no node beyond the seeds";
     }
     if (fault.empty() && spilled) {
       if (SumRounds(result.phases).tiers_spilled <= 0) {

@@ -35,27 +35,20 @@ struct Options {
   std::string work_dir;
 };
 
-// Generator seed of every workload's underlying network. The network is a
-// fixed input, like a dataset; --seed draws what varies between runs: the
-// two sampled copies, the seed links and the delta stream. (Generated
-// networks differ in hub structure from seed to seed, which moved match
-// time by 15% between seeds on RMAT.)
+// Seed of every workload's underlying network, of its two sampled copies
+// and of its seed links: these are fixed inputs, like a dataset. --seed
+// draws what varies between runs: the node numbering of the second copy
+// and serve-churn's delta stream. (Generated networks differ in hub
+// structure from seed to seed, which moved match time by 15% on RMAT, and
+// with the copies and seed links drawn per seed RMAT's non-seed recall
+// spread 24-40% between seeds.)
 inline constexpr uint64_t kNetworkSeed = 1;
 // Set-up runs this many times per run; setup_s is the median.
 inline constexpr int kSetupReps = 5;
 
-struct MetricDef {
-  const char* name;
-  const char* unit;
-};
-
-// Every metric the benchmark reports, in report order, with its unit.
-// BENCHMARK.json lists the same names and units (run.py checks).
-extern const std::vector<MetricDef> kEndToEndMetrics;
-extern const std::vector<MetricDef> kPerLayerMetrics;
-
-// Metric values by name. A per-layer metric a workload never sets reports
-// 0: that workload does not exercise the layer.
+// Metric values by name. BENCHMARK.json holds the names' units; run.py
+// adds them, and reports 0 for a per-layer metric a workload never sets
+// (that workload does not exercise the layer).
 class Metrics {
  public:
   void Set(const std::string& name, double value) { values_[name] = value; }
@@ -91,10 +84,13 @@ struct SetupTimes {
 };
 
 // Builds the underlying network with `generate`, samples two copies that
-// keep each edge with probability `keep`, and draws a `seed_fraction` of
-// uniform seed links. The sampler gets `seed` + 1 and the seeder `seed` + 3,
-// as `reconcile_cli --rng-seed` does. Each step is timed into *times and
-// traced under `parent`.
+// keep each edge with probability `keep`, renumbers the second copy's nodes
+// by a permutation drawn from `label_seed`, and draws a `seed_fraction` of
+// uniform seed links. The sampler gets kNetworkSeed + 1 and the seeder
+// kNetworkSeed + 3, as `reconcile_cli --rng-seed` gives its seed + 1 and + 3;
+// uniform seed links depend only on g1's nodes, so they are the same links
+// under any numbering. Each step is timed into *times and traced under
+// `parent`.
 Inputs BuildInputs(const std::function<reconcile::Graph()>& generate,
                    double keep, double seed_fraction, uint64_t seed,
                    Tracer& tracer, int parent, SetupTimes* times);
@@ -106,8 +102,9 @@ std::unique_ptr<reconcile::Reconciler> MakeCoreMatcher(
     int threshold, int iterations, int threads, uint64_t budget = 0,
     const std::string& score_dir = "");
 
-// Fills the outcome's determinism fields and its precision, recall and
-// ok_ops_frac from the final matching; correct means no check failed.
+// Fills the outcome's determinism fields and its precision, recall (over
+// identifiable non-seed targets) and ok_ops_frac from the final matching;
+// correct means no check failed.
 void ReportFinal(const reconcile::MatchQuality& quality,
                  const std::vector<reconcile::NodeId>& map_1to2,
                  Outcome* out);

@@ -8,11 +8,12 @@
 // inputs and, by the library's determinism contract, the same matching (the
 // printed digest, precision and recall repeat exactly). Every run checks its
 // outputs. The last line of standard output is one JSON object:
-// {"correct", "attempted", "failed", "metrics"}, where metrics are the
-// end-to-end metrics with --trace 0 and the per-layer metrics with
-// --trace 1. A traced run also writes a Chrome trace-event file into the
-// work dir. Exit code: 0 when every check passed, 1 when one failed, 2 on a
-// usage error.
+// {"correct", "attempted", "failed", "metrics"}, where metrics maps each
+// metric the run measured to its value: the end-to-end metrics with
+// --trace 0 and the per-layer metrics with --trace 1 (run.py turns this
+// into the benchmark's result line). A traced run also writes a Chrome
+// trace-event file into the work dir. Exit code: 0 when every check passed,
+// 1 when one failed, 2 on a usage error.
 
 #include <charconv>
 #include <cmath>
@@ -153,6 +154,7 @@ int Main(int argc, char** argv) {
   run["digest"] = JsonString(digest);
   run["precision"] = Number(outcome.precision);
   run["recall"] = Number(outcome.recall);
+  run["rss_sampler_cpu_s"] = Number(SamplerCpuSeconds());
   std::printf("perfbench run %s\n", JsonObject(run).c_str());
 
   if (options.trace) {
@@ -168,41 +170,19 @@ int Main(int argc, char** argv) {
     }
   }
 
+  // Values only: run.py adds the units from BENCHMARK.json and checks the
+  // names against it.
   const Metrics& metrics =
       options.trace ? outcome.per_layer : outcome.end_to_end;
-  const std::vector<MetricDef>& defs =
-      options.trace ? kPerLayerMetrics : kEndToEndMetrics;
   std::string json;
-  for (const MetricDef& def : defs) {
-    const auto it = metrics.values().find(def.name);
-    // A per-layer metric the workload does not exercise reads 0; an
-    // end-to-end metric is always measured.
-    double value = 0;
-    if (it != metrics.values().end()) {
-      value = it->second;
-    } else if (!options.trace) {
-      std::fprintf(stderr, "metric %s was not measured\n", def.name);
-      outcome.correct = false;
-    }
-    if (!std::isfinite(value)) {
-      std::fprintf(stderr, "metric %s is not finite\n", def.name);
-      outcome.correct = false;
-      value = 0;
-    }
-    std::printf("  %-30s %-14s %s\n", def.name, Number(value).c_str(),
-                def.unit);
-    if (!json.empty()) json += ", ";
-    json += JsonString(def.name) + ": {\"value\": " + Number(value) +
-            ", \"unit\": " + JsonString(def.unit) + "}";
-  }
   for (const auto& [name, value] : metrics.values()) {
-    bool known = false;
-    for (const MetricDef& def : defs) known = known || name == def.name;
-    if (!known) {
-      std::fprintf(stderr, "metric %s is not in the metric table\n",
-                   name.c_str());
+    if (!std::isfinite(value)) {
+      std::fprintf(stderr, "metric %s is not finite\n", name.c_str());
       outcome.correct = false;
+      continue;
     }
+    if (!json.empty()) json += ", ";
+    json += JsonString(name) + ": " + Number(value);
   }
   std::printf(
       "{\"correct\": %s, \"attempted\": %llu, \"failed\": %llu, "

@@ -2,6 +2,7 @@
 
 #include <sched.h>
 #include <sys/resource.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -12,6 +13,21 @@
 #include "reconcile/util/topology.h"
 
 namespace perfbench {
+namespace {
+
+// CPU seconds of all sampler threads, each adding its own as it goes.
+std::atomic<double> sampler_cpu_s{0};
+
+double ThreadCpuSeconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
+}  // namespace
+
+double SamplerCpuSeconds() { return sampler_cpu_s.load(); }
 
 double CpuSeconds() {
   rusage usage{};
@@ -20,7 +36,8 @@ double CpuSeconds() {
     return static_cast<double>(tv.tv_sec) +
            static_cast<double>(tv.tv_usec) * 1e-6;
   };
-  return seconds(usage.ru_utime) + seconds(usage.ru_stime);
+  return seconds(usage.ru_utime) + seconds(usage.ru_stime) -
+         sampler_cpu_s.load();
 }
 
 double AnonRssMb() {
@@ -36,11 +53,15 @@ double AnonRssMb() {
 
 AnonRssSampler::AnonRssSampler() : peak_mb_(AnonRssMb()) {
   thread_ = std::thread([this] {
+    double accounted = ThreadCpuSeconds();
     while (!stop_.load(std::memory_order_relaxed)) {
       const double now = AnonRssMb();
       double peak = peak_mb_.load();
       while (now > peak && !peak_mb_.compare_exchange_weak(peak, now)) {
       }
+      const double used = ThreadCpuSeconds();
+      sampler_cpu_s.fetch_add(used - accounted);
+      accounted = used;
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });

@@ -10,8 +10,13 @@
 
 namespace perfbench {
 
-// User + system CPU seconds of every thread of the process (getrusage).
+// User + system CPU seconds of every thread of the process (getrusage),
+// less what AnonRssSampler threads have used: the sampler's cost grows with
+// wall time, not with the work measured.
 double CpuSeconds();
+
+// CPU seconds every AnonRssSampler thread has used so far.
+double SamplerCpuSeconds();
 
 // Current anonymous resident memory (RssAnon) in MiB, or -1 when
 // /proc/self/status has no such line.

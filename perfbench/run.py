@@ -6,9 +6,11 @@
 Run it from anywhere; it builds into .bench_build/ at the repository root
 (Release, reusing an earlier build), runs the workload, and forwards the
 benchmark's output. The last line of standard output is the result JSON:
-end-to-end metrics with --trace 0, per-layer metrics with --trace 1. The
-result is printed only when its metrics match the names and units in
-BENCHMARK.json. Exit code 0 means every output check passed.
+end-to-end metrics with --trace 0, per-layer metrics with --trace 1, each
+with its unit from BENCHMARK.json, the only list of metric names. A
+per-layer metric the workload does not exercise reads 0; a missing
+end-to-end metric or a name BENCHMARK.json does not list fails the run
+without a result. Exit code 0 means every output check passed.
 """
 
 import argparse
@@ -69,11 +71,13 @@ def build():
             fail("build failed: " + " ".join(cmd))
 
 
-def expected_metrics(trace):
+def metric_units(trace):
+    """(name, unit) of every metric the run reports, in BENCHMARK.json's
+    order."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         spec = json.load(f)
     key = "per_layer" if trace else "end_to_end"
-    return {m["name"]: m["unit"] for m in spec[key]}
+    return [(m["name"], m["unit"]) for m in spec[key]]
 
 
 def main():
@@ -109,12 +113,21 @@ def main():
         result = json.loads(lines[-1])
     except ValueError:
         fail("perfbench exited with code %d and no result" % proc.returncode)
-    expected = expected_metrics(args.trace)
-    got = {name: m.get("unit") for name, m in result.get("metrics", {}).items()}
-    if got != expected:
-        fail("metrics differ from BENCHMARK.json: %s"
-             % sorted(set(got.items()) ^ set(expected.items())))
-    print(lines[-1])
+    units = metric_units(args.trace)
+    values = result.get("metrics", {})
+    unknown = sorted(set(values) - {name for name, _ in units})
+    if unknown:
+        fail("metrics not in BENCHMARK.json: %s" % ", ".join(unknown))
+    missing = [name for name, _ in units if name not in values]
+    if missing and not args.trace:
+        fail("end-to-end metrics not measured: %s" % ", ".join(missing))
+    metrics = {}
+    for name, unit in units:
+        value = values.get(name, 0)
+        print("  %-30s %-22r %s" % (name, value, unit))
+        metrics[name] = {"value": value, "unit": unit}
+    result["metrics"] = metrics
+    print(json.dumps(result))
     if proc.returncode != 0:
         print("perfbench: output checks failed (exit code %d)"
               % proc.returncode, file=sys.stderr)

@@ -14,16 +14,21 @@
 
 #include <malloc.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench.h"
 #include "probes.h"
 #include "reconcile/eval/metrics.h"
 #include "reconcile/gen/chung_lu.h"
+#include "reconcile/graph/edge_list.h"
 #include "reconcile/serve/delta_log.h"
 #include "reconcile/serve/incremental_matcher.h"
 #include "reconcile/util/rng.h"
@@ -156,9 +161,8 @@ bool WriteChurnLog(const RealizationPair& pair, const ServeSpec& spec,
 }
 
 // Generate, realize, seed, write the delta log and run the initial full
-// match. The session is seeded from kNetworkSeed as the batch workloads
-// seed theirs from --seed (generator, sampler, seeder: +0, +1, +3); the
-// delta stream is a pure function of --seed.
+// match. Every input of the session comes from kNetworkSeed, the second
+// copy's numbering included; the delta stream is a pure function of --seed.
 bool SetUp(const ServeSpec& spec, const Options& options,
            const std::string& log_path, Tracer& tracer, ServeSetupTimes* times,
            Session* session, std::string* error) {
@@ -184,7 +188,8 @@ bool SetUp(const ServeSpec& spec, const Options& options,
     const ScopedSpan span(tracer, "serve.initial_match", setup.id());
     const Timer t;
     session->matcher = std::make_unique<IncrementalMatcher>(
-        session->in.pair.g1, session->in.pair.g2, session->in.seeds, MakeServeConfig());
+        session->in.pair.g1, session->in.pair.g2, session->in.seeds,
+        MakeServeConfig());
     session->matcher->ApplyBatch({});
     times->initial_match_s.push_back(t.Seconds());
   }
@@ -198,6 +203,30 @@ struct BatchSample {
   bool traced = false;
   ServeBatchStats stats;
 };
+
+struct Rerun {
+  MatchResult result;
+  double wall_s = 0;
+  double cpu_s = 0;
+};
+
+// `g` without the edges that `deltas` delete from graph `which` (1 or 2).
+Graph WithoutDeleted(const Graph& g, int which,
+                     const std::vector<EdgeDelta>& deltas) {
+  std::set<std::pair<NodeId, NodeId>> removed;
+  for (const EdgeDelta& d : deltas) {
+    if (d.graph == which && !d.insert) {
+      removed.emplace(std::min(d.u, d.v), std::max(d.u, d.v));
+    }
+  }
+  reconcile::EdgeList edges(g.num_nodes());
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (const NodeId v : g.Neighbors(u)) {
+      if (u < v && removed.count({u, v}) == 0) edges.Add(u, v);
+    }
+  }
+  return Graph::FromEdgeList(std::move(edges));
+}
 
 struct StreamTotals {
   double wall_s = 0;
@@ -309,35 +338,79 @@ Outcome RunServeChurn(const Options& options, Tracer& tracer) {
     stream_peaks.push_back(rss.TakePeak());
   }
 
-  // --- Final check: the served matching equals a from-scratch run on the
-  // final graphs. The rerun is timed: it is the alternative to repair.
-  tracer.set_enabled(options.trace);
-  const Graph final1 =
-      Graph::FromEdgeList(session.matcher->g1().Materialize());
-  const Graph final2 =
-      Graph::FromEdgeList(session.matcher->g2().Materialize());
-  const auto batch_matcher = MakeCoreMatcher(kThreshold, kIterations, kThreads);
-  MatchResult rerun;
-  double rerun_s = 0, rerun_cpu_s = 0;
+  // --- Checks, outside the timing: the served matching must equal a
+  // from-scratch run after one batch that deletes every edge the log
+  // deletes (one of the log's own batches moves no link), and again after
+  // the batch that re-inserts them. The expected graphs are built here from
+  // the session's inputs, not read back from the matcher. The second rerun
+  // is timed: it is the alternative to repair.
+  std::vector<EdgeDelta> deleted, reinserted;
   {
+    reconcile::DeltaReader reader;
+    if (!reader.Open(log_path, &error)) {
+      std::fprintf(stderr, "delta stream failed: %s\n", error.c_str());
+      out.correct = false;
+      return out;
+    }
+    std::set<std::tuple<int, NodeId, NodeId>> edges;
+    std::vector<EdgeDelta> batch;
+    for (bool end_of_stream = false; !end_of_stream;) {
+      if (!reader.NextBatch(0, &batch, &end_of_stream, &error)) {
+        std::fprintf(stderr, "delta stream failed: %s\n", error.c_str());
+        out.correct = false;
+        return out;
+      }
+      for (const EdgeDelta& d : batch) {
+        if (!d.insert) edges.emplace(d.graph, d.u, d.v);
+      }
+    }
+    for (const auto& [graph, u, v] : edges) {
+      deleted.push_back(EdgeDelta{graph, false, u, v});
+      reinserted.push_back(EdgeDelta{graph, true, u, v});
+    }
+  }
+  const auto batch_matcher = MakeCoreMatcher(kThreshold, kIterations, kThreads);
+  auto rerun_and_compare = [&](const Graph& g1, const Graph& g2,
+                               const char* when) {
+    Rerun rerun;
     const double start = tracer.Now();
     const int span = tracer.Begin("serve.rerun");
     const double cpu0 = CpuSeconds();
     const Timer t;
-    rerun = batch_matcher->Run(final1, final2, session.in.seeds);
-    rerun_s = t.Seconds();
-    rerun_cpu_s = CpuSeconds() - cpu0;
+    rerun.result = batch_matcher->Run(g1, g2, session.in.seeds);
+    rerun.wall_s = t.Seconds();
+    rerun.cpu_s = CpuSeconds() - cpu0;
     tracer.End(span);
-    TraceRounds(tracer, span, start, rerun.phases);
+    TraceRounds(tracer, span, start, rerun.result.phases);
+    ++out.attempted;
+    if (rerun.result.map_1to2 != session.matcher->map_1to2() ||
+        rerun.result.map_2to1 != session.matcher->map_2to1()) {
+      ++out.failed;
+      std::fprintf(stderr,
+                   "check failed: served matching %s differs from a "
+                   "from-scratch run\n",
+                   when);
+    }
+    return rerun;
+  };
+  tracer.set_enabled(options.trace);
+  session.matcher->ApplyBatch(deleted);
+  const Rerun after_delete = rerun_and_compare(
+      WithoutDeleted(session.in.pair.g1, 1, deleted),
+      WithoutDeleted(session.in.pair.g2, 2, deleted),
+      "after deleting the logged edges");
+  session.matcher->ApplyBatch(reinserted);
+  const Rerun final_rerun = rerun_and_compare(
+      session.in.pair.g1, session.in.pair.g2, "after the stream");
+  const MatchResult& rerun = final_rerun.result;
+  const double rerun_s = final_rerun.wall_s;
+  // How much the delete moved the matching: with 0 the check could not
+  // tell a repair from one that ignored its deltas.
+  size_t delete_changed = 0;
+  for (size_t u = 0; u < rerun.map_1to2.size(); ++u) {
+    delete_changed += rerun.map_1to2[u] != after_delete.result.map_1to2[u];
   }
-  ++out.attempted;
-  if (rerun.map_1to2 != session.matcher->map_1to2() ||
-      rerun.map_2to1 != session.matcher->map_2to1()) {
-    ++out.failed;
-    std::fprintf(stderr,
-                 "check failed: served matching differs from a from-scratch "
-                 "run on the final graphs\n");
-  }
+  out.header["delete_check_links_changed"] = std::to_string(delete_changed);
 
   const MatchResult served = session.matcher->Result();
   reconcile::MatchQuality quality;
@@ -372,7 +445,7 @@ Outcome RunServeChurn(const Options& options, Tracer& tracer) {
   layer.Set("sampling.realize_s", Median(setup.realize_s));
   layer.Set("seed.generate_s", Median(setup.seed_s));
   // core.* describe the from-scratch rerun; util.parallel_eff the stream.
-  ReportCoreRun(rerun.phases, kThreads, rerun_s, rerun_cpu_s, &layer);
+  ReportCoreRun(rerun.phases, kThreads, rerun_s, final_rerun.cpu_s, &layer);
   layer.Set("util.parallel_eff",
             Median(stream_cpus) / (Median(stream_walls) * kThreads));
   layer.Set("serve.initial_match_s", Median(setup.initial_match_s));

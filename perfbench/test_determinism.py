@@ -7,9 +7,10 @@ Runs every workload, shrunk, twice at one seed and fails unless the
 matching digest, precision and recall repeat exactly: at a fixed seed the
 library's matching is bit-identical, so any drift is a bug. rmat-spill
 matches rmat-scan's inputs under a memory budget, so its digest must equal
-rmat-scan's. Each workload also runs traced once, and the traced matcher
-run's phases (emit + merge + scan + select + other) must add up to its wall
-time. Takes under a minute after the first build.
+rmat-scan's. Each workload also runs traced once, and its timed phases
+(emit, merge, scan, select) must fit in the wall time they are part of:
+core.other_s and serve.other_s, the wall time the phases leave over, must
+not be negative. Takes under a minute after the first build.
 """
 
 import argparse
@@ -20,8 +21,10 @@ import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 WORKLOADS = ("pa-dense", "rmat-scan", "rmat-spill", "serve-churn")
-PHASES = ("core.emit_s", "core.merge_s", "core.scan_s", "core.select_s",
-          "core.other_s")
+# Wall time minus the timed phases; negative means overlapping or
+# double-counted phase timers. The tolerance covers clock reads.
+REMAINDERS = ("core.other_s", "serve.other_s")
+TOLERANCE_S = 1e-4
 
 
 def run(workload, seed, trace):
@@ -56,10 +59,10 @@ def main():
 
         _, traced = run(workload, args.seed, 1)
         layer = {k: v["value"] for k, v in traced["metrics"].items()}
-        total = sum(layer[p] for p in PHASES)
-        if abs(total - layer["core.run_s"]) > 1e-9 * max(1.0, total):
-            failures.append("%s: phases sum to %r, core.run_s is %r"
-                            % (workload, total, layer["core.run_s"]))
+        for name in REMAINDERS:
+            if layer[name] < -TOLERANCE_S:
+                failures.append("%s: %s is %r: the phases exceed the wall "
+                                "time" % (workload, name, layer[name]))
         print("%-12s digest %s precision %r recall %r"
               % (workload, first["digest"], first["precision"],
                  first["recall"]))
