@@ -1,12 +1,12 @@
 // Hub-heavy skew benchmark (google-benchmark): end-to-end matching on a
 // power-law Chung-Lu pair whose witness emission is dominated by a few hub
 // links — a hub link (a1, a2) emits ~deg(a1)·deg(a2) candidate pairs, so
-// with static chunking whichever worker draws the hub chunk serializes the
-// round (the imbalance Wakita & Tsurumi describe for mega-scale social
-// graphs). The grid is scheduler × scoring backend at a fixed thread count;
-// compare the `emit_s` counters of the static vs stealing series to read
-// the scheduler's effect on the emission phase, and `merge_s` for the LSM
-// tier store (`tiers=1` pins the pre-LSM merge-every-round behavior).
+// with fixed chunking whichever worker drew the hub chunk would serialize
+// the round (the imbalance Wakita & Tsurumi describe for mega-scale social
+// graphs); the work-stealing loop rebalances it. The grid is scoring
+// backend at a fixed thread count; read `emit_s` for the emission phase
+// under skew, and `merge_s` for the LSM tier store (`tiers=1` pins the
+// pre-LSM merge-every-round behavior).
 //
 // Top-degree-biased seeds put the hubs into the witness set from round one,
 // so the skew is live in every measured round. `tools/run_bench.sh`
@@ -34,10 +34,8 @@ RealizationPair MakeSkewPair() {
   return SampleIndependent(g, sample, 0x5CE12);
 }
 
-void SkewMatchBenchmark(benchmark::State& state, Scheduler scheduler,
-                        ScoringBackend backend, int lsm_max_tiers = 2,
-                        PlacementPolicy placement = PlacementPolicy::kNone,
-                        int placement_domains = 0) {
+void SkewMatchBenchmark(benchmark::State& state, ScoringBackend backend,
+                        int lsm_max_tiers = 2) {
   static const RealizationPair& pair = *new RealizationPair(MakeSkewPair());
   SeedOptions seed_options;
   seed_options.bias = SeedBias::kTopDegree;
@@ -46,77 +44,34 @@ void SkewMatchBenchmark(benchmark::State& state, Scheduler scheduler,
 
   MatcherConfig config;
   config.num_threads = 4;
-  config.scheduler = scheduler;
   config.scoring_backend = backend;
   config.lsm_max_tiers = lsm_max_tiers;
-  config.placement = placement;
-  config.placement_domains = placement_domains;
   MatchResult::PhaseTimeTotals split;
-  MatchResult::PlacementTotals locality;
   for (auto _ : state) {
     MatchResult result = UserMatching(pair.g1, pair.g2, seeds, config);
     benchmark::DoNotOptimize(result.NumLinks());
     split = result.SumPhaseSeconds();
-    locality = result.SumPlacementCounters();
   }
   state.counters["emit_s"] = split.emit_seconds;
   state.counters["merge_s"] = split.merge_seconds;
   state.counters["scan_s"] = split.scan_seconds;
   state.counters["select_s"] = split.select_seconds;
-  // Placement locality: score-unit tasks executed on their home domain vs
-  // stolen cross-domain. With placement none (the baseline series) every
-  // task is "local" by definition; the placed series surface the split
-  // even on hosts where wall-clock cannot (single-socket CI).
-  state.counters["local_units"] =
-      static_cast<double>(locality.local_unit_tasks);
-  state.counters["remote_steals"] =
-      static_cast<double>(locality.remote_unit_steals);
-  state.counters["domains"] = static_cast<double>(locality.domains);
 }
 
 void BM_SkewMatchStealingRadix(benchmark::State& state) {
-  SkewMatchBenchmark(state, Scheduler::kWorkStealing,
-                     ScoringBackend::kRadixSort);
-}
-void BM_SkewMatchStaticRadix(benchmark::State& state) {
-  SkewMatchBenchmark(state, Scheduler::kStatic, ScoringBackend::kRadixSort);
+  SkewMatchBenchmark(state, ScoringBackend::kRadixSort);
 }
 void BM_SkewMatchStealingHash(benchmark::State& state) {
-  SkewMatchBenchmark(state, Scheduler::kWorkStealing,
-                     ScoringBackend::kHashMap);
-}
-void BM_SkewMatchStaticHash(benchmark::State& state) {
-  SkewMatchBenchmark(state, Scheduler::kStatic, ScoringBackend::kHashMap);
+  SkewMatchBenchmark(state, ScoringBackend::kHashMap);
 }
 // LSM off (single tier): isolates the tier store's contribution within the
-// stealing/radix configuration.
+// radix configuration.
 void BM_SkewMatchStealingRadixSingleTier(benchmark::State& state) {
-  SkewMatchBenchmark(state, Scheduler::kWorkStealing,
-                     ScoringBackend::kRadixSort, /*lsm_max_tiers=*/1);
-}
-// Shard placement over a forced 2-domain synthetic topology: on a real
-// multi-socket host the domains come from sysfs and the series reads the
-// cross-node traffic placement removes; on single-socket hosts the
-// synthetic domains still exercise the domain-biased claiming, so the
-// local/remote counters stay meaningful everywhere.
-void BM_SkewMatchStealingRadixPlacedDomain(benchmark::State& state) {
-  SkewMatchBenchmark(state, Scheduler::kWorkStealing,
-                     ScoringBackend::kRadixSort, /*lsm_max_tiers=*/2,
-                     PlacementPolicy::kDomain, /*placement_domains=*/2);
-}
-void BM_SkewMatchStealingRadixPlacedInterleave(benchmark::State& state) {
-  SkewMatchBenchmark(state, Scheduler::kWorkStealing,
-                     ScoringBackend::kRadixSort, /*lsm_max_tiers=*/2,
-                     PlacementPolicy::kInterleave, /*placement_domains=*/2);
+  SkewMatchBenchmark(state, ScoringBackend::kRadixSort, /*lsm_max_tiers=*/1);
 }
 BENCHMARK(BM_SkewMatchStealingRadix)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SkewMatchStaticRadix)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SkewMatchStealingHash)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SkewMatchStaticHash)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SkewMatchStealingRadixSingleTier)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SkewMatchStealingRadixPlacedDomain)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SkewMatchStealingRadixPlacedInterleave)
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace reconcile

@@ -43,6 +43,10 @@ std::unique_ptr<Reconciler> MakeCore(const ReconcilerSpec& spec,
       reader.GetBool("bucketing", config.use_degree_bucketing);
   config.min_bucket_exponent =
       GetIntParam(reader, "min-bucket-exponent", config.min_bucket_exponent);
+  // The smallest bucket's degree floor is 2^exponent in a 32-bit NodeId.
+  if (config.min_bucket_exponent < 0 || config.min_bucket_exponent > 31) {
+    reader.AddError("parameter 'min-bucket-exponent' must be in [0, 31]");
+  }
   config.num_threads = GetIntParam(reader, "threads", config.num_threads);
   config.num_shards = GetIntParam(reader, "shards", config.num_shards);
   config.stop_when_stable =
@@ -59,12 +63,6 @@ std::unique_ptr<Reconciler> MakeCore(const ReconcilerSpec& spec,
   } else {
     reader.AddError("parameter 'backend' must be hash or radix: " + backend);
   }
-  std::string scheduler =
-      reader.GetString("scheduler", SchedulerName(config.scheduler));
-  if (!ParseScheduler(scheduler, &config.scheduler)) {
-    reader.AddError("parameter 'scheduler' must be auto, static or stealing: " +
-                    scheduler);
-  }
   const int64_t grain = reader.GetInt("grain", 0);
   if (grain < 0) {
     reader.AddError("parameter 'grain' must be >= 0");
@@ -80,21 +78,6 @@ std::unique_ptr<Reconciler> MakeCore(const ReconcilerSpec& spec,
   if (config.lsm_size_ratio < 0.0) {
     reader.AddError("parameter 'tier-ratio' must be >= 0 (0 disables the "
                     "ratio trigger)");
-  }
-  std::string placement =
-      reader.GetString("placement", PlacementName(config.placement));
-  if (!ParsePlacement(placement, &config.placement)) {
-    reader.AddError(
-        "parameter 'placement' must be auto, none, interleave or domain: " +
-        placement);
-  }
-  config.placement_domains =
-      GetIntParam(reader, "placement-domains", config.placement_domains);
-  if (config.placement_domains < 0 ||
-      config.placement_domains > kMaxSyntheticDomains) {
-    reader.AddError("parameter 'placement-domains' must be in [0, " +
-                    std::to_string(kMaxSyntheticDomains) +
-                    "] (0 detects the machine topology)");
   }
   config.checkpoint_dir =
       reader.GetString("checkpoint-dir", config.checkpoint_dir);
@@ -227,12 +210,6 @@ std::unique_ptr<Reconciler> MakeBp(const ReconcilerSpec& spec,
     config.max_candidates = static_cast<size_t>(max_candidates);
   }
   config.num_threads = GetIntParam(reader, "threads", config.num_threads);
-  std::string scheduler =
-      reader.GetString("scheduler", SchedulerName(config.scheduler));
-  if (!ParseScheduler(scheduler, &config.scheduler)) {
-    reader.AddError("parameter 'scheduler' must be auto, static or stealing: " +
-                    scheduler);
-  }
   const int64_t grain = reader.GetInt("grain", 0);
   if (grain < 0) {
     reader.AddError("parameter 'grain' must be >= 0");
@@ -280,9 +257,7 @@ std::string CoreReconciler::Describe() const {
       << (config_.use_parallel_selection ? "parallel" : "serial")
       << ", scoring="
       << (config_.use_incremental_scoring ? "incremental" : "recompute")
-      << ", scheduler=" << SchedulerName(config_.scheduler)
-      << ", tiers=" << config_.lsm_max_tiers
-      << ", placement=" << PlacementName(config_.placement);
+      << ", tiers=" << config_.lsm_max_tiers;
   if (config_.workers > 1) {
     out << ", workers=" << config_.workers;
   }
@@ -321,8 +296,7 @@ std::string BpReconciler::Describe() const {
       << ", damping=" << config_.damping << ", prior=" << config_.prior
       << ", min-belief=" << config_.min_belief
       << ", max-sweeps=" << config_.max_sweeps
-      << ", max-candidates=" << config_.max_candidates
-      << ", scheduler=" << SchedulerName(config_.scheduler) << ")";
+      << ", max-candidates=" << config_.max_candidates << ")";
   return out.str();
 }
 
@@ -342,10 +316,8 @@ void RegisterBuiltinReconcilers(Registry& registry) {
                   "scoring, mutual-best selection",
        .params = "threshold, iterations, bucketing, min-bucket-exponent, "
                  "threads, shards, stop-when-stable, incremental, "
-                 "parallel-selection, backend=hash|radix, "
-                 "scheduler=auto|static|stealing, grain, max-tiers, "
-                 "tier-ratio, placement=auto|none|interleave|domain, "
-                 "placement-domains, checkpoint-dir, checkpoint-every, "
+                 "parallel-selection, backend=hash|radix, grain, "
+                 "max-tiers, tier-ratio, checkpoint-dir, checkpoint-every, "
                  "checkpoint-keep, resume, memory-budget, score-dir, "
                  "workers, worker-retry, worker-timeout-ms, fault",
        .threshold_param = "threshold",
@@ -377,8 +349,7 @@ void RegisterBuiltinReconcilers(Registry& registry) {
        .summary = "belief-propagation matching: min-sum message passing "
                   "over witness candidates (Halimi-Ayday)",
        .params = "iterations, damping, prior, min-belief, max-sweeps, "
-                 "max-candidates, threads, scheduler=auto|static|stealing, "
-                 "grain",
+                 "max-candidates, threads, grain",
        .threshold_param = "",
        .factory = MakeBp});
   registry.Register(

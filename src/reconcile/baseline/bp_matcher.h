@@ -7,7 +7,6 @@
 
 #include "reconcile/core/result.h"
 #include "reconcile/graph/graph.h"
-#include "reconcile/util/parallel_for.h"
 
 namespace reconcile {
 
@@ -39,11 +38,10 @@ struct BpConfig {
   size_t max_candidates = 8;
   /// Worker threads (0 = hardware concurrency).
   int num_threads = 0;
-  /// Loop scheduler for candidate discovery and message passing. Matchings
-  /// are bit-identical across schedulers, grains and thread counts: every
-  /// update is a pure function of the previous iteration's messages.
-  Scheduler scheduler = Scheduler::kAuto;
-  /// Items per scheduler chunk (0 = auto).
+  /// Items per work-stealing chunk in candidate discovery and message
+  /// passing (0 = auto). Matchings are bit-identical across grains and
+  /// thread counts: every update is a pure function of the previous
+  /// iteration's messages.
   size_t scheduler_grain = 0;
 };
 

@@ -16,11 +16,9 @@
 #include "reconcile/graph/types.h"
 #include "reconcile/util/flat_hash_map.h"
 #include "reconcile/util/parallel_for.h"
-#include "reconcile/util/placement.h"
 #include "reconcile/util/radix_sort.h"
 #include "reconcile/util/thread_pool.h"
 #include "reconcile/util/tiered_store.h"
-#include "reconcile/util/topology.h"
 
 namespace reconcile {
 
@@ -74,17 +72,16 @@ int TopBucketExponent(const Graph& g1, const Graph& g2,
 /// can rebuild it (`LoadSnapshot`) and continue — the resumed run commits
 /// the same links and produces a matching bit-identical to an uninterrupted
 /// run (enforced by `core_checkpoint_test` in-process and by the
-/// `integration_kill_resume_test` subprocess harness across
-/// backend × scheduler × placement).
+/// `integration_kill_resume_test` subprocess harness across backends and
+/// thread counts).
 ///
 /// Snapshot format: a `SnapshotWriter` file (versioned header, per-section
 /// CRC32 — see `util/checkpoint.h`) with META (state version, graph and
 /// config fingerprints, round cursor), LINKS (the committed link log; seeds
 /// are its prefix, and the node maps are rebuilt from it on load) and one
 /// backend-specific SCORES section. Execution knobs that cannot affect the
-/// matching (threads, scheduler, grain, placement, LSM tier policy) are
-/// deliberately *not* fingerprinted — a snapshot taken under one may resume
-/// under another; semantic knobs (threshold, iterations, bucketing,
+/// matching (threads, grain, LSM tier policy) are deliberately *not*
+/// fingerprinted — a snapshot taken under one may resume under another; semantic knobs (threshold, iterations, bucketing,
 /// backend, the resolved shard count) are, and a mismatch is a clean
 /// rejection. DESIGN.md §2.4 documents the layout and the resume invariant.
 class MatcherState {
@@ -140,8 +137,6 @@ class MatcherState {
   size_t RoundRecompute(int iteration, int bucket_exponent);
   void AdvanceCursor();
   void CompactScores();
-  void FirstTouchScoreState();
-  std::function<int(size_t)> CellDomainFn() const;
   size_t SelectAndCommit(const std::vector<ScoreUnit>& units,
                          PhaseStats* stats);
   void EmitPendingLinks(PhaseStats* stats);
@@ -163,20 +158,8 @@ class MatcherState {
   const Graph& g2_;
   MatcherConfig config_;
   ThreadPool pool_;
-  // Resolved once (kAuto -> env/default) so every loop in the run uses the
-  // same engine.
-  Scheduler scheduler_;
   TierPolicy tier_policy_;
   int num_shards_;
-  // Shard-placement layer: the topology (detected, or forced synthetic for
-  // tests) and the policy object homing each score shard on a memory
-  // domain. Inactive (single domain / placement=none) placements delegate
-  // every loop to the pre-placement path.
-  MachineTopology topology_;
-  ShardPlacement placement_;
-  // Locality split of the between-round CompactScores tasks, credited to
-  // the next round's PhaseStats.
-  PlacedLoopStats compact_placed_stats_;
   std::vector<NodeId> map_1to2_;
   std::vector<NodeId> map_2to1_;
   std::vector<std::pair<NodeId, NodeId>> links_;

@@ -3,6 +3,7 @@
 #include <atomic>
 
 #include "reconcile/util/logging.h"
+#include "reconcile/util/parallel_for.h"
 #include "reconcile/util/timer.h"
 
 namespace reconcile {
@@ -91,31 +92,24 @@ size_t SelectionEngine::SelectParallel(const std::vector<ScoreUnit>& units,
   Timer timer;
   atomic_best1_.NextEpoch();
   atomic_best2_.NextEpoch();
-  // Both passes run one unit at a time under the configured scheduler
-  // (static: one queued task per unit; stealing: units are claimed
-  // dynamically, so a handful of huge hub-level units no longer pins the
-  // round on whichever worker drew them; an active placement claims
-  // domain-local units first and steals remote only when dry). The
-  // observe fold is a CAS-max — commutative — and the accept pass writes
-  // only per-unit lists, so the schedule is unobservable in the result.
+  // Both passes run one unit at a time on the work-stealing loop: units
+  // are claimed dynamically, so a handful of huge hub-level units does not
+  // pin the round on whichever worker drew them. The observe fold is a
+  // CAS-max — commutative — and the accept pass writes only per-unit
+  // lists, so the schedule is unobservable in the result.
   std::atomic<size_t> candidate_pairs{0};
-  PlacedLoopStats scan_placed;
-  ctx.placement->ParallelForPlaced(
-      ctx.pool, ctx.scheduler, units.size(), ctx.domain_of,
-      [this, &units, &candidate_pairs](size_t i) {
-        size_t local_pairs = 0;
-        units[i].ForEach([this, &local_pairs](uint64_t key, uint32_t score) {
-          atomic_best1_.Observe(PairFirst(key), score);
-          atomic_best2_.Observe(PairSecond(key), score);
-          ++local_pairs;
-        });
-        candidate_pairs.fetch_add(local_pairs, std::memory_order_relaxed);
-      },
-      &scan_placed);
+  auto observe_unit = [this, &units, &candidate_pairs](size_t i) {
+    size_t local_pairs = 0;
+    units[i].ForEach([this, &local_pairs](uint64_t key, uint32_t score) {
+      atomic_best1_.Observe(PairFirst(key), score);
+      atomic_best2_.Observe(PairSecond(key), score);
+      ++local_pairs;
+    });
+    candidate_pairs.fetch_add(local_pairs, std::memory_order_relaxed);
+  };
+  ParallelForEach(ctx.pool, units.size(), observe_unit);
   stats->candidate_pairs = candidate_pairs.load();
   stats->scan_seconds = timer.Seconds();
-  stats->local_unit_tasks += scan_placed.local_tasks;
-  stats->remote_unit_steals += scan_placed.remote_steals;
 
   timer.Reset();
   // Accept pass: reads the maps and the sealed best tables, writes only
@@ -124,29 +118,24 @@ size_t SelectionEngine::SelectParallel(const std::vector<ScoreUnit>& units,
   std::vector<NodeId>& map_2to1 = *ctx.map_2to1;
   std::vector<std::vector<std::pair<NodeId, NodeId>>> accepted_per_unit(
       units.size());
-  PlacedLoopStats accept_placed;
-  ctx.placement->ParallelForPlaced(
-      ctx.pool, ctx.scheduler, units.size(), ctx.domain_of,
-      [this, &ctx, &units, &map_1to2, &map_2to1,
-       &accepted_per_unit](size_t i) {
-        auto& list = accepted_per_unit[i];
-        units[i].ForEach([this, &ctx, &map_1to2, &map_2to1,
-                          &list](uint64_t key, uint32_t score) {
-          if (score < ctx.min_score) return;
-          NodeId u = PairFirst(key);
-          NodeId v = PairSecond(key);
-          if (map_1to2[u] != kInvalidNode || map_2to1[v] != kInvalidNode) {
-            return;
-          }
-          if (atomic_best1_.IsUniqueBest(u, score) &&
-              atomic_best2_.IsUniqueBest(v, score)) {
-            list.emplace_back(u, v);
-          }
-        });
-      },
-      &accept_placed);
-  stats->local_unit_tasks += accept_placed.local_tasks;
-  stats->remote_unit_steals += accept_placed.remote_steals;
+  auto accept_unit = [this, &ctx, &units, &map_1to2, &map_2to1,
+                      &accepted_per_unit](size_t i) {
+    auto& list = accepted_per_unit[i];
+    units[i].ForEach([this, &ctx, &map_1to2, &map_2to1,
+                      &list](uint64_t key, uint32_t score) {
+      if (score < ctx.min_score) return;
+      NodeId u = PairFirst(key);
+      NodeId v = PairSecond(key);
+      if (map_1to2[u] != kInvalidNode || map_2to1[v] != kInvalidNode) {
+        return;
+      }
+      if (atomic_best1_.IsUniqueBest(u, score) &&
+          atomic_best2_.IsUniqueBest(v, score)) {
+        list.emplace_back(u, v);
+      }
+    });
+  };
+  ParallelForEach(ctx.pool, units.size(), accept_unit);
 
   // Commit pass, in parallel: an exclusive prefix sum assigns unit i the
   // link-log slots the serial loop would have given it; unique best on
@@ -161,23 +150,18 @@ size_t SelectionEngine::SelectParallel(const std::vector<ScoreUnit>& units,
   std::vector<std::pair<NodeId, NodeId>>& links = *ctx.links;
   const size_t base = links.size();
   links.resize(base + accepted);
-  PlacedLoopStats commit_placed;
-  ctx.placement->ParallelForPlaced(
-      ctx.pool, ctx.scheduler, units.size(), ctx.domain_of,
-      [&accepted_per_unit, &offsets, &links, &map_1to2, &map_2to1,
-       base](size_t i) {
-        size_t slot = base + offsets[i];
-        for (const auto& [u, v] : accepted_per_unit[i]) {
-          RECONCILE_CHECK_EQ(map_1to2[u], kInvalidNode);
-          RECONCILE_CHECK_EQ(map_2to1[v], kInvalidNode);
-          map_1to2[u] = v;
-          map_2to1[v] = u;
-          links[slot++] = {u, v};
-        }
-      },
-      &commit_placed);
-  stats->local_unit_tasks += commit_placed.local_tasks;
-  stats->remote_unit_steals += commit_placed.remote_steals;
+  auto commit_unit = [&accepted_per_unit, &offsets, &links, &map_1to2,
+                      &map_2to1, base](size_t i) {
+    size_t slot = base + offsets[i];
+    for (const auto& [u, v] : accepted_per_unit[i]) {
+      RECONCILE_CHECK_EQ(map_1to2[u], kInvalidNode);
+      RECONCILE_CHECK_EQ(map_2to1[v], kInvalidNode);
+      map_1to2[u] = v;
+      map_2to1[v] = u;
+      links[slot++] = {u, v};
+    }
+  };
+  ParallelForEach(ctx.pool, units.size(), commit_unit);
   stats->select_seconds = timer.Seconds();
   return accepted;
 }

@@ -6,7 +6,7 @@ namespace mr {
 void ParallelFor(ThreadPool* pool, size_t n, size_t grain,
                  const std::function<void(size_t, size_t)>& fn) {
   RECONCILE_CHECK(pool != nullptr);
-  ParallelForChunks(pool, n, grain, fn);
+  ParallelForWorkStealing(pool, n, grain, fn);
 }
 
 }  // namespace mr

@@ -1,10 +1,25 @@
 #include "reconcile/util/flags.h"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 
 #include "reconcile/util/logging.h"
 
 namespace reconcile {
+
+namespace {
+
+// A malformed numeric flag is a usage error (exit 2, like an unknown
+// model), not an internal invariant failure.
+[[noreturn]] void UsageError(const std::string& key, const char* problem,
+                             const std::string& value) {
+  std::fprintf(stderr, "flag --%s %s: %s\n", key.c_str(), problem,
+               value.c_str());
+  std::exit(2);
+}
+
+}  // namespace
 
 bool Flags::Parse(int argc, const char* const argv[], std::string* error) {
   for (int i = 1; i < argc; ++i) {
@@ -51,9 +66,12 @@ int64_t Flags::GetInt(const std::string& key, int64_t default_value) const {
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
   char* end = nullptr;
-  int64_t value = std::strtoll(it->second.c_str(), &end, 10);
-  RECONCILE_CHECK(end != nullptr && *end == '\0' && !it->second.empty())
-      << "flag --" << key << " is not an integer: " << it->second;
+  errno = 0;
+  const long long value = std::strtoll(it->second.c_str(), &end, 10);
+  if (it->second.empty() || *end != '\0') {
+    UsageError(key, "is not an integer", it->second);
+  }
+  if (errno == ERANGE) UsageError(key, "is out of range", it->second);
   return value;
 }
 
@@ -62,9 +80,12 @@ double Flags::GetDouble(const std::string& key, double default_value) const {
   auto it = values_.find(key);
   if (it == values_.end()) return default_value;
   char* end = nullptr;
-  double value = std::strtod(it->second.c_str(), &end);
-  RECONCILE_CHECK(end != nullptr && *end == '\0' && !it->second.empty())
-      << "flag --" << key << " is not a number: " << it->second;
+  errno = 0;
+  const double value = std::strtod(it->second.c_str(), &end);
+  if (it->second.empty() || *end != '\0') {
+    UsageError(key, "is not a number", it->second);
+  }
+  if (errno == ERANGE) UsageError(key, "is out of range", it->second);
   return value;
 }
 

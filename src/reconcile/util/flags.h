@@ -19,8 +19,10 @@ class Flags {
 
   bool Has(const std::string& key) const;
 
-  /// Typed getters with defaults. Fatal (RECONCILE_CHECK) if the value is
-  /// present but not parseable as the requested type.
+  /// Typed getters with defaults. A present value that is not a number, or
+  /// is out of range for the type, is a usage error: `GetInt`/`GetDouble`
+  /// print one stderr line and exit the process with status 2. A malformed
+  /// boolean is fatal (RECONCILE_CHECK).
   std::string GetString(const std::string& key,
                         const std::string& default_value) const;
   int64_t GetInt(const std::string& key, int64_t default_value) const;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <limits>
@@ -63,7 +62,6 @@ bool ParseCpuList(const std::string& text, std::vector<int>* out) {
 bool ParseSysfsNodeTree(const std::string& root, MachineTopology* out) {
   namespace fs = std::filesystem;
   out->domains.clear();
-  out->synthetic = false;
   std::error_code ec;
   if (!fs::is_directory(root, ec) || ec) return false;
 
@@ -103,36 +101,17 @@ MachineTopology SingleDomainTopology() {
   return topo;
 }
 
-MachineTopology SyntheticTopology(int num_domains) {
-  MachineTopology topo;
-  topo.synthetic = true;
-  const int n = std::clamp(num_domains, 1, kMaxSyntheticDomains);
-  topo.domains.resize(static_cast<size_t>(n));
-  for (int d = 0; d < n; ++d) topo.domains[static_cast<size_t>(d)].id = d;
-  return topo;
-}
-
 const MachineTopology& DetectTopology() {
   static const MachineTopology cached = [] {
-    // Env override first: lets single-socket hosts (CI, laptops) exercise
-    // the multi-domain paths, and multi-socket operators flatten them.
-    const char* env = std::getenv("RECONCILE_PLACEMENT_DOMAINS");
-    if (env != nullptr) {
-      int forced = 0;
-      if (ParseInt(env, &forced) && forced >= 1) {
-        return forced == 1 ? SingleDomainTopology() : SyntheticTopology(forced);
-      }
-    }
     MachineTopology detected;
     if (ParseSysfsNodeTree(kSysfsNodeRoot, &detected) &&
-        detected.multi_domain()) {
-      // Drop memory-only nodes (no CPUs): no worker can ever be local to
-      // them, so shards homed there would always be remote.
+        detected.num_domains() > 1) {
+      // Drop memory-only nodes (no CPUs): no thread ever runs local to them.
       detected.domains.erase(
           std::remove_if(detected.domains.begin(), detected.domains.end(),
                          [](const TopologyDomain& d) { return d.cpus.empty(); }),
           detected.domains.end());
-      if (detected.multi_domain()) return detected;
+      if (detected.num_domains() > 1) return detected;
     }
     return SingleDomainTopology();
   }();

@@ -7,26 +7,19 @@
 namespace reconcile {
 
 /// One memory domain of the machine (a NUMA node / socket): an id and the
-/// CPUs whose accesses to that domain's memory are local. `cpus` is empty
-/// for synthetic domains (test topologies have no hardware behind them).
+/// CPUs whose accesses to that domain's memory are local.
 struct TopologyDomain {
   int id = 0;
   std::vector<int> cpus;
 };
 
-/// The machine's memory topology as the placement layer sees it: a flat
-/// list of domains. Exactly one domain means placement degenerates to
-/// today's behavior everywhere (the single-domain fallback all non-Linux
-/// and single-socket hosts take).
+/// The machine's memory topology: a flat list of domains. Reported in host
+/// fingerprints; nothing in the library schedules by it. Exactly one domain
+/// is the fallback all non-Linux and single-socket hosts take.
 struct MachineTopology {
   std::vector<TopologyDomain> domains;
-  /// True when the domains were forced (env/config override) rather than
-  /// discovered — synthetic domains carry no CPU lists, so worker pinning
-  /// is skipped and only the shard-homing / steal-ordering logic runs.
-  bool synthetic = false;
 
   int num_domains() const { return static_cast<int>(domains.size()); }
-  bool multi_domain() const { return domains.size() > 1; }
 };
 
 /// Parses a sysfs-style CPU list ("0-3,8,10-11") into explicit CPU ids.
@@ -43,25 +36,12 @@ bool ParseCpuList(const std::string& text, std::vector<int>* out);
 bool ParseSysfsNodeTree(const std::string& root, MachineTopology* out);
 
 /// The fallback topology: one domain containing every CPU
-/// (`0 .. hardware_concurrency-1`). Placement under it is a no-op.
+/// (`0 .. hardware_concurrency-1`).
 MachineTopology SingleDomainTopology();
 
-/// Largest accepted synthetic domain count — far above any real machine
-/// (the biggest NUMA systems expose a few hundred nodes), small enough
-/// that per-domain bookkeeping can never be an accidental memory bomb.
-/// Config/env values beyond it are rejected or clamped.
-inline constexpr int kMaxSyntheticDomains = 1024;
-
-/// A forced topology of `num_domains` synthetic domains (clamped to
-/// `[1, kMaxSyntheticDomains]`). Used by tests and the
-/// `RECONCILE_PLACEMENT_DOMAINS` override so the multi-domain code paths
-/// are exercisable on single-socket hosts.
-MachineTopology SyntheticTopology(int num_domains);
-
-/// The process-wide topology, detected once and cached:
-/// `RECONCILE_PLACEMENT_DOMAINS=<k>` (k > 1) forces `SyntheticTopology(k)`;
-/// otherwise the Linux sysfs node tree is parsed; otherwise (non-Linux,
-/// unreadable sysfs, or a single node) the single-domain fallback.
+/// The process-wide topology, detected once and cached: the Linux sysfs
+/// node tree, or (non-Linux, unreadable sysfs, or a single node) the
+/// single-domain fallback.
 const MachineTopology& DetectTopology();
 
 }  // namespace reconcile

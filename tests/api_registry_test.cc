@@ -1,6 +1,7 @@
 #include "reconcile/api/registry.h"
 
 #include <algorithm>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -47,6 +48,22 @@ TEST(RegistryTest, UnknownParameterFailsWithClearError) {
   EXPECT_NE(error.find("core"), std::string::npos);
 }
 
+TEST(RegistryTest, RemovedSchedulingParamsAreUnknown) {
+  const std::pair<const char*, const char*> removed[] = {
+      {"core", "scheduler"},
+      {"core", "placement"},
+      {"core", "placement-domains"},
+      {"bp", "scheduler"}};
+  for (const auto& [key, param] : removed) {
+    std::string error;
+    EXPECT_EQ(Registry::Global().Create(ReconcilerSpec(key).Set(param, "1"),
+                                        &error),
+              nullptr)
+        << key << ":" << param;
+    EXPECT_NE(error.find(param), std::string::npos) << error;
+  }
+}
+
 TEST(RegistryTest, MalformedValueFails) {
   std::string error;
   auto reconciler = Registry::Global().Create(
@@ -65,6 +82,15 @@ TEST(RegistryTest, OutOfRangeValuesAreSpecErrorsNotCrashes) {
                 ReconcilerSpec("features").Set("depth", "9"), &error),
             nullptr);
   EXPECT_NE(error.find("depth"), std::string::npos);
+  // The smallest bucket's degree floor is 1 << exponent in a 32-bit id.
+  for (const char* exponent : {"-1", "40"}) {
+    EXPECT_EQ(Registry::Global().Create(
+                  ReconcilerSpec("core").Set("min-bucket-exponent", exponent),
+                  &error),
+              nullptr)
+        << exponent;
+    EXPECT_NE(error.find("min-bucket-exponent"), std::string::npos);
+  }
 }
 
 TEST(RegistryTest, IntNarrowingIsRangeChecked) {

@@ -1,8 +1,8 @@
 // The multi-process contract (DESIGN.md §2.7): the matching is a pure
 // function of the inputs — bit-identical for every worker count, thread
-// count, scheduler and injected-failure schedule. These tests drive the
-// real coordinator/worker processes end to end and byte-compare matchings
-// against the in-process run.
+// count and injected-failure schedule. These tests drive the real
+// coordinator/worker processes end to end and byte-compare matchings
+// against the single-threaded in-process run.
 //
 // Process discipline (same as integration_kill_resume_test): the parent
 // NEVER builds a workload or runs the matcher — the coordinator forks
@@ -87,12 +87,14 @@ MatcherConfig BaseConfig() {
   return config;
 }
 
-// Runs the in-process reference once per process and caches its bytes.
+// Runs the single-threaded in-process reference once per process and
+// caches its bytes.
 const std::vector<char>& ReferenceBytes() {
   static const std::vector<char>* bytes = [] {
     const std::string out = TempPath("dist_ref.txt");
     ChildSpec spec;
     spec.config = BaseConfig();
+    spec.config.num_threads = 1;
     spec.matching_out = out;
     EXPECT_EQ(RunChild(spec), 0);
     auto* b = new std::vector<char>(Slurp(out));
@@ -115,23 +117,18 @@ void CheckIdentical(const MatcherConfig& config, const std::string& tag) {
   std::remove(out.c_str());
 }
 
-TEST(DistDeterminismTest, WorkerCountAndSchedulerInvariance) {
-  // {2, 4} workers x {stealing, static} scheduler x {1, 4} threads — every
-  // cell must reproduce the single-process matching byte for byte. (The
-  // scheduler/thread knobs only shape the coordinator-side shard resolve;
-  // workers compute serially, so nothing else may depend on them.)
+TEST(DistDeterminismTest, WorkerAndThreadCountInvariance) {
+  // {2, 4} workers x {1, 4} threads — every cell must reproduce the
+  // single-process matching byte for byte. (The thread knob only shapes
+  // the coordinator-side shard resolve; workers compute serially, so
+  // nothing else may depend on it.)
   for (int workers : {2, 4}) {
-    for (Scheduler scheduler : {Scheduler::kWorkStealing, Scheduler::kStatic}) {
-      for (int threads : {1, 4}) {
-        MatcherConfig config = BaseConfig();
-        config.workers = workers;
-        config.scheduler = scheduler;
-        config.num_threads = threads;
-        CheckIdentical(config,
-                       "w" + std::to_string(workers) + "_s" +
-                           std::to_string(static_cast<int>(scheduler)) +
-                           "_t" + std::to_string(threads));
-      }
+    for (int threads : {1, 4}) {
+      MatcherConfig config = BaseConfig();
+      config.workers = workers;
+      config.num_threads = threads;
+      CheckIdentical(config, "w" + std::to_string(workers) + "_t" +
+                                 std::to_string(threads));
     }
   }
 }

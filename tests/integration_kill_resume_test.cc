@@ -1,7 +1,7 @@
 // End-to-end crash safety: a matcher process killed mid-run by an injected
 // crash fault must, when restarted with --resume semantics, finish with a
-// matching byte-identical to an uninterrupted run — across scoring backend,
-// scheduler and placement. Corrupt checkpoints must fall back to older ones
+// matching byte-identical to an uninterrupted single-threaded run — for
+// both scoring backends. Corrupt checkpoints must fall back to older ones
 // (to a fresh start when none survives), an injected checkpoint-write
 // failure must only cost a recovery point, and a graceful stop must exit
 // cleanly with a resumable partial state.
@@ -121,22 +121,17 @@ int RunChild(const ChildSpec& spec) {
   return WEXITSTATUS(status);
 }
 
-MatcherConfig GridConfig(ScoringBackend backend, Scheduler scheduler,
-                         int placement_domains) {
+MatcherConfig GridConfig(ScoringBackend backend) {
   MatcherConfig config;
   config.scoring_backend = backend;
-  config.scheduler = scheduler;
   config.num_shards = 4;  // fixed: the snapshot fingerprints the resolved count
   config.num_threads = 4;
-  if (placement_domains > 0) {
-    config.placement = PlacementPolicy::kDomain;
-    config.placement_domains = placement_domains;
-  }
   return config;
 }
 
-// One crash/resume cycle: clean run -> file A; crash run (must die with the
-// fault exit code, leaving checkpoints); resume run -> file B; A == B.
+// One crash/resume cycle: clean 1-thread run -> file A; crash run (must die
+// with the fault exit code, leaving checkpoints); resume run -> file B;
+// A == B.
 void CheckKillResume(const MatcherConfig& base, const std::string& tag) {
   const std::string dir = TempPath("kr_" + tag);
   const std::string clean_out = TempPath("kr_" + tag + "_clean.txt");
@@ -144,6 +139,7 @@ void CheckKillResume(const MatcherConfig& base, const std::string& tag) {
 
   ChildSpec clean;
   clean.config = base;
+  clean.config.num_threads = 1;
   clean.matching_out = clean_out;
   ASSERT_EQ(RunChild(clean), 0) << tag;
 
@@ -171,26 +167,14 @@ void CheckKillResume(const MatcherConfig& base, const std::string& tag) {
   std::remove(resumed_out.c_str());
 }
 
-// Four corners covering each axis in both settings: backend (radix/hash),
-// scheduler (stealing/static), placement (off / 3 synthetic domains).
 // Split per backend so CI can run the harness once per scoring engine
 // (`--gtest_filter=KillResumeTest.Radix*` / `.Hash*`).
 TEST(KillResumeTest, RadixResumeBitIdentical) {
-  CheckKillResume(
-      GridConfig(ScoringBackend::kRadixSort, Scheduler::kWorkStealing, 0),
-      "radix_steal_flat");
-  CheckKillResume(
-      GridConfig(ScoringBackend::kRadixSort, Scheduler::kStatic, 3),
-      "radix_static_placed");
+  CheckKillResume(GridConfig(ScoringBackend::kRadixSort), "radix");
 }
 
 TEST(KillResumeTest, HashResumeBitIdentical) {
-  CheckKillResume(
-      GridConfig(ScoringBackend::kHashMap, Scheduler::kWorkStealing, 3),
-      "hash_steal_placed");
-  CheckKillResume(
-      GridConfig(ScoringBackend::kHashMap, Scheduler::kStatic, 0),
-      "hash_static_flat");
+  CheckKillResume(GridConfig(ScoringBackend::kHashMap), "hash");
 }
 
 TEST(KillResumeTest, CheckpointWriteFailureOnlyCostsARecoveryPoint) {
@@ -198,7 +182,7 @@ TEST(KillResumeTest, CheckpointWriteFailureOnlyCostsARecoveryPoint) {
   // round 5. Recovery resumes from the newest surviving snapshot and
   // replays the lost rounds — the final matching is still identical.
   MatcherConfig base =
-      GridConfig(ScoringBackend::kRadixSort, Scheduler::kWorkStealing, 0);
+      GridConfig(ScoringBackend::kRadixSort);
   const std::string dir = TempPath("kr_writefail");
   const std::string clean_out = TempPath("kr_writefail_clean.txt");
   const std::string resumed_out = TempPath("kr_writefail_resumed.txt");
@@ -233,7 +217,7 @@ TEST(KillResumeTest, CheckpointWriteFailureOnlyCostsARecoveryPoint) {
 
 TEST(KillResumeTest, CorruptNewestCheckpointFallsBackToOlder) {
   MatcherConfig base =
-      GridConfig(ScoringBackend::kRadixSort, Scheduler::kWorkStealing, 0);
+      GridConfig(ScoringBackend::kRadixSort);
   const std::string dir = TempPath("kr_corrupt");
   const std::string clean_out = TempPath("kr_corrupt_clean.txt");
   const std::string resumed_out = TempPath("kr_corrupt_resumed.txt");
@@ -275,7 +259,7 @@ TEST(KillResumeTest, CorruptNewestCheckpointFallsBackToOlder) {
 
 TEST(KillResumeTest, AllCheckpointsCorruptFallsBackToFreshStart) {
   MatcherConfig base =
-      GridConfig(ScoringBackend::kHashMap, Scheduler::kStatic, 0);
+      GridConfig(ScoringBackend::kHashMap);
   const std::string dir = TempPath("kr_allcorrupt");
   const std::string clean_out = TempPath("kr_allcorrupt_clean.txt");
   const std::string resumed_out = TempPath("kr_allcorrupt_resumed.txt");
@@ -316,7 +300,7 @@ TEST(KillResumeTest, GracefulStopCheckpointsAndResumes) {
   // round, writes a final checkpoint, exits 0 with a partial matching; a
   // resume run completes it identically to a never-stopped run.
   MatcherConfig base =
-      GridConfig(ScoringBackend::kRadixSort, Scheduler::kWorkStealing, 0);
+      GridConfig(ScoringBackend::kRadixSort);
   const std::string dir = TempPath("kr_stop");
   const std::string clean_out = TempPath("kr_stop_clean.txt");
   const std::string partial_out = TempPath("kr_stop_partial.txt");
@@ -366,7 +350,7 @@ TEST(KillResumeTest, CrashMidSpillResumesFromSpilledCheckpoint) {
   // UNBUDGETED clean run — proving both crash recovery and that the
   // checkpoint format is representation-independent.
   MatcherConfig base =
-      GridConfig(ScoringBackend::kRadixSort, Scheduler::kWorkStealing, 0);
+      GridConfig(ScoringBackend::kRadixSort);
   const std::string dir = TempPath("kr_spill");
   const std::string scratch = TempPath("kr_spill_scratch");
   const std::string clean_out = TempPath("kr_spill_clean.txt");
@@ -414,7 +398,7 @@ TEST(KillResumeTest, CheckpointRetentionKeepsNewestAndStillResumes) {
   // the same retention still recovers (the newest surviving snapshot is by
   // construction inside the retained window).
   MatcherConfig base =
-      GridConfig(ScoringBackend::kRadixSort, Scheduler::kStatic, 0);
+      GridConfig(ScoringBackend::kRadixSort);
   base.checkpoint_keep = 2;
   const std::string dir = TempPath("kr_keep");
   const std::string clean_out = TempPath("kr_keep_clean.txt");

@@ -87,7 +87,25 @@ TEST(FlagsTest, LastValueWins) {
 
 TEST(FlagsDeathTest, BadIntegerAborts) {
   Flags flags = ParseOk({"--n=abc"});
-  EXPECT_DEATH(flags.GetInt("n", 0), "not an integer");
+  EXPECT_EXIT(flags.GetInt("n", 0), ::testing::ExitedWithCode(2),
+              "not an integer");
+}
+
+TEST(FlagsDeathTest, IntegerOverflowExitsWithUsageError) {
+  Flags flags =
+      ParseOk({"--n=99999999999999999999", "--m=-99999999999999999999"});
+  EXPECT_EXIT(flags.GetInt("n", 0), ::testing::ExitedWithCode(2),
+              "out of range");
+  EXPECT_EXIT(flags.GetInt("m", 0), ::testing::ExitedWithCode(2),
+              "out of range");
+}
+
+TEST(FlagsDeathTest, BadDoubleExitsWithUsageError) {
+  Flags flags = ParseOk({"--x=0.5abc", "--y=1e999"});
+  EXPECT_EXIT(flags.GetDouble("x", 0.0), ::testing::ExitedWithCode(2),
+              "not a number");
+  EXPECT_EXIT(flags.GetDouble("y", 0.0), ::testing::ExitedWithCode(2),
+              "out of range");
 }
 
 TEST(FlagsDeathTest, BadBoolAborts) {

@@ -85,8 +85,6 @@ TEST(SysfsTopologyTest, ParsesTwoSocketTree) {
   MachineTopology topo;
   ASSERT_TRUE(ParseSysfsNodeTree(tree.path(), &topo));
   ASSERT_EQ(topo.num_domains(), 2);
-  EXPECT_TRUE(topo.multi_domain());
-  EXPECT_FALSE(topo.synthetic);
   EXPECT_EQ(topo.domains[0].id, 0);
   EXPECT_EQ(topo.domains[0].cpus, (std::vector<int>{0, 1, 2, 3}));
   EXPECT_EQ(topo.domains[1].id, 1);
@@ -139,24 +137,8 @@ TEST(SysfsTopologyTest, MalformedCpuListFailsToParse) {
 TEST(FallbackTopologyTest, SingleDomainCoversAllCpus) {
   MachineTopology topo = SingleDomainTopology();
   ASSERT_EQ(topo.num_domains(), 1);
-  EXPECT_FALSE(topo.multi_domain());
-  EXPECT_FALSE(topo.synthetic);
   EXPECT_FALSE(topo.domains[0].cpus.empty());
   EXPECT_EQ(topo.domains[0].cpus.front(), 0);
-}
-
-TEST(FallbackTopologyTest, SyntheticDomainsHaveNoCpus) {
-  MachineTopology topo = SyntheticTopology(3);
-  ASSERT_EQ(topo.num_domains(), 3);
-  EXPECT_TRUE(topo.synthetic);
-  for (int d = 0; d < 3; ++d) {
-    EXPECT_EQ(topo.domains[static_cast<size_t>(d)].id, d);
-    EXPECT_TRUE(topo.domains[static_cast<size_t>(d)].cpus.empty());
-  }
-  EXPECT_EQ(SyntheticTopology(0).num_domains(), 1);  // clamped low
-  // Clamped high: absurd domain counts cannot become a memory bomb.
-  EXPECT_EQ(SyntheticTopology(2000000000).num_domains(),
-            kMaxSyntheticDomains);
 }
 
 TEST(FallbackTopologyTest, DetectTopologyAlwaysYieldsAtLeastOneDomain) {

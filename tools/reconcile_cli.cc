@@ -105,17 +105,7 @@ Core-matcher shorthands (equivalent --param spellings shown):
   --no-bucketing  --param bucketing=false                     [false]
   --serial-selection  --param parallel-selection=false
   --scoring-backend   --param backend=hash|radix (radix default)
-  --scheduler     --param scheduler=auto|static|stealing (hot-path loop
-                  scheduling; auto = stealing unless the
-                  RECONCILE_SCHEDULER env var overrides)
   --grain         --param grain=... (work-stealing chunk size, 0 = auto)
-  --placement     --param placement=auto|none|interleave|domain (NUMA
-                  homing of the score shards; auto = domain on
-                  multi-socket hosts, none elsewhere, overridable via the
-                  RECONCILE_PLACEMENT env var)
-  --placement-domains  --param placement-domains=... (force a synthetic
-                  domain count for the placement layer; 0 = detect, env
-                  RECONCILE_PLACEMENT_DOMAINS does the same process-wide)
 
 Crash safety (core matcher; see DESIGN.md §2.4):
   --checkpoint-dir    --param checkpoint-dir=... — snapshot the full round
@@ -193,8 +183,8 @@ Validation and comparison (eval/validation.h, eval/disagreement.h):
                   raw link agree/conflict counts               [none]
 
 Output and misc:
-  --phase-table   per-round table: emit/merge/scan/select seconds plus the
-                  placement locality split (local/remote unit tasks)
+  --phase-table   per-round table: emissions, candidate pairs, new links
+                  and the emit/merge/scan/select seconds
   --degree-table  per-degree-band precision/recall            [false]
   --baseline      DEPRECATED alias: also run this algorithm
                   after the main one (use --algorithm)        [none]
@@ -247,18 +237,8 @@ bool BuildSpec(const Flags& flags, ReconcilerSpec* spec, std::string* error) {
   if (flags.Has("scoring-backend")) {
     spec->Set("backend", flags.GetString("scoring-backend", "radix"));
   }
-  if (flags.Has("scheduler")) {
-    spec->Set("scheduler", flags.GetString("scheduler", "auto"));
-  }
   if (flags.Has("grain")) {
     spec->Set("grain", std::to_string(flags.GetInt("grain", 0)));
-  }
-  if (flags.Has("placement")) {
-    spec->Set("placement", flags.GetString("placement", "auto"));
-  }
-  if (flags.Has("placement-domains")) {
-    spec->Set("placement-domains",
-              std::to_string(flags.GetInt("placement-domains", 0)));
   }
   if (flags.Has("checkpoint-dir")) {
     spec->Set("checkpoint-dir", flags.GetString("checkpoint-dir", ""));
@@ -490,14 +470,6 @@ int RunCli(const Flags& flags) {
                 "select %.2fs (%d threads)\n",
                 split.emit_seconds, split.merge_seconds, split.scan_seconds,
                 split.select_seconds, result.phases.front().num_threads);
-    const MatchResult::PlacementTotals locality =
-        result.SumPlacementCounters();
-    if (locality.domains > 1) {
-      std::printf("  placement: %d domains | local unit tasks %zu | "
-                  "remote steals %zu\n",
-                  locality.domains, locality.local_unit_tasks,
-                  locality.remote_unit_steals);
-    }
   }
   PrintQuality(quality);
 
@@ -526,8 +498,7 @@ int RunCli(const Flags& flags) {
 
   if (flags.GetBool("phase-table", false)) {
     Table table({"iter", "bucket", "links in", "emissions", "pairs", "new",
-                 "emit s", "merge s", "scan s", "select s", "local",
-                 "remote"});
+                 "emit s", "merge s", "scan s", "select s"});
     for (const PhaseStats& phase : result.phases) {
       table.AddRow({std::to_string(phase.iteration),
                     std::to_string(phase.bucket_exponent),
@@ -538,9 +509,7 @@ int RunCli(const Flags& flags) {
                     FormatDouble(phase.emit_seconds, 3),
                     FormatDouble(phase.merge_seconds, 3),
                     FormatDouble(phase.scan_seconds, 3),
-                    FormatDouble(phase.select_seconds, 3),
-                    std::to_string(phase.local_unit_tasks),
-                    std::to_string(phase.remote_unit_steals)});
+                    FormatDouble(phase.select_seconds, 3)});
     }
     table.Print(std::cout);
   }

@@ -36,8 +36,6 @@
 #include "reconcile/util/checkpoint.h"
 #include "reconcile/util/fault.h"
 #include "reconcile/util/flags.h"
-#include "reconcile/util/parallel_for.h"
-#include "reconcile/util/placement.h"
 #include "reconcile/util/shutdown.h"
 
 namespace reconcile {
@@ -92,10 +90,7 @@ Execution (never affect the matching):
   --shards        score shards (0 = max(4, threads)); the resolved count
                   is pinned into serve checkpoints — pass it explicitly
                   when resuming with a different thread count  [0]
-  --scheduler     auto | static | stealing                    [auto]
   --grain         work-stealing chunk size (0 = auto)         [0]
-  --placement     auto | none | interleave | domain           [auto]
-  --placement-domains  synthetic domain count (0 = detect)    [0]
   --serial-selection   serial mutual-best selection           [false]
   --compact-every fold overlay diffs into a fresh CSR every N batches
                   (0 = never; purely a scan-speed knob)       [8]
@@ -151,20 +146,19 @@ void PrintBatch(const ServeBatchStats& stats, bool initial) {
   std::printf(
       "%s%d: deltas %zu (%zu effective) | dirty nodes %zu | dirty links "
       "%zu | rescored units %zu | rounds %s | links %zu (+%zu/-%zu) | "
-      "%.2fs\n",
+      "%.1fms\n",
       initial ? "initial match as batch " : "batch ", stats.batch,
       stats.deltas_in, stats.deltas_applied, stats.dirty_nodes,
       stats.dirty_links, stats.rescored_units, rounds.c_str(),
       stats.num_links, stats.links_added, stats.links_removed,
-      stats.seconds);
+      stats.seconds * 1e3);
   std::fflush(stdout);
 }
 
 void PrintPhaseTable(const ServeBatchStats& stats) {
   if (stats.rounds.empty()) return;
   Table table({"iter", "bucket", "links in", "emissions", "pairs", "new",
-               "emit s", "merge s", "scan s", "select s", "local",
-               "remote"});
+               "emit s", "merge s", "scan s", "select s"});
   for (const PhaseStats& phase : stats.rounds) {
     table.AddRow({std::to_string(phase.iteration),
                   std::to_string(phase.bucket_exponent),
@@ -175,9 +169,7 @@ void PrintPhaseTable(const ServeBatchStats& stats) {
                   FormatDouble(phase.emit_seconds, 3),
                   FormatDouble(phase.merge_seconds, 3),
                   FormatDouble(phase.scan_seconds, 3),
-                  FormatDouble(phase.select_seconds, 3),
-                  std::to_string(phase.local_unit_tasks),
-                  std::to_string(phase.remote_unit_steals)});
+                  FormatDouble(phase.select_seconds, 3)});
   }
   table.Print(std::cout);
 }
@@ -275,24 +267,8 @@ int RunServe(const Flags& flags) {
   mc.num_shards = static_cast<int>(flags.GetInt("shards", 0));
   mc.use_parallel_selection = !flags.GetBool("serial-selection", false);
   mc.scheduler_grain = static_cast<size_t>(flags.GetInt("grain", 0));
-  mc.placement_domains =
-      static_cast<int>(flags.GetInt("placement-domains", 0));
   config.compact_overlay_every =
       static_cast<int>(flags.GetInt("compact-every", 8));
-  if (flags.Has("scheduler") &&
-      !ParseScheduler(flags.GetString("scheduler", "auto"),
-                      &mc.scheduler)) {
-    std::fprintf(stderr, "unknown --scheduler=%s\n",
-                 flags.GetString("scheduler", "auto").c_str());
-    return 2;
-  }
-  if (flags.Has("placement") &&
-      !ParsePlacement(flags.GetString("placement", "auto"),
-                      &mc.placement)) {
-    std::fprintf(stderr, "unknown --placement=%s\n",
-                 flags.GetString("placement", "auto").c_str());
-    return 2;
-  }
   if (mc.num_iterations < 1) {
     std::fprintf(stderr, "--iterations must be >= 1\n");
     return 2;

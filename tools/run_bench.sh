@@ -5,10 +5,9 @@
 #                         (radix vs hash scoring backends, serial vs
 #                         parallel selection, 1/2/4 threads)
 #   BENCH_scaling.json  — Table-2 RMAT scaling shape (both backends)
-#   BENCH_skew.json     — hub-heavy Chung-Lu matching, scheduler x backend
-#                         (static vs work-stealing emission, LSM tier store
-#                         on/off; emit_s / merge_s counters carry the
-#                         per-phase split)
+#   BENCH_skew.json     — hub-heavy Chung-Lu matching, scoring backend x
+#                         LSM tier store on/off (emit_s / merge_s
+#                         counters carry the per-phase split)
 #   BENCH_outofcore.json — memory-budgeted matching under 4x and 16x score
 #                         state pressure vs the unbudgeted baseline; the 4x
 #                         series must stay under 2x the baseline real_time
