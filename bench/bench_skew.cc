@@ -3,10 +3,10 @@
 // links — a hub link (a1, a2) emits ~deg(a1)·deg(a2) candidate pairs, so
 // with fixed chunking whichever worker drew the hub chunk would serialize
 // the round (the imbalance Wakita & Tsurumi describe for mega-scale social
-// graphs); the work-stealing loop rebalances it. The grid is scoring
-// backend at a fixed thread count; read `emit_s` for the emission phase
-// under skew, and `merge_s` for the LSM tier store (`tiers=1` pins the
-// pre-LSM merge-every-round behavior).
+// graphs); the work-stealing loop rebalances it. Both series run at a
+// fixed thread count; read `emit_s` for the emission phase under skew, and
+// `merge_s` for the LSM tier store (the single-tier series pins the pre-LSM
+// merge-every-round behavior).
 //
 // Top-degree-biased seeds put the hubs into the witness set from round one,
 // so the skew is live in every measured round. `tools/run_bench.sh`
@@ -34,8 +34,7 @@ RealizationPair MakeSkewPair() {
   return SampleIndependent(g, sample, 0x5CE12);
 }
 
-void SkewMatchBenchmark(benchmark::State& state, ScoringBackend backend,
-                        int lsm_max_tiers = 2) {
+void SkewMatchBenchmark(benchmark::State& state, int lsm_max_tiers) {
   static const RealizationPair& pair = *new RealizationPair(MakeSkewPair());
   SeedOptions seed_options;
   seed_options.bias = SeedBias::kTopDegree;
@@ -44,7 +43,6 @@ void SkewMatchBenchmark(benchmark::State& state, ScoringBackend backend,
 
   MatcherConfig config;
   config.num_threads = 4;
-  config.scoring_backend = backend;
   config.lsm_max_tiers = lsm_max_tiers;
   MatchResult::PhaseTimeTotals split;
   for (auto _ : state) {
@@ -59,18 +57,13 @@ void SkewMatchBenchmark(benchmark::State& state, ScoringBackend backend,
 }
 
 void BM_SkewMatchStealingRadix(benchmark::State& state) {
-  SkewMatchBenchmark(state, ScoringBackend::kRadixSort);
+  SkewMatchBenchmark(state, /*lsm_max_tiers=*/2);
 }
-void BM_SkewMatchStealingHash(benchmark::State& state) {
-  SkewMatchBenchmark(state, ScoringBackend::kHashMap);
-}
-// LSM off (single tier): isolates the tier store's contribution within the
-// radix configuration.
+// LSM off (single tier): isolates the tier store's contribution.
 void BM_SkewMatchStealingRadixSingleTier(benchmark::State& state) {
-  SkewMatchBenchmark(state, ScoringBackend::kRadixSort, /*lsm_max_tiers=*/1);
+  SkewMatchBenchmark(state, /*lsm_max_tiers=*/1);
 }
 BENCHMARK(BM_SkewMatchStealingRadix)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SkewMatchStealingHash)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_SkewMatchStealingRadixSingleTier)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -12,10 +12,6 @@ namespace reconcile {
 
 namespace {
 
-const char* BackendName(ScoringBackend backend) {
-  return backend == ScoringBackend::kHashMap ? "hash" : "radix";
-}
-
 const char* OnOff(bool value) { return value ? "on" : "off"; }
 
 // Bounds-checked narrowing for int-typed config fields: an out-of-range
@@ -51,18 +47,6 @@ std::unique_ptr<Reconciler> MakeCore(const ReconcilerSpec& spec,
   config.num_shards = GetIntParam(reader, "shards", config.num_shards);
   config.stop_when_stable =
       reader.GetBool("stop-when-stable", config.stop_when_stable);
-  config.use_incremental_scoring =
-      reader.GetBool("incremental", config.use_incremental_scoring);
-  config.use_parallel_selection =
-      reader.GetBool("parallel-selection", config.use_parallel_selection);
-  std::string backend = reader.GetString("backend", "radix");
-  if (backend == "hash") {
-    config.scoring_backend = ScoringBackend::kHashMap;
-  } else if (backend == "radix") {
-    config.scoring_backend = ScoringBackend::kRadixSort;
-  } else {
-    reader.AddError("parameter 'backend' must be hash or radix: " + backend);
-  }
   const int64_t grain = reader.GetInt("grain", 0);
   if (grain < 0) {
     reader.AddError("parameter 'grain' must be >= 0");
@@ -252,11 +236,6 @@ std::string CoreReconciler::Describe() const {
   out << "core(threshold=" << config_.min_score
       << ", iterations=" << config_.num_iterations
       << ", bucketing=" << OnOff(config_.use_degree_bucketing)
-      << ", backend=" << BackendName(config_.scoring_backend)
-      << ", selection="
-      << (config_.use_parallel_selection ? "parallel" : "serial")
-      << ", scoring="
-      << (config_.use_incremental_scoring ? "incremental" : "recompute")
       << ", tiers=" << config_.lsm_max_tiers;
   if (config_.workers > 1) {
     out << ", workers=" << config_.workers;
@@ -315,9 +294,8 @@ void RegisterBuiltinReconcilers(Registry& registry) {
        .summary = "User-Matching (paper §3.2): degree-bucketed witness "
                   "scoring, mutual-best selection",
        .params = "threshold, iterations, bucketing, min-bucket-exponent, "
-                 "threads, shards, stop-when-stable, incremental, "
-                 "parallel-selection, backend=hash|radix, grain, "
-                 "max-tiers, tier-ratio, checkpoint-dir, checkpoint-every, "
+                 "threads, shards, stop-when-stable, grain, max-tiers, "
+                 "tier-ratio, checkpoint-dir, checkpoint-every, "
                  "checkpoint-keep, resume, memory-budget, score-dir, "
                  "workers, worker-retry, worker-timeout-ms, fault",
        .threshold_param = "threshold",

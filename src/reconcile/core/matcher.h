@@ -13,21 +13,6 @@
 
 namespace reconcile {
 
-/// How a scoring round aggregates witness emissions into per-pair scores.
-enum class ScoringBackend {
-  /// Hash aggregation: every emission probes a `FlatCountMap` shard
-  /// (random access), and selection iterates hash buckets.
-  kHashMap,
-  /// Sort-based aggregation: emissions append packed keys into flat
-  /// per-shard buffers (no per-emission hashing); each shard is then
-  /// radix-sorted and run-length-encoded into a `SortedCountRun` that
-  /// selection scans linearly. The incremental engine keeps persistent
-  /// sorted runs per (level, shard) and folds each round's sorted delta in
-  /// with a linear two-way merge. Matchings are bit-identical to the hash
-  /// backend for every engine/thread/shard combination.
-  kRadixSort,
-};
-
 /// Tuning knobs for the User-Matching algorithm (paper §3.2).
 struct MatcherConfig {
   /// Number of outer iterations `k`. The paper notes k = 1 or 2 suffices.
@@ -45,38 +30,17 @@ struct MatcherConfig {
   int min_bucket_exponent = 0;
   /// Worker threads (0 = hardware concurrency).
   int num_threads = 0;
-  /// Reduce shards for the scoring MapReduce (0 = max(4, threads)). Results
-  /// are shard-count invariant; this only affects parallel granularity.
+  /// Score shards per degree level (0 = max(4, threads)). Results are
+  /// shard-count invariant; this only affects parallel granularity.
   int num_shards = 0;
   /// Stop outer iterations early once a full sweep finds no new link.
   bool stop_when_stable = true;
-  /// Scoring engine. `true` (default): incremental — each link's witness
-  /// contributions are folded into persistent per-degree-level score maps
-  /// exactly once, and a bucket-j round scans levels >= j. `false`:
-  /// reference engine that rebuilds the counts from all current links every
-  /// round, exactly as written in the paper. Both engines produce identical
-  /// matchings; the incremental one is asymptotically cheaper by the
-  /// O(log max-degree) bucket-sweep factor.
-  bool use_incremental_scoring = true;
-  /// Selection engine. `true` (default): the per-round mutual-unique-best
-  /// selection runs one task per score shard against atomic CAS-max best
-  /// tables, removing the serial tail that dominates once scoring is
-  /// parallel. `false`: reference single-threaded double scan. Both engines
-  /// produce bit-identical matchings for any thread/shard counts.
-  bool use_parallel_selection = true;
-  /// Witness-aggregation backend (see `ScoringBackend`). Both backends
-  /// produce bit-identical matchings; they differ only in memory-access
-  /// pattern and therefore speed. Sort-based aggregation is the default —
-  /// sequential emission and linear scans beat per-emission hash probes on
-  /// every measured workload; the hash map remains the reference engine.
-  ScoringBackend scoring_backend = ScoringBackend::kRadixSort;
   /// Chunk size the work-stealing loop (`util/parallel_for.h`) claims per
   /// lock acquisition in the emission loop (0 = auto). Smaller grains
   /// rebalance skewed (hub-heavy) rounds at finer resolution for a little
   /// more claim traffic. Results are grain-invariant.
   size_t scheduler_grain = 0;
-  /// LSM-style tiered score store (radix backend, incremental engine only):
-  /// cap on resident sorted-run tiers per (level, shard). Round deltas
+  /// LSM-style tiered score store: cap on resident sorted-run tiers per (level, shard). Round deltas
   /// accumulate as small tiers and fold into the big persistent run only
   /// when `lsm_size_ratio` or this cap trips, so late low-yield rounds stop
   /// rewriting the full run every round. `1` restores the pre-LSM
@@ -103,15 +67,13 @@ struct MatcherConfig {
   /// pruned.
   int checkpoint_keep = 0;
   /// Memory budget for the persistent score state in bytes (0 = unbudgeted,
-  /// the all-resident behavior). When the radix backend's resident tier
-  /// payload exceeds this after a round's emission, the enforcement pass
-  /// spills the biggest cold tiers to mmap'd files under `score_dir` until
-  /// resident payload fits (largest-first, deterministic tie-breaks);
-  /// selection streams spilled tiers through the same fold, so matchings
-  /// are bit-identical to the unbudgeted run. Requires `score_dir`; with
-  /// the hash backend the budget is ignored with a one-line warning
-  /// (FlatCountMap shards have no spillable flat form). Spill failures —
-  /// ENOSPC, torn writes, failed mmaps — degrade gracefully: the tier stays
+  /// the all-resident behavior). When the resident tier payload exceeds
+  /// this after a round's emission, the enforcement pass spills the biggest
+  /// cold tiers to mmap'd files under `score_dir` until resident payload
+  /// fits (largest-first, deterministic tie-breaks); selection streams
+  /// spilled tiers through the same fold, so matchings are bit-identical to
+  /// the unbudgeted run. Requires `score_dir`. Spill failures — ENOSPC,
+  /// torn writes, failed mmaps — degrade gracefully: the tier stays
   /// resident (stderr note) and after repeated failures spilling is
   /// disabled for the run; never a crash, never a wrong matching.
   uint64_t memory_budget_bytes = 0;
@@ -138,10 +100,9 @@ struct MatcherConfig {
   /// Unix sockets — edge data and score state never cross the wire.
   /// Matchings are bit-identical to the in-process run for any worker
   /// count, including under injected worker failures. `1` (default) is the
-  /// plain in-process path with zero overhead. Requires the incremental
-  /// radix backend (the shard partition must be a function of the g1 node
-  /// alone); other configurations, and checkpoint/resume runs, fall back
-  /// in-process with a one-line warning. Clamped to the shard count.
+  /// plain in-process path with zero overhead. Checkpoint/resume and
+  /// memory-budgeted runs fall back in-process with a one-line warning.
+  /// Clamped to the shard count.
   int workers = 1;
   /// Worker-loss retry budget: how many times the coordinator may respawn a
   /// dead/hung/corrupting worker (exponential backoff between attempts)
@@ -161,12 +122,12 @@ struct MatcherConfig {
 ///
 /// Per round (degree bucket `2^j`, outer iteration `i`):
 ///  1. every current link (a1, a2) acts as a similarity witness for each
-///     candidate pair (u, v) ∈ N1(a1) × N2(a2) whose degrees clear `2^j` and
-///     whose endpoints are still unmatched — counted via a MapReduce round;
-///  2. a candidate pair is accepted iff its score is at least
-///     `config.min_score` and is the unique maximum among all scored pairs
-///     containing `u` and among all containing `v` (mutual best; ties are
-///     rejected to protect precision).
+///     candidate pair (u, v) ∈ N1(a1) × N2(a2) whose degrees clear `2^j`;
+///  2. a candidate pair with both endpoints unmatched is accepted iff its
+///     score is at least `config.min_score` and is the unique maximum among
+///     all scored pairs containing `u` and among all containing `v` (mutual
+///     best; ties are rejected to protect precision). Matched nodes stay in
+///     the scored pool as blockers.
 ///
 /// Seeds must be in-range and one-to-one; duplicates are rejected via
 /// RECONCILE_CHECK. The output is deterministic: independent of thread and

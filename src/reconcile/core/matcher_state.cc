@@ -1,11 +1,9 @@
 #include "reconcile/core/matcher_state.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdio>
 #include <limits>
 
-#include "reconcile/mr/mapreduce.h"
 #include "reconcile/util/checkpoint.h"
 #include "reconcile/util/logging.h"
 #include "reconcile/util/timer.h"
@@ -41,14 +39,21 @@ uint64_t GraphFingerprint(const Graph& g) {
   return h;
 }
 
-// Snapshot section ids (see SaveSnapshot for the layout).
+// Snapshot section ids (see SaveSnapshot for the layout). Id 3 held the
+// scores of the removed hash backend.
 constexpr uint32_t kSectionMeta = 1;
 constexpr uint32_t kSectionLinks = 2;
-constexpr uint32_t kSectionScoresHash = 3;
-constexpr uint32_t kSectionScoresRadix = 4;
+constexpr uint32_t kSectionScores = 4;
 
 // Bumped whenever the META/LINKS/SCORES payloads change shape.
 constexpr uint32_t kMatcherStateVersion = 1;
+
+// META's two engine bytes. Snapshots once recorded which scoring engine
+// (incremental or recompute) and which backend (radix or hash) wrote them;
+// only the incremental radix pair is left, so these are written as
+// constants and anything else is rejected on load.
+constexpr uint8_t kIncrementalEngine = 1;
+constexpr uint8_t kRadixBackend = 1;
 
 }  // namespace
 
@@ -98,38 +103,16 @@ MatcherState::MatcherState(const Graph& g1, const Graph& g2,
       num_shards_(ResolveShardCount(config, pool_.num_threads())),
       map_1to2_(g1.num_nodes(), kInvalidNode),
       map_2to1_(g2.num_nodes(), kInvalidNode),
-      selection_(g1.num_nodes(), g2.num_nodes(),
-                 config.use_parallel_selection) {
+      selection_(g1.num_nodes(), g2.num_nodes()) {
   level1_ = DegreeLevels(g1);
   level2_ = DegreeLevels(g2);
-  if (config.use_incremental_scoring) {
-    if (config.scoring_backend == ScoringBackend::kRadixSort) {
-      runs_.resize(kNumLevels);
-      for (auto& level : runs_) {
-        level.resize(static_cast<size_t>(num_shards_));
-      }
-    } else {
-      scores_.resize(kNumLevels);
-      for (auto& level : scores_) {
-        level = std::vector<FlatCountMap>(static_cast<size_t>(num_shards_));
-      }
-    }
-  }
-  if (config.scoring_backend == ScoringBackend::kRadixSort) {
-    radix_shard1_ = RadixShardTable(g1.num_nodes(), num_shards_);
-  }
+  runs_.resize(kNumLevels);
+  for (auto& level : runs_) level.resize(static_cast<size_t>(num_shards_));
+  radix_shard1_ = RadixShardTable(g1.num_nodes(), num_shards_);
   if (config.memory_budget_bytes > 0) {
-    // The budget is enforced by spilling radix tier stacks; the hash
-    // backend's open-addressed shards have no flat spillable form, and the
-    // recompute engine keeps no cross-round score state to spill. Both
-    // cases run unbudgeted with a one-line note rather than failing — the
-    // budget is a resource knob, not a semantic one.
-    if (!config.use_incremental_scoring ||
-        config.scoring_backend != ScoringBackend::kRadixSort) {
-      std::fprintf(stderr,
-                   "warning: --memory-budget requires the incremental radix "
-                   "backend; running unbudgeted\n");
-    } else if (config.score_dir.empty()) {
+    // The budget is a resource knob, not a semantic one: without a scratch
+    // directory the run goes unbudgeted with a one-line note.
+    if (config.score_dir.empty()) {
       std::fprintf(stderr,
                    "warning: --memory-budget without --score-dir; running "
                    "unbudgeted\n");
@@ -201,49 +184,25 @@ void MatcherState::AdvanceCursor() {
                                                  : config_.min_bucket_exponent;
 }
 
-// One scoring round at bucket exponent `bucket_exponent` (candidates must
-// have degree >= 2^bucket_exponent on both sides). Returns links accepted.
-size_t MatcherState::Round(int iteration, int bucket_exponent) {
-  return config_.use_incremental_scoring
-             ? RoundIncremental(iteration, bucket_exponent)
-             : RoundRecompute(iteration, bucket_exponent);
-}
-
-// Drops dead entries (pairs with a matched endpoint) from the persistent
-// score maps; called between outer iterations to keep scans and memory
+// Drops dead entries (pairs whose endpoints are both matched: they can
+// neither be accepted nor block an unmatched node) from the persistent
+// score state; called between outer iterations to keep scans and memory
 // proportional to the live frontier.
 void MatcherState::CompactScores() {
-  if (!config_.use_incremental_scoring) return;
   const size_t cells =
       static_cast<size_t>(kNumLevels) * static_cast<size_t>(num_shards_);
-  if (config_.scoring_backend == ScoringBackend::kRadixSort) {
-    // Tier stacks compact with an in-place filtering sweep per tier — no
-    // rebuild, no rehash, order preserved. The liveness predicate depends
-    // on the key alone, so filtering tiers independently preserves every
-    // key's cross-tier total.
-    ParallelForEach(&pool_, cells, [this](size_t cell) {
-      TieredCountRuns& store = runs_[cell / static_cast<size_t>(num_shards_)]
-                                    [cell % static_cast<size_t>(num_shards_)];
-      if (store.empty()) return;
-      store.Filter([this](uint64_t key, uint32_t) {
-        return map_1to2_[PairFirst(key)] == kInvalidNode ||
-               map_2to1_[PairSecond(key)] == kInvalidNode;
-      });
-    });
-    return;
-  }
+  // Tier stacks compact with an in-place filtering sweep per tier — no
+  // rebuild, order preserved. The liveness predicate depends on the key
+  // alone, so filtering tiers independently preserves every key's
+  // cross-tier total.
   ParallelForEach(&pool_, cells, [this](size_t cell) {
-    FlatCountMap& shard = scores_[cell / static_cast<size_t>(num_shards_)]
-                                 [cell % static_cast<size_t>(num_shards_)];
-    if (shard.empty()) return;
-    FlatCountMap compacted(shard.size());
-    shard.ForEach([this, &compacted](uint64_t key, uint32_t count) {
-      if (map_1to2_[PairFirst(key)] == kInvalidNode ||
-          map_2to1_[PairSecond(key)] == kInvalidNode) {
-        compacted.AddCount(key, count);
-      }
+    TieredCountRuns& store = runs_[cell / static_cast<size_t>(num_shards_)]
+                                  [cell % static_cast<size_t>(num_shards_)];
+    if (store.empty()) return;
+    store.Filter([this](uint64_t key, uint32_t) {
+      return map_1to2_[PairFirst(key)] == kInvalidNode ||
+             map_2to1_[PairSecond(key)] == kInvalidNode;
     });
-    shard = std::move(compacted);
   });
 }
 
@@ -272,26 +231,13 @@ size_t MatcherState::SelectAndCommit(const std::vector<ScoreUnit>& units,
   return selection_.SelectAndCommit(units, ctx, stats);
 }
 
-// --- Incremental engine --------------------------------------------------
+// --- Incremental scoring ---------------------------------------------------
 // Witness scores are additive over links, so each link's neighbour-pair
 // contributions are emitted exactly once — when the link enters L — into
-// persistent per-level score maps. A bucket-j round scans levels >= j.
-// This is result-identical to the recompute path (verified by tests) and
-// removes the per-bucket rescoring factor from the running time.
-
-// Folds links_[emitted_links_ ..) into the persistent score state of the
-// configured backend, filling `stats`' emission count plus the time split:
-// `emit_seconds` covers witness enumeration (the map phase), and
-// `merge_seconds` covers folding the deltas into the persistent state
-// (hash merges / radix sort + tier compaction) — the part that used to
-// hide inside emit.
-void MatcherState::EmitPendingLinks(PhaseStats* stats) {
-  if (config_.scoring_backend == ScoringBackend::kRadixSort) {
-    EmitPendingLinksRadix(stats);
-  } else {
-    EmitPendingLinksHash(stats);
-  }
-}
+// persistent per-level score state. A bucket-j round scans levels >= j.
+// This reproduces the paper's rebuild-every-round scores (the paper-literal
+// oracle in tests/support/ checks it) without the per-bucket rescoring
+// factor in the running time.
 
 // Chunk size the work-stealing emission loop claims per lock acquisition.
 // Per-item cost is heavy-tailed on skewed graphs (a hub link emits
@@ -302,94 +248,14 @@ size_t MatcherState::EmitGrain(size_t num_items) const {
   return ThreadPool::GrainSize(num_items, pool_.num_threads(), 1, 64);
 }
 
-// Hash backend: every emission probes a per-(level, shard) FlatCountMap.
-void MatcherState::EmitPendingLinksHash(PhaseStats* stats) {
-  const size_t begin = emitted_links_;
-  const size_t end = links_.size();
-  if (begin == end) return;
-  emitted_links_ = end;
-
-  const NodeId dmin = static_cast<NodeId>(1u) << config_.min_bucket_exponent;
-  struct Delta {
-    std::vector<std::vector<FlatCountMap>> maps;  // [level][shard]
-    uint64_t emissions = 0;
-  };
-  const size_t num_items = end - begin;
-
-  // One delta set per worker slot (`ParallelProduce`). The merge sums
-  // counts commutatively, so which items land in which delta is
-  // unobservable.
-  Timer emit_timer;
-  auto emit_range = [this, begin, dmin](Delta& delta, size_t lo, size_t hi) {
-    if (delta.maps.empty()) delta.maps.resize(kNumLevels);
-    auto& maps = delta.maps;
-    for (size_t item = lo; item < hi; ++item) {
-      const auto [a1, a2] = links_[begin + item];
-      for (NodeId u : g1_.NeighborsByDegree(a1)) {
-        if (g1_.degree(u) < dmin) break;  // prefix is degree-sorted
-        const uint8_t lu = level1_[u];
-        for (NodeId v : g2_.NeighborsByDegree(a2)) {
-          if (g2_.degree(v) < dmin) break;
-          const uint8_t level = std::min(lu, level2_[v]);
-          const uint64_t key = PackPair(u, v);
-          if (maps[level].empty()) {
-            maps[level] =
-                std::vector<FlatCountMap>(static_cast<size_t>(num_shards_));
-          }
-          maps[level][static_cast<size_t>(mr::ShardOfKey(key, num_shards_))]
-              .AddCount(key, 1);
-          ++delta.emissions;
-        }
-      }
-    }
-  };
-  std::vector<Delta> deltas = ParallelProduce<Delta>(
-      &pool_, num_items, EmitGrain(num_items), emit_range);
-  stats->emit_seconds += emit_timer.Seconds();
-
-  // Merge deltas into the persistent maps: one (level, shard) cell at a
-  // time, pre-sized from the delta sizes so the merge never rehashes
-  // mid-loop.
-  Timer merge_timer;
-  ParallelForEach(
-      &pool_,
-      static_cast<size_t>(kNumLevels) * static_cast<size_t>(num_shards_),
-      [this, &deltas](size_t cell) {
-        const size_t level = cell / static_cast<size_t>(num_shards_);
-        const size_t shard = cell % static_cast<size_t>(num_shards_);
-        FlatCountMap& target = scores_[level][shard];
-        size_t expected = target.size();
-        for (const Delta& delta : deltas) {
-          if (delta.maps.empty()) continue;
-          const auto& level_maps = delta.maps[level];
-          if (level_maps.empty()) continue;
-          expected += level_maps[shard].size();
-        }
-        if (expected == target.size()) return;
-        target.Reserve(expected);
-        for (const Delta& delta : deltas) {
-          if (delta.maps.empty()) continue;
-          const auto& level_maps = delta.maps[level];
-          if (level_maps.empty()) continue;
-          level_maps[shard].ForEach([&target](uint64_t key, uint32_t count) {
-            target.AddCount(key, count);
-          });
-        }
-      });
-  stats->merge_seconds += merge_timer.Seconds();
-
-  for (const Delta& delta : deltas) {
-    stats->emissions += static_cast<size_t>(delta.emissions);
-  }
-}
-
-// Radix backend: emissions append packed keys into per-(level, shard) flat
-// buffers (one array store each — the shard is a precomputed per-node
-// lookup, no hashing); each touched (level, shard) cell then sorts its
-// delta, run-length-encodes it and appends it to the cell's LSM tier
-// stack, which folds tiers into the big persistent run only when the
-// size-ratio policy trips.
-void MatcherState::EmitPendingLinksRadix(PhaseStats* stats) {
+// Folds links_[emitted_links_ ..) into the persistent score state, filling
+// `stats`' emission count plus the time split. Emission (`emit_seconds`)
+// appends packed keys into per-(level, shard) flat buffers — one array
+// store each, the shard being a precomputed per-node lookup. The merge
+// (`merge_seconds`) then sorts each touched cell's delta, run-length-
+// encodes it and appends it to the cell's LSM tier stack, which folds
+// tiers into the big persistent run only when the size-ratio policy trips.
+void MatcherState::EmitPendingLinks(PhaseStats* stats) {
   const size_t begin = emitted_links_;
   const size_t end = links_.size();
   if (begin == end) return;
@@ -549,7 +415,9 @@ void MatcherState::EnforceMemoryBudget(PhaseStats* stats) {
   stats->spilled_score_bytes = spilled_bytes;
 }
 
-size_t MatcherState::RoundIncremental(int iteration, int bucket_exponent) {
+// One scoring round at bucket exponent `bucket_exponent` (candidates must
+// have degree >= 2^bucket_exponent on both sides). Returns links accepted.
+size_t MatcherState::Round(int iteration, int bucket_exponent) {
   Timer timer;
   PhaseStats stats;
   stats.iteration = iteration;
@@ -563,82 +431,11 @@ size_t MatcherState::RoundIncremental(int iteration, int bucket_exponent) {
   std::vector<ScoreUnit> units;
   units.reserve(static_cast<size_t>(kNumLevels - bucket_exponent) *
                 static_cast<size_t>(num_shards_));
-  if (config_.scoring_backend == ScoringBackend::kRadixSort) {
-    for (int level = bucket_exponent; level < kNumLevels; ++level) {
-      for (const TieredCountRuns& store : runs_[static_cast<size_t>(level)]) {
-        units.push_back(ScoreUnit(&store));
-      }
-    }
-  } else {
-    for (int level = bucket_exponent; level < kNumLevels; ++level) {
-      for (const FlatCountMap& shard : scores_[static_cast<size_t>(level)]) {
-        units.push_back(ScoreUnit(&shard));
-      }
+  for (int level = bucket_exponent; level < kNumLevels; ++level) {
+    for (const TieredCountRuns& store : runs_[static_cast<size_t>(level)]) {
+      units.push_back(ScoreUnit(&store));
     }
   }
-  size_t accepted = SelectAndCommit(units, &stats);
-
-  stats.new_links = accepted;
-  stats.seconds = timer.Seconds();
-  phases_.push_back(stats);
-  return accepted;
-}
-
-// --- Reference scoring engine ----------------------------------------
-// Literal transcription of the paper's inner loop: rebuild the witness
-// counts for the current bucket from *all* current links via one
-// MapReduce round. Kept as the semantics reference; the incremental
-// engine must produce identical results.
-size_t MatcherState::RoundRecompute(int iteration, int bucket_exponent) {
-  Timer timer;
-  const NodeId dmin = static_cast<NodeId>(1u) << bucket_exponent;
-  PhaseStats stats;
-  stats.iteration = iteration;
-  stats.bucket_exponent = bucket_exponent;
-  stats.links_in = links_.size();
-  stats.num_threads = pool_.num_threads();
-
-  Timer emit_timer;
-  std::atomic<uint64_t> emissions{0};
-  const int num_map_shards = num_shards_ * 4;
-  auto map_fn = [this, dmin, &emissions](size_t item, auto emit) {
-    const auto [a1, a2] = links_[item];
-    uint64_t local_emissions = 0;
-    for (NodeId u : g1_.NeighborsByDegree(a1)) {
-      if (g1_.degree(u) < dmin) break;  // prefix is degree-sorted
-      for (NodeId v : g2_.NeighborsByDegree(a2)) {
-        if (g2_.degree(v) < dmin) break;
-        emit(PackPair(u, v));
-        ++local_emissions;
-      }
-    }
-    emissions.fetch_add(local_emissions, std::memory_order_relaxed);
-  };
-
-  std::vector<FlatCountMap> scores;
-  std::vector<SortedCountRun> runs;
-  std::vector<ScoreUnit> units;
-  if (config_.scoring_backend == ScoringBackend::kRadixSort) {
-    runs = mr::SortCountByKey(
-        &pool_, links_.size(), num_map_shards, num_shards_, map_fn,
-        [this](uint64_t key) { return radix_shard1_[PairFirst(key)]; },
-        &stats.merge_seconds);
-    units.reserve(runs.size());
-    for (const SortedCountRun& run : runs) units.push_back(ScoreUnit(&run));
-  } else {
-    scores = mr::CountByKey(&pool_, links_.size(), num_map_shards,
-                            num_shards_, map_fn, &stats.merge_seconds);
-    units.reserve(scores.size());
-    for (const FlatCountMap& shard : scores) {
-      units.push_back(ScoreUnit(&shard));
-    }
-  }
-  stats.emissions = emissions.load();
-  // The mr round's reduce time is reported as merge; the map phase is the
-  // emit proper.
-  stats.emit_seconds =
-      std::max(0.0, emit_timer.Seconds() - stats.merge_seconds);
-
   size_t accepted = SelectAndCommit(units, &stats);
 
   stats.new_links = accepted;
@@ -672,9 +469,8 @@ bool MatcherState::SaveSnapshot(const std::string& path,
   writer.AppendU8(config_.use_degree_bucketing ? 1 : 0);
   writer.AppendI32(config_.min_bucket_exponent);
   writer.AppendU8(config_.stop_when_stable ? 1 : 0);
-  writer.AppendU8(config_.use_incremental_scoring ? 1 : 0);
-  writer.AppendU8(
-      config_.scoring_backend == ScoringBackend::kRadixSort ? 1 : 0);
+  writer.AppendU8(kIncrementalEngine);
+  writer.AppendU8(kRadixBackend);
   writer.AppendI32(num_shards_);
   // Round cursor.
   writer.AppendI32(iteration_);
@@ -693,40 +489,24 @@ bool MatcherState::SaveSnapshot(const std::string& path,
   writer.AppendVector(links_);
   writer.EndSection();
 
-  if (config_.use_incremental_scoring) {
-    if (config_.scoring_backend == ScoringBackend::kRadixSort) {
-      writer.BeginSection(kSectionScoresRadix);
-      for (const auto& level : runs_) {
-        for (const TieredCountRuns& store : level) {
-          writer.AppendU32(static_cast<uint32_t>(store.num_tiers()));
-          // Tier contents are serialized through views, so a spilled tier
-          // streams its bytes straight from the mmap and the snapshot is
-          // byte-identical whether the store is resident, spilled or
-          // mixed. Snapshots stay self-contained: spill files are scratch,
-          // never referenced by durable state.
-          store.ForEachTier([&writer](RunView tier) {
-            writer.AppendU64(tier.size);
-            writer.AppendBytes(tier.keys, tier.size * sizeof(uint64_t));
-            writer.AppendU64(tier.size);
-            writer.AppendBytes(tier.counts, tier.size * sizeof(uint32_t));
-          });
-        }
-      }
-      writer.EndSection();
-    } else {
-      writer.BeginSection(kSectionScoresHash);
-      for (const auto& level : scores_) {
-        for (const FlatCountMap& shard : level) {
-          writer.AppendU64(shard.size());
-          shard.ForEach([&writer](uint64_t key, uint32_t count) {
-            writer.AppendU64(key);
-            writer.AppendU32(count);
-          });
-        }
-      }
-      writer.EndSection();
+  writer.BeginSection(kSectionScores);
+  for (const auto& level : runs_) {
+    for (const TieredCountRuns& store : level) {
+      writer.AppendU32(static_cast<uint32_t>(store.num_tiers()));
+      // Tier contents are serialized through views, so a spilled tier
+      // streams its bytes straight from the mmap and the snapshot is
+      // byte-identical whether the store is resident, spilled or mixed.
+      // Snapshots stay self-contained: spill files are scratch, never
+      // referenced by durable state.
+      store.ForEachTier([&writer](RunView tier) {
+        writer.AppendU64(tier.size);
+        writer.AppendBytes(tier.keys, tier.size * sizeof(uint64_t));
+        writer.AppendU64(tier.size);
+        writer.AppendBytes(tier.counts, tier.size * sizeof(uint32_t));
+      });
     }
   }
+  writer.EndSection();
 
   return writer.Commit(path, error);
 }
@@ -814,6 +594,16 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
     *error = path + ": truncated META";
     return false;
   }
+  if (incremental != kIncrementalEngine) {
+    *error = path + ": written by the removed recompute scoring engine; "
+                    "only incremental-engine snapshots resume";
+    return false;
+  }
+  if (radix != kRadixBackend) {
+    *error = path + ": written by the removed hash scoring backend; only "
+                    "radix-backend snapshots resume";
+    return false;
+  }
 
   if (n1 != g1_.num_nodes() || e1 != g1_.num_edges() || fp1 != graph_fp1_ ||
       n2 != g2_.num_nodes() || e2 != g2_.num_edges() || fp2 != graph_fp2_) {
@@ -826,16 +616,13 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
       (bucketing != 0) == config_.use_degree_bucketing &&
       min_bucket_exponent == config_.min_bucket_exponent &&
       (stop_when_stable != 0) == config_.stop_when_stable &&
-      (incremental != 0) == config_.use_incremental_scoring &&
-      (radix != 0) ==
-          (config_.scoring_backend == ScoringBackend::kRadixSort) &&
       snap_shards == num_shards_;
   if (!config_matches) {
     *error = path +
              ": snapshot config mismatch (threshold/iterations/bucketing/"
-             "backend/shards differ from this run — resume with the "
-             "configuration the checkpoint was written under, including an "
-             "explicit shard count if thread counts differ)";
+             "shards differ from this run — resume with the configuration "
+             "the checkpoint was written under, including an explicit shard "
+             "count if thread counts differ)";
     return false;
   }
   const bool cursor_sane =
@@ -881,82 +668,39 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
   }
 
   // SCORES: staged fully before commit.
-  std::vector<std::vector<TieredCountRuns>> runs;
-  std::vector<std::vector<FlatCountMap>> scores;
-  if (config_.use_incremental_scoring) {
-    if (config_.scoring_backend == ScoringBackend::kRadixSort) {
-      SnapshotReader::Section* section = reader.Find(kSectionScoresRadix);
-      if (section == nullptr) {
-        *error = path + ": missing radix SCORES section";
+  SnapshotReader::Section* section = reader.Find(kSectionScores);
+  if (section == nullptr) {
+    *error = path + ": missing SCORES section";
+    return false;
+  }
+  std::vector<std::vector<TieredCountRuns>> runs(kNumLevels);
+  for (auto& level : runs) {
+    level.resize(static_cast<size_t>(num_shards_));
+    for (TieredCountRuns& store : level) {
+      uint32_t num_tiers = 0;
+      if (!section->ReadU32(&num_tiers)) {
+        *error = path + ": truncated SCORES section";
         return false;
       }
-      runs.resize(kNumLevels);
-      for (auto& level : runs) {
-        level.resize(static_cast<size_t>(num_shards_));
-        for (TieredCountRuns& store : level) {
-          uint32_t num_tiers = 0;
-          if (!section->ReadU32(&num_tiers)) {
-            *error = path + ": truncated radix SCORES section";
-            return false;
-          }
-          // Rebuild the exact tier stack (no policy folding): tier
-          // boundaries affect when future compactions run, and the resumed
-          // process must replay them identically.
-          TierPolicy keep_all{std::numeric_limits<int>::max(), 0.0};
-          for (uint32_t t = 0; t < num_tiers; ++t) {
-            SortedCountRun tier;
-            if (!section->ReadVector(&tier.keys) ||
-                !section->ReadVector(&tier.counts) ||
-                tier.keys.size() != tier.counts.size() || tier.empty()) {
-              *error = path + ": malformed radix SCORES tier";
-              return false;
-            }
-            store.Append(std::move(tier), keep_all);
-          }
+      // Rebuild the exact tier stack (no policy folding): tier boundaries
+      // affect when future compactions run, and the resumed process must
+      // replay them identically.
+      TierPolicy keep_all{std::numeric_limits<int>::max(), 0.0};
+      for (uint32_t t = 0; t < num_tiers; ++t) {
+        SortedCountRun tier;
+        if (!section->ReadVector(&tier.keys) ||
+            !section->ReadVector(&tier.counts) ||
+            tier.keys.size() != tier.counts.size() || tier.empty()) {
+          *error = path + ": malformed SCORES tier";
+          return false;
         }
-      }
-      if (!section->AtEnd()) {
-        *error = path + ": trailing bytes in radix SCORES section";
-        return false;
-      }
-    } else {
-      SnapshotReader::Section* section = reader.Find(kSectionScoresHash);
-      if (section == nullptr) {
-        *error = path + ": missing hash SCORES section";
-        return false;
-      }
-      scores.resize(kNumLevels);
-      for (auto& level : scores) {
-        level = std::vector<FlatCountMap>(static_cast<size_t>(num_shards_));
-        for (FlatCountMap& shard : level) {
-          uint64_t entries = 0;
-          if (!section->ReadU64(&entries) ||
-              entries > section->Remaining() / 12) {
-            *error = path + ": truncated hash SCORES section";
-            return false;
-          }
-          shard.Reserve(static_cast<size_t>(entries));
-          for (uint64_t i = 0; i < entries; ++i) {
-            uint64_t key = 0;
-            uint32_t count = 0;
-            section->ReadU64(&key);
-            if (!section->ReadU32(&count)) {
-              *error = path + ": truncated hash SCORES section";
-              return false;
-            }
-            if (key == FlatCountMap::kEmptyKey) {
-              *error = path + ": reserved key in hash SCORES section";
-              return false;
-            }
-            shard.AddCount(key, count);
-          }
-        }
-      }
-      if (!section->AtEnd()) {
-        *error = path + ": trailing bytes in hash SCORES section";
-        return false;
+        store.Append(std::move(tier), keep_all);
       }
     }
+  }
+  if (!section->AtEnd()) {
+    *error = path + ": trailing bytes in SCORES section";
+    return false;
   }
 
   // Everything validated — commit.
@@ -964,7 +708,6 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
   map_1to2_ = std::move(map_1to2);
   map_2to1_ = std::move(map_2to1);
   runs_ = std::move(runs);
-  scores_ = std::move(scores);
   emitted_links_ = static_cast<size_t>(emitted_links);
   iteration_ = iteration;
   current_bucket_ = current_bucket;

@@ -14,7 +14,6 @@
 #include "reconcile/core/selection.h"
 #include "reconcile/graph/graph.h"
 #include "reconcile/graph/types.h"
-#include "reconcile/util/flat_hash_map.h"
 #include "reconcile/util/parallel_for.h"
 #include "reconcile/util/radix_sort.h"
 #include "reconcile/util/thread_pool.h"
@@ -55,9 +54,8 @@ int TopBucketExponent(const Graph& g1, const Graph& g2,
 /// The matcher's complete cross-round state as a first-class, *resumable*
 /// object — everything `UserMatching` carries from one scoring round to the
 /// next: the committed links and the partial node maps they imply, the
-/// persistent per-(level, shard) score state of the configured backend
-/// (`TieredCountRuns` LSM tier stacks for radix, `FlatCountMap` shards for
-/// hash), and the flattened round cursor (outer iteration, current degree
+/// persistent per-(level, shard) score state (`TieredCountRuns` LSM tier
+/// stacks), and the flattened round cursor (outer iteration, current degree
 /// bucket, stability accounting).
 ///
 /// The driver advances it one round at a time:
@@ -72,18 +70,19 @@ int TopBucketExponent(const Graph& g1, const Graph& g2,
 /// can rebuild it (`LoadSnapshot`) and continue — the resumed run commits
 /// the same links and produces a matching bit-identical to an uninterrupted
 /// run (enforced by `core_checkpoint_test` in-process and by the
-/// `integration_kill_resume_test` subprocess harness across backends and
-/// thread counts).
+/// `integration_kill_resume_test` subprocess harness across thread
+/// counts).
 ///
 /// Snapshot format: a `SnapshotWriter` file (versioned header, per-section
 /// CRC32 — see `util/checkpoint.h`) with META (state version, graph and
 /// config fingerprints, round cursor), LINKS (the committed link log; seeds
 /// are its prefix, and the node maps are rebuilt from it on load) and one
-/// backend-specific SCORES section. Execution knobs that cannot affect the
-/// matching (threads, grain, LSM tier policy) are deliberately *not*
-/// fingerprinted — a snapshot taken under one may resume under another; semantic knobs (threshold, iterations, bucketing,
-/// backend, the resolved shard count) are, and a mismatch is a clean
-/// rejection. DESIGN.md §2.4 documents the layout and the resume invariant.
+/// SCORES section. Execution knobs that cannot affect the matching
+/// (threads, grain, LSM tier policy) are deliberately *not* fingerprinted —
+/// a snapshot taken under one may resume under another; semantic knobs
+/// (threshold, iterations, bucketing, the resolved shard count) are, and a
+/// mismatch is a clean rejection. DESIGN.md §2.4 documents the layout and
+/// the resume invariant.
 class MatcherState {
  public:
   MatcherState(const Graph& g1, const Graph& g2, const MatcherConfig& config);
@@ -131,21 +130,17 @@ class MatcherState {
   MatchResult TakeResult(double total_seconds);
 
  private:
-  // --- Round engines (see matcher_state.cc) ------------------------------
+  // --- Round pipeline (see matcher_state.cc) -----------------------------
   size_t Round(int iteration, int bucket_exponent);
-  size_t RoundIncremental(int iteration, int bucket_exponent);
-  size_t RoundRecompute(int iteration, int bucket_exponent);
   void AdvanceCursor();
   void CompactScores();
   size_t SelectAndCommit(const std::vector<ScoreUnit>& units,
                          PhaseStats* stats);
   void EmitPendingLinks(PhaseStats* stats);
-  void EmitPendingLinksHash(PhaseStats* stats);
-  void EmitPendingLinksRadix(PhaseStats* stats);
   size_t EmitGrain(size_t num_items) const;
-  // Memory-budget enforcement (radix backend only): after a round's
-  // emission, spill the biggest cold tiers until resident payload fits
-  // `config_.memory_budget_bytes`. Fills the round's spill telemetry.
+  // Memory-budget enforcement: after a round's emission, spill the biggest
+  // cold tiers until resident payload fits `config_.memory_budget_bytes`.
+  // Fills the round's spill telemetry.
   void EnforceMemoryBudget(PhaseStats* stats);
 
   // Rebuilds map_1to2_/map_2to1_ from a link log; false (with diagnostic)
@@ -164,22 +159,18 @@ class MatcherState {
   std::vector<NodeId> map_2to1_;
   std::vector<std::pair<NodeId, NodeId>> links_;
   std::vector<PhaseStats> phases_;
-  // The shared mutual-unique-best engine (`core/selection.h`); which of its
-  // two interchangeable engines runs follows `use_parallel_selection`.
+  // The shared mutual-unique-best engine (`core/selection.h`).
   SelectionEngine selection_;
   std::vector<uint8_t> level1_;
   std::vector<uint8_t> level2_;
-  // Incremental engine state: exactly one of the two representations is
-  // populated, per `config_.scoring_backend`. The radix representation is an
-  // LSM tier stack per (level, shard); `tier_policy_` decides when round
-  // deltas fold into the big run.
-  std::vector<std::vector<FlatCountMap>> scores_;   // [level][shard], hash
-  std::vector<std::vector<TieredCountRuns>> runs_;  // [level][shard], radix
-  // Radix backend: reduce shard per g1 node (range partition, see ctor).
+  // Persistent score state: an LSM tier stack per (level, shard);
+  // `tier_policy_` decides when round deltas fold into the big run.
+  std::vector<std::vector<TieredCountRuns>> runs_;  // [level][shard]
+  // Score shard per g1 node (range partition, see `RadixShardTable`).
   std::vector<uint32_t> radix_shard1_;
-  // Out-of-core backing store for the tier stacks (null when unbudgeted or
-  // on the hash backend). Owns every spill file; destroying the state —
-  // clean exit or graceful stop — removes the scratch.
+  // Out-of-core backing store for the tier stacks (null when unbudgeted).
+  // Owns every spill file; destroying the state — clean exit or graceful
+  // stop — removes the scratch.
   std::unique_ptr<SpillStore> spill_store_;
   size_t emitted_links_ = 0;
 

@@ -22,8 +22,8 @@ struct PhaseStats {
   double seconds = 0.0;     ///< Whole-round wall clock.
   // Per-round time split (seconds): witness emission (enumerating candidate
   // pairs — the map side), merge/compaction (folding emission deltas into
-  // the persistent score state: hash-map merges, radix sort + LSM tier
-  // compaction, mr reduce), the best-table observe scan, and the
+  // the persistent score state: radix sort + LSM tier compaction), the
+  // best-table observe scan, and the
   // accept-and-commit pass. The four do not sum exactly to `seconds` (unit
   // bookkeeping sits between them).
   double emit_seconds = 0.0;
@@ -31,7 +31,7 @@ struct PhaseStats {
   double scan_seconds = 0.0;
   double select_seconds = 0.0;
   int num_threads = 0;      ///< Worker threads the round ran with.
-  // Out-of-core score store (radix backend under a memory budget): tiers
+  // Out-of-core score store (under a memory budget): tiers
   // moved to disk by this round's budget-enforcement pass, and the
   // resident/spilled byte split after it ran. Zero everywhere when
   // unbudgeted.

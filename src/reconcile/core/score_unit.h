@@ -4,27 +4,22 @@
 #include <cstddef>
 #include <cstdint>
 
-#include "reconcile/util/flat_hash_map.h"
-#include "reconcile/util/radix_sort.h"
 #include "reconcile/util/stamped_runs.h"
 #include "reconcile/util/tiered_store.h"
 
 namespace reconcile {
 
-// One disjoint slice of the scored-pair multiset handed to selection: a
-// hash-map shard (hash backend), a sorted run (radix recompute engine), an
-// LSM tier stack (radix incremental engine — its `ForEach` k-way-merges the
-// tiers, so a key split across tiers still surfaces exactly once with its
-// total count), or a stamped signed-run cell folded up to a round stamp and
+// One disjoint slice of the scored-pair multiset handed to selection: an
+// LSM tier stack (the batch matcher — its `ForEach` k-way-merges the tiers,
+// so a key split across tiers still surfaces exactly once with its total
+// count), or a stamped signed-run cell folded up to a round stamp and
 // materialized as a cold/hot `FoldedRun` pair (the serve-mode incremental
-// matcher). A candidate pair lives in exactly one unit in every
+// matcher). A candidate pair lives in exactly one unit in either
 // representation, and the selection fold is representation-agnostic — it
-// only needs `ForEach(key, score)` — so all backends flow through the same
-// selection engines and stay bit-identical by construction.
+// only needs `ForEach(key, score)` — so both callers flow through the same
+// selection engine and stay bit-identical by construction.
 class ScoreUnit {
  public:
-  explicit ScoreUnit(const FlatCountMap* map) : map_(map) {}
-  explicit ScoreUnit(const SortedCountRun* run) : run_(run) {}
   explicit ScoreUnit(const TieredCountRuns* store) : store_(store) {}
   /// Two-level accumulated fold (serve replay): `cold` and `hot` are folds
   /// of disjoint stamp windows of one cell, together covering every stamp
@@ -33,19 +28,13 @@ class ScoreUnit {
       : cold_(cold), hot_(hot) {}
 
   bool empty() const {
-    if (map_ != nullptr) return map_->empty();
-    if (run_ != nullptr) return run_->empty();
     if (store_ != nullptr) return store_->empty();
     return cold_->empty() && hot_->empty();
   }
 
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    if (map_ != nullptr) {
-      map_->ForEach(fn);
-    } else if (run_ != nullptr) {
-      run_->ForEach(fn);
-    } else if (store_ != nullptr) {
+    if (store_ != nullptr) {
       store_->ForEach(fn);
     } else {
       // 2-way merge of two sorted positive-count runs over disjoint stamp
@@ -79,8 +68,6 @@ class ScoreUnit {
   }
 
  private:
-  const FlatCountMap* map_ = nullptr;
-  const SortedCountRun* run_ = nullptr;
   const TieredCountRuns* store_ = nullptr;
   const FoldedRun* cold_ = nullptr;
   const FoldedRun* hot_ = nullptr;

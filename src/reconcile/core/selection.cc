@@ -1,5 +1,6 @@
 #include "reconcile/core/selection.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "reconcile/util/logging.h"
@@ -8,87 +9,20 @@
 
 namespace reconcile {
 
-SelectionEngine::SelectionEngine(size_t n1, size_t n2, bool parallel)
-    : parallel_(parallel),
-      n1_(n1),
-      n2_(n2),
-      best1_(parallel ? 0 : n1),
-      best2_(parallel ? 0 : n2),
-      atomic_best1_(parallel ? n1 : 0),
-      atomic_best2_(parallel ? n2 : 0) {}
+SelectionEngine::SelectionEngine(size_t n1, size_t n2)
+    : n1_(n1), n2_(n2), atomic_best1_(n1), atomic_best2_(n2) {}
 
 void SelectionEngine::EnsureNodeCapacity(size_t n1, size_t n2) {
   if (n1 <= n1_ && n2 <= n2_) return;
   n1_ = std::max(n1_, n1);
   n2_ = std::max(n2_, n2);
-  if (parallel_) {
-    atomic_best1_ = AtomicBestTable(n1_);
-    atomic_best2_ = AtomicBestTable(n2_);
-  } else {
-    best1_ = BestTable(n1_);
-    best2_ = BestTable(n2_);
-  }
+  atomic_best1_ = AtomicBestTable(n1_);
+  atomic_best2_ = AtomicBestTable(n2_);
 }
 
 size_t SelectionEngine::SelectAndCommit(const std::vector<ScoreUnit>& units,
                                         const SelectionContext& ctx,
                                         PhaseStats* stats) {
-  return parallel_ ? SelectParallel(units, ctx, stats)
-                   : SelectSerial(units, ctx, stats);
-}
-
-size_t SelectionEngine::SelectSerial(const std::vector<ScoreUnit>& units,
-                                     const SelectionContext& ctx,
-                                     PhaseStats* stats) {
-  Timer timer;
-  best1_.NextEpoch();
-  best2_.NextEpoch();
-  size_t candidate_pairs = 0;
-  for (const ScoreUnit& unit : units) {
-    unit.ForEach([this, &candidate_pairs](uint64_t key, uint32_t score) {
-      best1_.Observe(PairFirst(key), score);
-      best2_.Observe(PairSecond(key), score);
-      ++candidate_pairs;
-    });
-  }
-  stats->candidate_pairs = candidate_pairs;
-  stats->scan_seconds = timer.Seconds();
-
-  timer.Reset();
-  std::vector<NodeId>& map_1to2 = *ctx.map_1to2;
-  std::vector<NodeId>& map_2to1 = *ctx.map_2to1;
-  std::vector<std::pair<NodeId, NodeId>> accepted;
-  for (const ScoreUnit& unit : units) {
-    unit.ForEach([this, &ctx, &map_1to2, &map_2to1,
-                  &accepted](uint64_t key, uint32_t score) {
-      if (score < ctx.min_score) return;
-      NodeId u = PairFirst(key);
-      NodeId v = PairSecond(key);
-      // Already-matched nodes stay in the scored pool as *blockers* (their
-      // pairs keep outcompeting impostors — this is what defeats the sybil
-      // attack) but are never re-matched.
-      if (map_1to2[u] != kInvalidNode || map_2to1[v] != kInvalidNode) {
-        return;
-      }
-      if (best1_.IsUniqueBest(u, score) && best2_.IsUniqueBest(v, score)) {
-        accepted.emplace_back(u, v);
-      }
-    });
-  }
-  for (const auto& [u, v] : accepted) {
-    RECONCILE_CHECK_EQ(map_1to2[u], kInvalidNode);
-    RECONCILE_CHECK_EQ(map_2to1[v], kInvalidNode);
-    map_1to2[u] = v;
-    map_2to1[v] = u;
-    ctx.links->emplace_back(u, v);
-  }
-  stats->select_seconds = timer.Seconds();
-  return accepted.size();
-}
-
-size_t SelectionEngine::SelectParallel(const std::vector<ScoreUnit>& units,
-                                       const SelectionContext& ctx,
-                                       PhaseStats* stats) {
   Timer timer;
   atomic_best1_.NextEpoch();
   atomic_best2_.NextEpoch();
@@ -126,6 +60,9 @@ size_t SelectionEngine::SelectParallel(const std::vector<ScoreUnit>& units,
       if (score < ctx.min_score) return;
       NodeId u = PairFirst(key);
       NodeId v = PairSecond(key);
+      // Already-matched nodes stay in the scored pool as *blockers* (their
+      // pairs keep outcompeting impostors — this is what defeats the sybil
+      // attack) but are never re-matched.
       if (map_1to2[u] != kInvalidNode || map_2to1[v] != kInvalidNode) {
         return;
       }
@@ -137,11 +74,11 @@ size_t SelectionEngine::SelectParallel(const std::vector<ScoreUnit>& units,
   };
   ParallelForEach(ctx.pool, units.size(), accept_unit);
 
-  // Commit pass, in parallel: an exclusive prefix sum assigns unit i the
-  // link-log slots the serial loop would have given it; unique best on
-  // both sides means no two units accept the same g1 or g2 node, so the
-  // map writes are per-slot exclusive and the scatter is race-free. Layout
-  // is byte-identical to committing the lists serially in unit order.
+  // Commit pass, in parallel: an exclusive prefix sum assigns unit i its
+  // link-log slots; unique best on both sides means no two units accept
+  // the same g1 or g2 node, so the map writes are per-slot exclusive and
+  // the scatter is race-free. Layout is byte-identical to committing the
+  // lists serially in unit order.
   std::vector<size_t> offsets(units.size() + 1, 0);
   for (size_t i = 0; i < units.size(); ++i) {
     offsets[i + 1] = offsets[i] + accepted_per_unit[i].size();

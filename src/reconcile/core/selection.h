@@ -30,27 +30,21 @@ struct SelectionContext {
 /// so every caller that owns score units (batch matcher, serve-mode
 /// incremental matcher) folds them through the same code path.
 ///
-/// Two interchangeable engines fill the same stats:
-///  * serial — one thread folds every unit into epoch-stamped tables;
-///  * parallel — one task per unit feeds CAS-max atomic tables (observe
-///    pass), then one task per unit applies the acceptance predicate
-///    (accept pass), then the accepted lists scatter into the link log in
-///    parallel (commit pass — see below). A candidate pair lives in
-///    exactly one unit, and the fold is order-independent, so both engines
-///    produce bit-identical matchings for any thread/shard counts.
+/// Three passes, each one task per unit on the work-stealing loop: the
+/// observe pass feeds CAS-max atomic best tables, the accept pass applies
+/// the acceptance predicate against the sealed tables, and the commit pass
+/// scatters the accepted lists into the link log. A candidate pair lives in
+/// exactly one unit, and the fold is order-independent, so matchings are
+/// bit-identical for any thread/shard counts.
 ///
-/// The parallel commit (formerly the last serial piece of a round): unique
-/// best on both sides means the accepted set is a matching — no two units
-/// accept the same g1 or g2 node — so after an exclusive prefix sum sizes
-/// each unit's slot range in the link log, every unit can write its links
-/// and map entries concurrently, race-free, at exactly the offsets the old
-/// serial loop would have used. The log layout is byte-identical to the
-/// serial order.
+/// The commit runs in parallel too: unique best on both sides means the
+/// accepted set is a matching — no two units accept the same g1 or g2 node
+/// — so after an exclusive prefix sum sizes each unit's slot range in the
+/// link log, every unit can write its links and map entries concurrently,
+/// race-free. The log lists the units' accepted links in unit order.
 class SelectionEngine {
  public:
-  /// Only the configured engine allocates its tables (the best tables are
-  /// O(nodes); the other pair stays empty).
-  SelectionEngine(size_t n1, size_t n2, bool parallel);
+  SelectionEngine(size_t n1, size_t n2);
 
   /// Grows the tables to cover `n1`/`n2` nodes (serve mode: delta batches
   /// can introduce new node ids). The tables are reconstructed — call only
@@ -66,16 +60,8 @@ class SelectionEngine {
                          const SelectionContext& ctx, PhaseStats* stats);
 
  private:
-  size_t SelectSerial(const std::vector<ScoreUnit>& units,
-                      const SelectionContext& ctx, PhaseStats* stats);
-  size_t SelectParallel(const std::vector<ScoreUnit>& units,
-                        const SelectionContext& ctx, PhaseStats* stats);
-
-  bool parallel_;
   size_t n1_;
   size_t n2_;
-  BestTable best1_;
-  BestTable best2_;
   AtomicBestTable atomic_best1_;
   AtomicBestTable atomic_best2_;
 };

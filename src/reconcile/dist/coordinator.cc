@@ -540,13 +540,6 @@ bool DistUserMatching(const Graph& g1, const Graph& g2,
                       std::span<const std::pair<NodeId, NodeId>> seeds,
                       const MatcherConfig& config, MatchResult* result) {
   if (config.workers <= 1) return false;
-  if (!config.use_incremental_scoring ||
-      config.scoring_backend != ScoringBackend::kRadixSort) {
-    std::fprintf(stderr,
-                 "warning: --workers requires the incremental radix "
-                 "backend; running in-process\n");
-    return false;
-  }
   if (!config.checkpoint_dir.empty() || config.resume) {
     std::fprintf(stderr,
                  "warning: --workers does not combine with checkpoint/"

@@ -21,8 +21,8 @@ namespace reconcile::dist {
 /// in-process run under every failure schedule.
 ///
 /// Returns true with `*result` filled. Returns false — after a one-line
-/// warning — when the configuration cannot run distributed (recompute
-/// engine, hash backend, checkpoint/resume, a memory budget) or when every
+/// warning — when the configuration cannot run distributed
+/// (checkpoint/resume, a memory budget) or when every
 /// worker is gone with the retry budget spent; the caller then runs the
 /// in-process path, which produces the identical matching.
 bool DistUserMatching(const Graph& g1, const Graph& g2,

@@ -60,8 +60,7 @@ IncrementalMatcher::IncrementalMatcher(
                       : std::max(4, pool_.num_threads())),
       o1_(std::move(g1)),
       o2_(std::move(g2)),
-      selection_(o1_.num_nodes(), o2_.num_nodes(),
-                 config.matcher.use_parallel_selection) {
+      selection_(o1_.num_nodes(), o2_.num_nodes()) {
   RECONCILE_CHECK_GE(config_.matcher.num_iterations, 1);
   RECONCILE_CHECK_GE(config_.matcher.min_bucket_exponent, 0);
   n1_pinned_ = o1_.num_nodes();

@@ -26,11 +26,10 @@ inline constexpr char kServeCheckpointPrefix[] = "serve-batch-";
 
 struct ServeConfig {
   /// Matching semantics and execution knobs. The score store is *always*
-  /// the stamped signed-run store (retraction needs it), so
-  /// `matcher.scoring_backend`, the LSM tier policy and the memory-budget
-  /// knobs are ignored in serve mode; threshold, iterations, bucketing,
-  /// stability, threads, shards, grain and `use_parallel_selection` all
-  /// apply.
+  /// the stamped signed-run store (retraction needs it), so the LSM tier
+  /// policy and the memory-budget knobs are ignored in serve mode;
+  /// threshold, iterations, bucketing, stability, threads, shards and grain
+  /// all apply.
   MatcherConfig matcher;
 
   /// Fold the overlay diffs into a fresh CSR every N batches (<= 0: never).
@@ -61,9 +60,8 @@ struct ServeBatchStats {
 /// of delta-overlay graphs and repairs it incrementally per delta batch,
 /// with a correctness contract of *bit-identical equivalence to a
 /// from-scratch batch run on the final graphs* (enforced by
-/// `serve_incremental_differential_test` across backend × threads, and
-/// across kill/resume by
-/// `integration_serve_kill_resume_test`).
+/// `serve_incremental_differential_test` across thread counts, and across
+/// kill/resume by `integration_serve_kill_resume_test`).
 ///
 /// How the repair stays exact (DESIGN.md §2.6):
 ///  * Scores live in stamped signed runs (`util/stamped_runs.h`): seed

@@ -47,7 +47,7 @@ void ParallelForEach(ThreadPool* pool, size_t n,
                      const std::function<void(size_t)>& fn);
 
 /// Producer-loop helper shared by the delta-accumulating map phases (witness
-/// emission, the mr map phases): runs `fn(delta, begin, end)` over disjoint
+/// emission foremost): runs `fn(delta, begin, end)` over disjoint
 /// chunks of `[0, n)` with one producer-local accumulator per worker slot,
 /// claiming `grain` items per lock acquisition, and returns the accumulators
 /// for a subsequent merge. A delta is only ever touched by one thread at a

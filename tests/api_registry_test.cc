@@ -53,6 +53,9 @@ TEST(RegistryTest, RemovedSchedulingParamsAreUnknown) {
       {"core", "scheduler"},
       {"core", "placement"},
       {"core", "placement-domains"},
+      {"core", "backend"},
+      {"core", "incremental"},
+      {"core", "parallel-selection"},
       {"bp", "scheduler"}};
   for (const auto& [key, param] : removed) {
     std::string error;
@@ -114,12 +117,10 @@ TEST(RegistryTest, ParamsReachTheWrappedConfig) {
       ReconcilerSpec("core")
           .Set("threshold", "4")
           .Set("iterations", "1")
-          .Set("backend", "hash")
           .Set("bucketing", "false"));
   const auto& core = dynamic_cast<const CoreReconciler&>(*reconciler);
   EXPECT_EQ(core.config().min_score, 4u);
   EXPECT_EQ(core.config().num_iterations, 1);
-  EXPECT_EQ(core.config().scoring_backend, ScoringBackend::kHashMap);
   EXPECT_FALSE(core.config().use_degree_bucketing);
 }
 

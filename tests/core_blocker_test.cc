@@ -11,6 +11,7 @@
 #include "reconcile/sampling/attack.h"
 #include "reconcile/sampling/independent.h"
 #include "reconcile/seed/seeding.h"
+#include "support/oracle_diff.h"
 
 namespace reconcile {
 namespace {
@@ -105,19 +106,14 @@ TEST(BlockerTest, BlockedImpostorDoesNotStealLowDegreeNodes) {
   EXPECT_EQ(result.map_1to2[2], kInvalidNode);
 }
 
-TEST(BlockerTest, EnginesAgreeUnderAttack) {
+TEST(BlockerTest, MatchesPaperOracleUnderAttack) {
   Graph g = GenerateErdosRenyi(400, 0.04, 75);
   RealizationPair pair = SampleIndependent(g, {}, 76);
   RealizationPair attacked = ApplyAttack(pair, {}, 77);
   SeedOptions seed_options;
   seed_options.fraction = 0.15;
   auto seeds = GenerateSeeds(attacked, seed_options, 78);
-  MatcherConfig incremental;
-  MatcherConfig reference;
-  reference.use_incremental_scoring = false;
-  MatchResult a = UserMatching(attacked.g1, attacked.g2, seeds, incremental);
-  MatchResult b = UserMatching(attacked.g1, attacked.g2, seeds, reference);
-  EXPECT_EQ(a.map_1to2, b.map_1to2);
+  ExpectMatchesPaper(attacked.g1, attacked.g2, seeds, MatcherConfig{});
 }
 
 }  // namespace

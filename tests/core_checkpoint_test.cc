@@ -1,8 +1,8 @@
 // MatcherState as a resumable object: a snapshot taken between rounds must
 // restore into a state that finishes with a matching bit-identical to the
-// uninterrupted run — across both scoring backends, multi-tier LSM stacks
-// and shard counts — and every corruption or
-// mismatch (truncation, bit flips, wrong graph, wrong config, wrong seeds)
+// uninterrupted run — across pause points, multi-tier LSM stacks and shard
+// counts — and every corruption or mismatch (truncation, bit flips, wrong
+// graph, wrong config, wrong seeds, a snapshot of a removed scoring engine)
 // must be a clean LoadSnapshot failure that leaves the state untouched.
 #include "reconcile/core/matcher_state.h"
 
@@ -97,21 +97,14 @@ TEST(MatcherStateTest, RunRoundReplaysTheDriverScheduleExactly) {
   EXPECT_EQ(via_state.map_2to1, via_driver.map_2to1);
 }
 
-TEST(MatcherStateTest, ResumeEquivalenceAcrossBackendsAndPausePoints) {
+TEST(MatcherStateTest, ResumeEquivalenceAcrossPausePoints) {
   Workload w = MakeWorkload(9002);
-  for (ScoringBackend backend :
-       {ScoringBackend::kRadixSort, ScoringBackend::kHashMap}) {
-    for (int pause_after : {1, 3, 7}) {
-      MatcherConfig config;
-      config.scoring_backend = backend;
-      config.num_shards = 4;
-      const std::string tag =
-          std::string(backend == ScoringBackend::kRadixSort ? "radix"
-                                                            : "hash") +
-          "_p" + std::to_string(pause_after);
-      SCOPED_TRACE(tag);
-      CheckResumeEquivalence(w, config, pause_after, tag);
-    }
+  for (int pause_after : {1, 3, 7}) {
+    MatcherConfig config;
+    config.num_shards = 4;
+    const std::string tag = "p" + std::to_string(pause_after);
+    SCOPED_TRACE(tag);
+    CheckResumeEquivalence(w, config, pause_after, tag);
   }
 }
 
@@ -121,7 +114,6 @@ TEST(MatcherStateTest, ResumeEquivalenceWithMultiTierLsmStacks) {
   // future compaction schedule.
   Workload w = MakeWorkload(9003);
   MatcherConfig config;
-  config.scoring_backend = ScoringBackend::kRadixSort;
   config.num_shards = 4;
   config.lsm_max_tiers = 8;
   config.lsm_size_ratio = 0.0;
@@ -170,14 +162,11 @@ TEST(MatcherStateTest, SnapshotPortableAcrossExecutionKnobs) {
   std::remove(path.c_str());
 }
 
-TEST(MatcherStateTest, RadixSnapshotRoundTripsByteIdentically) {
-  // The radix score state serializes canonically (sorted runs, explicit
-  // tier boundaries), so save -> load -> save is byte-identical. (The hash
-  // backend's table layout may legitimately differ after reload; its
-  // resume equivalence is covered above.)
+TEST(MatcherStateTest, SnapshotRoundTripsByteIdentically) {
+  // The score state serializes canonically (sorted runs, explicit tier
+  // boundaries), so save -> load -> save is byte-identical.
   Workload w = MakeWorkload(9006);
   MatcherConfig config;
-  config.scoring_backend = ScoringBackend::kRadixSort;
   config.num_shards = 4;
   config.lsm_max_tiers = 4;
 
@@ -244,8 +233,8 @@ class SnapshotRejectionTest : public testing::Test {
   void TearDown() override { std::remove(path_.c_str()); }
 
   // Loads `path` into a fresh state; on expected failure, verifies the
-  // state is untouched by checking it still finishes like a never-loaded
-  // run.
+  // diagnostic is one line and the state is untouched by checking it
+  // still finishes like a never-loaded run.
   void ExpectRejectedAndStateIntact(const std::string& path,
                                     const std::string& why_substring) {
     MatcherState state(w_.pair.g1, w_.pair.g2, config_);
@@ -253,6 +242,7 @@ class SnapshotRejectionTest : public testing::Test {
     std::string error;
     ASSERT_FALSE(state.LoadSnapshot(path, &error));
     EXPECT_NE(error.find(why_substring), std::string::npos) << error;
+    EXPECT_EQ(error.find('\n'), std::string::npos) << error;
     EXPECT_EQ(state.completed_rounds(), 0);
     EXPECT_EQ(state.num_links(), w_.seeds.size());
     while (!state.Done()) state.RunRound();
@@ -305,16 +295,43 @@ TEST_F(SnapshotRejectionTest, WrongConfigRejected) {
   EXPECT_NE(error.find("config mismatch"), std::string::npos) << error;
 }
 
-TEST_F(SnapshotRejectionTest, WrongBackendRejected) {
-  MatcherConfig other = config_;
-  other.scoring_backend = config_.scoring_backend == ScoringBackend::kRadixSort
-                              ? ScoringBackend::kHashMap
-                              : ScoringBackend::kRadixSort;
-  MatcherState state(w_.pair.g1, w_.pair.g2, other);
-  state.SeedLinks(w_.seeds);
-  std::string error;
-  ASSERT_FALSE(state.LoadSnapshot(path_, &error));
-  EXPECT_NE(error.find("config mismatch"), std::string::npos) << error;
+// Snapshots once recorded the scoring engine (incremental or recompute)
+// and backend (radix or hash) in two META bytes; a snapshot naming the
+// removed recompute engine or hash backend must be refused in one line.
+// The test rewrites a valid snapshot with one byte changed — META is
+// [state version u32][3 × u64 per graph][threshold u32][iterations i32]
+// [bucketing u8][min bucket exponent i32][stop when stable u8], then the
+// engine byte (offset 66) and the backend byte (offset 67).
+TEST_F(SnapshotRejectionTest, RemovedEngineSnapshotsRejected) {
+  constexpr uint32_t kMeta = 1, kLinks = 2, kScores = 4;
+  const struct {
+    size_t offset;
+    const char* why;
+  } cases[] = {{66, "recompute scoring engine"}, {67, "hash scoring backend"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.why);
+    SnapshotReader reader;
+    std::string error;
+    ASSERT_TRUE(reader.Open(path_, &error)) << error;
+    SnapshotWriter writer;
+    for (uint32_t id : {kMeta, kLinks, kScores}) {
+      SnapshotReader::Section* section = reader.Find(id);
+      ASSERT_NE(section, nullptr);
+      std::vector<uint8_t> payload(section->Remaining());
+      ASSERT_TRUE(section->ReadBytes(payload.data(), payload.size()));
+      if (id == kMeta) {
+        ASSERT_EQ(payload.at(c.offset), 1u);
+        payload[c.offset] = 0;
+      }
+      writer.BeginSection(id);
+      writer.AppendBytes(payload.data(), payload.size());
+      writer.EndSection();
+    }
+    const std::string removed = TempPath("reject_removed_engine.ckpt");
+    ASSERT_TRUE(writer.Commit(removed, &error)) << error;
+    ExpectRejectedAndStateIntact(removed, c.why);
+    std::remove(removed.c_str());
+  }
 }
 
 TEST_F(SnapshotRejectionTest, WrongShardCountRejected) {

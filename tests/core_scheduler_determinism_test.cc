@@ -50,8 +50,8 @@ void ExpectSameMatching(const MatchResult& result, const MatchResult& reference)
   ASSERT_EQ(result.map_2to1, reference.map_2to1);
 }
 
-// Work-stealing across grains, threads, and both scoring backends. The
-// 1-thread run anchors each workload.
+// Work-stealing across grains and threads. The 1-thread run anchors each
+// workload.
 TEST(SchedulerDeterminismTest, StealingMatchesSingleThreadAcrossGrid) {
   for (uint64_t rng_seed : {7101u, 7102u}) {
     SCOPED_TRACE("rng_seed=" + std::to_string(rng_seed));
@@ -64,23 +64,16 @@ TEST(SchedulerDeterminismTest, StealingMatchesSingleThreadAcrossGrid) {
     ASSERT_GT(reference.NumNewLinks(), 0u)
         << "workload too easy to detect divergence";
 
-    for (ScoringBackend backend :
-         {ScoringBackend::kRadixSort, ScoringBackend::kHashMap}) {
-      for (size_t grain : {size_t{0}, size_t{1}, size_t{7}, size_t{4096}}) {
-        for (int threads : {2, 5}) {
-          SCOPED_TRACE(std::string("backend=") +
-                       (backend == ScoringBackend::kRadixSort ? "radix"
-                                                              : "hash") +
-                       " grain=" + std::to_string(grain) +
-                       " threads=" + std::to_string(threads));
-          MatcherConfig config;
-          config.scoring_backend = backend;
-          config.scheduler_grain = grain;
-          config.num_threads = threads;
-          MatchResult result =
-              UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
-          ExpectSameMatching(result, reference);
-        }
+    for (size_t grain : {size_t{0}, size_t{1}, size_t{7}, size_t{4096}}) {
+      for (int threads : {2, 5}) {
+        SCOPED_TRACE("grain=" + std::to_string(grain) +
+                     " threads=" + std::to_string(threads));
+        MatcherConfig config;
+        config.scheduler_grain = grain;
+        config.num_threads = threads;
+        MatchResult result =
+            UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
+        ExpectSameMatching(result, reference);
       }
     }
   }
@@ -108,7 +101,7 @@ TEST(SchedulerDeterminismTest, PhaseCountersMatchAcrossThreadCounts) {
 // LSM tier thresholds: every (max_tiers, size_ratio) combination — from
 // merge-every-round (max_tiers=1) through ratio=0 (tiers only fold when the
 // cap forces a mid-round compaction cascade) — must yield the single-tier
-// matching. Runs both selection engines over the multi-tier units.
+// matching.
 TEST(LsmStoreDeterminismTest, TierThresholdsAreUnobservable) {
   for (uint64_t rng_seed : {7201u, 7202u}) {
     SCOPED_TRACE("rng_seed=" + std::to_string(rng_seed));
@@ -123,47 +116,11 @@ TEST(LsmStoreDeterminismTest, TierThresholdsAreUnobservable) {
 
     for (int max_tiers : {2, 3, 8}) {
       for (double ratio : {0.0, 1.0, 4.0, 1e9}) {
-        for (bool parallel_selection : {true, false}) {
-          SCOPED_TRACE("max_tiers=" + std::to_string(max_tiers) +
-                       " ratio=" + std::to_string(ratio) +
-                       " parallel_selection=" +
-                       std::to_string(parallel_selection));
-          MatcherConfig config;
-          config.lsm_max_tiers = max_tiers;
-          config.lsm_size_ratio = ratio;
-          config.use_parallel_selection = parallel_selection;
-          config.num_threads = 4;
-          MatchResult result =
-              UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
-          ExpectSameMatching(result, reference);
-        }
-      }
-    }
-  }
-}
-
-// The recompute engine runs its mr reduce on the work-stealing loop too (one
-// fresh state per round); the steal schedule and serial selection must both
-// stay unobservable there.
-TEST(SchedulerDeterminismTest, RecomputeAndSerialSelectionUnaffected) {
-  Workload w = MakeWorkload(7304);
-  MatcherConfig reference_config;
-  reference_config.num_threads = 1;
-  MatchResult reference =
-      UserMatching(w.pair.g1, w.pair.g2, w.seeds, reference_config);
-  for (bool incremental : {false, true}) {
-    for (bool parallel_selection : {false, true}) {
-      for (ScoringBackend backend :
-           {ScoringBackend::kRadixSort, ScoringBackend::kHashMap}) {
-        SCOPED_TRACE(std::string("incremental=") +
-                     std::to_string(incremental) + " parallel_selection=" +
-                     std::to_string(parallel_selection) + " backend=" +
-                     (backend == ScoringBackend::kRadixSort ? "radix"
-                                                            : "hash"));
+        SCOPED_TRACE("max_tiers=" + std::to_string(max_tiers) +
+                     " ratio=" + std::to_string(ratio));
         MatcherConfig config;
-        config.use_incremental_scoring = incremental;
-        config.use_parallel_selection = parallel_selection;
-        config.scoring_backend = backend;
+        config.lsm_max_tiers = max_tiers;
+        config.lsm_size_ratio = ratio;
         config.num_threads = 4;
         MatchResult result =
             UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
@@ -259,26 +216,6 @@ TEST(MemoryBudgetDeterminismTest, BudgetsAreUnobservableAcrossGrid) {
   }
 }
 
-// The hash backend has no tier store to spill; a budget there must warn and
-// run unbudgeted, not crash or diverge.
-TEST(MemoryBudgetDeterminismTest, HashBackendRunsUnbudgeted) {
-  Workload w = MakeWorkload(7403);
-  MatcherConfig reference_config;
-  reference_config.scoring_backend = ScoringBackend::kHashMap;
-  MatchResult reference =
-      UserMatching(w.pair.g1, w.pair.g2, w.seeds, reference_config);
-  ScratchDir scratch;
-  MatcherConfig config = reference_config;
-  config.memory_budget_bytes = 1;
-  config.score_dir = scratch.path();
-  MatchResult result = UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
-  ExpectSameMatching(result, reference);
-  for (const PhaseStats& phase : result.phases) {
-    EXPECT_EQ(phase.tiers_spilled, 0u);
-    EXPECT_EQ(phase.spilled_score_bytes, 0u);
-  }
-}
-
 // The ordered seed-collect sweep runs on the shared pool once the workload
 // crosses the parallel threshold, so its steal schedule differs run to run.
 // The count / prefix-sum / fill shape must make that unobservable: repeated
@@ -317,21 +254,6 @@ TEST(SeedCollectDeterminismTest, ParallelCollectIsScheduleIndependent) {
           << "run " << run;
     }
   }
-}
-
-// The tier store only exists in the incremental radix engine; the recompute
-// engine must be unaffected by (and identical under) any tier policy.
-TEST(LsmStoreDeterminismTest, RecomputeEngineIgnoresTierPolicy) {
-  Workload w = MakeWorkload(7203);
-  MatcherConfig incremental;
-  MatchResult reference =
-      UserMatching(w.pair.g1, w.pair.g2, w.seeds, incremental);
-  MatcherConfig recompute;
-  recompute.use_incremental_scoring = false;
-  recompute.lsm_max_tiers = 7;
-  recompute.lsm_size_ratio = 0.0;
-  MatchResult result = UserMatching(w.pair.g1, w.pair.g2, w.seeds, recompute);
-  ExpectSameMatching(result, reference);
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
-// Scoring-backend equivalence: the radix (sort-based) backend must produce
-// bit-identical matchings to the hash backend across the full engine grid —
-// incremental vs recompute scoring, serial vs parallel selection, thread and
-// shard counts, bucketing on and off. The selection fold is representation-
-// agnostic and both backends aggregate the same witness multiset, so any
-// divergence is a bug in the sort/merge path.
+// Scoring differential grid: the sort-based score store must reproduce the
+// paper-literal oracle (tests/support/paper_matcher.h) across thread and
+// shard counts, with bucketing on and off and under a degree floor. The
+// oracle rebuilds every score from all links each round, so any divergence
+// is a bug in the emit/sort/merge path or in selection.
 #include <string>
 #include <vector>
 
@@ -15,6 +14,8 @@
 #include "reconcile/gen/preferential_attachment.h"
 #include "reconcile/sampling/independent.h"
 #include "reconcile/seed/seeding.h"
+#include "support/oracle_diff.h"
+#include "support/paper_matcher.h"
 
 namespace reconcile {
 namespace {
@@ -48,109 +49,53 @@ Workload MakeWorkload(uint64_t rng_seed) {
   return w;
 }
 
-// The full differential grid: hash vs radix × incremental vs recompute ×
-// serial vs parallel selection × threads × shards × bucketing. The hash /
-// incremental / parallel run is the reference for each workload.
-TEST(ScoringBackendDifferentialTest, RadixMatchesHashAcrossEngineGrid) {
+// The grid: bucketing on and off × (threads, shards) ∈ {(1, 1), (4, 13)},
+// each run held against the oracle.
+TEST(ScoringDifferentialTest, MatchesPaperOracleAcrossGrid) {
   for (uint64_t rng_seed : {9001u, 9002u, 9003u}) {
     SCOPED_TRACE("rng_seed=" + std::to_string(rng_seed));
     Workload w = MakeWorkload(rng_seed);
-
-    MatchResult reference;
-    bool have_reference = false;
     for (bool bucketing : {true, false}) {
-      for (ScoringBackend backend :
-           {ScoringBackend::kHashMap, ScoringBackend::kRadixSort}) {
-        for (bool incremental : {true, false}) {
-          for (bool parallel_selection : {true, false}) {
-            for (auto [threads, shards] :
-                 {std::pair<int, int>{1, 1}, std::pair<int, int>{4, 13}}) {
-              MatcherConfig config;
-              config.use_degree_bucketing = bucketing;
-              config.scoring_backend = backend;
-              config.use_incremental_scoring = incremental;
-              config.use_parallel_selection = parallel_selection;
-              config.num_threads = threads;
-              config.num_shards = shards;
-              MatchResult result =
-                  UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
-              if (!have_reference) {
-                reference = std::move(result);
-                have_reference = true;
-                EXPECT_GT(reference.NumNewLinks(), 0u)
-                    << "workload too easy to detect divergence";
-                continue;
-              }
-              SCOPED_TRACE(
-                  std::string("bucketing=") + std::to_string(bucketing) +
-                  " backend=" +
-                  (backend == ScoringBackend::kRadixSort ? "radix" : "hash") +
-                  " incremental=" + std::to_string(incremental) +
-                  " parallel_selection=" + std::to_string(parallel_selection) +
-                  " threads=" + std::to_string(threads) +
-                  " shards=" + std::to_string(shards));
-              ASSERT_EQ(result.map_1to2, reference.map_1to2);
-              ASSERT_EQ(result.map_2to1, reference.map_2to1);
-            }
-          }
-        }
+      MatcherConfig config;
+      config.use_degree_bucketing = bucketing;
+      const paper::Matching want = paper::UserMatching(
+          w.pair.g1, w.pair.g2, w.seeds, PaperOptions(config));
+      for (auto [threads, shards] :
+           {std::pair<int, int>{1, 1}, std::pair<int, int>{4, 13}}) {
+        SCOPED_TRACE("bucketing=" + std::to_string(bucketing) +
+                     " threads=" + std::to_string(threads) +
+                     " shards=" + std::to_string(shards));
+        config.num_threads = threads;
+        config.num_shards = shards;
+        MatchResult result =
+            UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
+        EXPECT_GT(result.NumNewLinks(), 0u)
+            << "workload too easy to detect divergence";
+        ExpectSameAsPaper(result, want);
       }
-      // Bucketing changes which links are found; re-anchor the reference
-      // for the non-bucketed half of the grid.
-      have_reference = false;
     }
   }
 }
 
-// Per-round telemetry must agree between backends: the emitted witness
-// multiset and the distinct candidate-pair count are representation-
-// independent quantities.
-TEST(ScoringBackendDifferentialTest, PhaseCountersMatchBetweenBackends) {
-  Workload w = MakeWorkload(9004);
-  MatcherConfig hash_config;
-  hash_config.scoring_backend = ScoringBackend::kHashMap;
-  MatcherConfig radix_config;
-  radix_config.scoring_backend = ScoringBackend::kRadixSort;
-  MatchResult hash_result =
-      UserMatching(w.pair.g1, w.pair.g2, w.seeds, hash_config);
-  MatchResult radix_result =
-      UserMatching(w.pair.g1, w.pair.g2, w.seeds, radix_config);
-  ASSERT_EQ(hash_result.phases.size(), radix_result.phases.size());
-  for (size_t i = 0; i < hash_result.phases.size(); ++i) {
-    const PhaseStats& h = hash_result.phases[i];
-    const PhaseStats& r = radix_result.phases[i];
-    EXPECT_EQ(h.iteration, r.iteration);
-    EXPECT_EQ(h.bucket_exponent, r.bucket_exponent);
-    EXPECT_EQ(h.links_in, r.links_in);
-    EXPECT_EQ(h.emissions, r.emissions);
-    EXPECT_EQ(h.candidate_pairs, r.candidate_pairs);
-    EXPECT_EQ(h.new_links, r.new_links);
-  }
-}
-
-// min_bucket_exponent prunes emissions at the source; both backends must
-// apply the same degree floor.
-TEST(ScoringBackendDifferentialTest, DegreeFloorMatches) {
+// min_bucket_exponent prunes emissions at the source; the matcher must
+// apply the oracle's degree floor.
+TEST(ScoringDifferentialTest, DegreeFloorMatchesPaperOracle) {
   Workload w = MakeWorkload(9005);
-  for (ScoringBackend backend :
-       {ScoringBackend::kHashMap, ScoringBackend::kRadixSort}) {
-    MatcherConfig config;
-    config.scoring_backend = backend;
-    config.min_bucket_exponent = 3;  // degree >= 8
-    MatchResult result = UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
-    for (NodeId u = 0; u < w.pair.g1.num_nodes(); ++u) {
-      const NodeId v = result.map_1to2[u];
-      if (v == kInvalidNode || result.IsSeed1(u)) continue;
-      EXPECT_GE(w.pair.g1.degree(u), 8u);
-      EXPECT_GE(w.pair.g2.degree(v), 8u);
-    }
+  MatcherConfig config;
+  config.min_bucket_exponent = 3;  // degree >= 8
+  MatchResult result =
+      ExpectMatchesPaper(w.pair.g1, w.pair.g2, w.seeds, config);
+  for (NodeId u = 0; u < w.pair.g1.num_nodes(); ++u) {
+    const NodeId v = result.map_1to2[u];
+    if (v == kInvalidNode || result.IsSeed1(u)) continue;
+    EXPECT_GE(w.pair.g1.degree(u), 8u);
+    EXPECT_GE(w.pair.g2.degree(v), 8u);
   }
 }
 
-// Degenerate inputs must not trip the radix paths.
-TEST(ScoringBackendEdgeCaseTest, EmptyGraphsAndSeedOnlyGraphs) {
+// Degenerate inputs must not trip the sort/merge paths.
+TEST(ScoringEdgeCaseTest, EmptyGraphsAndSeedOnlyGraphs) {
   MatcherConfig config;
-  config.scoring_backend = ScoringBackend::kRadixSort;
 
   Graph empty;
   MatchResult result = UserMatching(empty, empty, {}, config);

@@ -1,8 +1,7 @@
-// Selection-engine determinism: `UserMatching` output must be bit-identical
-// across every combination of worker-thread count, reduce-shard count,
-// scoring engine (incremental / recompute) and selection engine (parallel /
-// serial). The parallel selection's atomic CAS-max fold is order-independent
-// by construction; this randomized grid is the end-to-end safety net.
+// Selection determinism: `UserMatching` output must be bit-identical across
+// every combination of worker-thread count and score-shard count. The
+// parallel selection's atomic CAS-max fold is order-independent by
+// construction; this randomized grid is the end-to-end safety net.
 #include <string>
 #include <vector>
 
@@ -38,65 +37,53 @@ Workload MakeWorkload(uint64_t rng_seed) {
   return w;
 }
 
-TEST(SelectionDeterminismTest, IdenticalAcrossThreadsShardsAndEngines) {
+TEST(SelectionDeterminismTest, IdenticalAcrossThreadsAndShards) {
   for (uint64_t rng_seed : {7001u, 7002u}) {
     SCOPED_TRACE("rng_seed=" + std::to_string(rng_seed));
     Workload w = MakeWorkload(rng_seed);
 
     MatchResult reference;
     bool have_reference = false;
-    for (bool incremental : {true, false}) {
-      for (bool parallel_selection : {true, false}) {
-        for (int threads : {1, 2, 8}) {
-          for (int shards : {1, 4, 16}) {
-            MatcherConfig config;
-            config.use_incremental_scoring = incremental;
-            config.use_parallel_selection = parallel_selection;
-            config.num_threads = threads;
-            config.num_shards = shards;
-            MatchResult result =
-                UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
-            if (!have_reference) {
-              reference = std::move(result);
-              have_reference = true;
-              EXPECT_GT(reference.NumNewLinks(), 0u)
-                  << "workload too easy to detect divergence";
-              continue;
-            }
-            SCOPED_TRACE("incremental=" + std::to_string(incremental) +
-                         " parallel_selection=" +
-                         std::to_string(parallel_selection) +
-                         " threads=" + std::to_string(threads) +
-                         " shards=" + std::to_string(shards));
-            ASSERT_EQ(result.map_1to2, reference.map_1to2);
-            ASSERT_EQ(result.map_2to1, reference.map_2to1);
-          }
+    for (int threads : {1, 2, 8}) {
+      for (int shards : {1, 4, 16}) {
+        MatcherConfig config;
+        config.num_threads = threads;
+        config.num_shards = shards;
+        MatchResult result =
+            UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
+        if (!have_reference) {
+          reference = std::move(result);
+          have_reference = true;
+          EXPECT_GT(reference.NumNewLinks(), 0u)
+              << "workload too easy to detect divergence";
+          continue;
         }
+        SCOPED_TRACE("threads=" + std::to_string(threads) +
+                     " shards=" + std::to_string(shards));
+        ASSERT_EQ(result.map_1to2, reference.map_1to2);
+        ASSERT_EQ(result.map_2to1, reference.map_2to1);
       }
     }
   }
 }
 
 // The per-round time split must be populated and consistent with the
-// whole-round clock for both selection engines.
+// whole-round clock.
 TEST(SelectionDeterminismTest, PhaseTimeSplitIsPopulated) {
   Workload w = MakeWorkload(7003);
-  for (bool parallel_selection : {true, false}) {
-    MatcherConfig config;
-    config.use_parallel_selection = parallel_selection;
-    config.num_threads = 2;
-    MatchResult result = UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
-    ASSERT_FALSE(result.phases.empty());
-    for (const PhaseStats& phase : result.phases) {
-      EXPECT_EQ(phase.num_threads, 2);
-      EXPECT_GE(phase.emit_seconds, 0.0);
-      EXPECT_GE(phase.merge_seconds, 0.0);
-      EXPECT_GE(phase.scan_seconds, 0.0);
-      EXPECT_GE(phase.select_seconds, 0.0);
-      EXPECT_LE(phase.emit_seconds + phase.merge_seconds +
-                    phase.scan_seconds + phase.select_seconds,
-                phase.seconds + 1e-6);
-    }
+  MatcherConfig config;
+  config.num_threads = 2;
+  MatchResult result = UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
+  ASSERT_FALSE(result.phases.empty());
+  for (const PhaseStats& phase : result.phases) {
+    EXPECT_EQ(phase.num_threads, 2);
+    EXPECT_GE(phase.emit_seconds, 0.0);
+    EXPECT_GE(phase.merge_seconds, 0.0);
+    EXPECT_GE(phase.scan_seconds, 0.0);
+    EXPECT_GE(phase.select_seconds, 0.0);
+    EXPECT_LE(phase.emit_seconds + phase.merge_seconds +
+                  phase.scan_seconds + phase.select_seconds,
+              phase.seconds + 1e-6);
   }
 }
 

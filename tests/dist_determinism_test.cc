@@ -25,6 +25,7 @@
 #include "reconcile/gen/chung_lu.h"
 #include "reconcile/sampling/independent.h"
 #include "reconcile/seed/seeding.h"
+#include "reconcile/util/checkpoint.h"
 
 namespace reconcile {
 namespace {
@@ -223,11 +224,11 @@ TEST(DistDeterminismTest, RetryExhaustionDegradesToInProcess) {
 }
 
 TEST(DistDeterminismTest, UnsupportedConfigFallsBackInProcess) {
-  // The hash backend cannot run distributed; the gate must warn and fall
+  // Checkpointed runs cannot run distributed; the gate must warn and fall
   // back, still byte-identical to the same config without workers.
   MatcherConfig config = BaseConfig();
   config.workers = 2;
-  config.scoring_backend = ScoringBackend::kHashMap;
+  config.checkpoint_dir = TempPath("dist_gate_ckpt");
   const std::string out = TempPath("dist_gate.txt");
   const std::string ref = TempPath("dist_gate_ref.txt");
   ChildSpec spec;
@@ -238,6 +239,11 @@ TEST(DistDeterminismTest, UnsupportedConfigFallsBackInProcess) {
   spec.matching_out = ref;
   ASSERT_EQ(RunChild(spec), 0);
   EXPECT_EQ(Slurp(out), Slurp(ref));
+  EXPECT_EQ(Slurp(out), ReferenceBytes());
+  for (const CheckpointFile& file : ListCheckpoints(config.checkpoint_dir)) {
+    std::remove(file.path.c_str());
+  }
+  ::rmdir(config.checkpoint_dir.c_str());
   std::remove(out.c_str());
   std::remove(ref.c_str());
 }

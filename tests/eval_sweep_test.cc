@@ -157,11 +157,11 @@ TEST(SweepTest, ThresholdFreeAlgorithmRunsOncePerFraction) {
 
 TEST(SweepTest, CsvQuotesAlgorithmLabelsContainingCommas) {
   SweepPoint point;
-  point.algorithm = "core:backend=hash,iterations=1";
+  point.algorithm = "core:bucketing=false,iterations=1";
   point.seed_fraction = 0.1;
   point.threshold = 2;
   const std::string csv = SweepToCsv({point});
-  EXPECT_NE(csv.find("\"core:backend=hash,iterations=1\""),
+  EXPECT_NE(csv.find("\"core:bucketing=false,iterations=1\""),
             std::string::npos);
   // 15 header commas + 15 data separators + the 1 comma inside the quotes.
   EXPECT_EQ(std::count(csv.begin(), csv.end(), ','), 31);

@@ -1,7 +1,7 @@
 // End-to-end crash safety: a matcher process killed mid-run by an injected
 // crash fault must, when restarted with --resume semantics, finish with a
-// matching byte-identical to an uninterrupted single-threaded run — for
-// both scoring backends. Corrupt checkpoints must fall back to older ones
+// matching byte-identical to an uninterrupted single-threaded run.
+// Corrupt checkpoints must fall back to older ones
 // (to a fresh start when none survives), an injected checkpoint-write
 // failure must only cost a recovery point, and a graceful stop must exit
 // cleanly with a resumable partial state.
@@ -121,9 +121,8 @@ int RunChild(const ChildSpec& spec) {
   return WEXITSTATUS(status);
 }
 
-MatcherConfig GridConfig(ScoringBackend backend) {
+MatcherConfig GridConfig() {
   MatcherConfig config;
-  config.scoring_backend = backend;
   config.num_shards = 4;  // fixed: the snapshot fingerprints the resolved count
   config.num_threads = 4;
   return config;
@@ -167,22 +166,15 @@ void CheckKillResume(const MatcherConfig& base, const std::string& tag) {
   std::remove(resumed_out.c_str());
 }
 
-// Split per backend so CI can run the harness once per scoring engine
-// (`--gtest_filter=KillResumeTest.Radix*` / `.Hash*`).
-TEST(KillResumeTest, RadixResumeBitIdentical) {
-  CheckKillResume(GridConfig(ScoringBackend::kRadixSort), "radix");
-}
-
-TEST(KillResumeTest, HashResumeBitIdentical) {
-  CheckKillResume(GridConfig(ScoringBackend::kHashMap), "hash");
+TEST(KillResumeTest, ResumeBitIdentical) {
+  CheckKillResume(GridConfig(), "resume");
 }
 
 TEST(KillResumeTest, CheckpointWriteFailureOnlyCostsARecoveryPoint) {
   // The 3rd checkpoint write fails (injected); the run then crashes after
   // round 5. Recovery resumes from the newest surviving snapshot and
   // replays the lost rounds — the final matching is still identical.
-  MatcherConfig base =
-      GridConfig(ScoringBackend::kRadixSort);
+  MatcherConfig base = GridConfig();
   const std::string dir = TempPath("kr_writefail");
   const std::string clean_out = TempPath("kr_writefail_clean.txt");
   const std::string resumed_out = TempPath("kr_writefail_resumed.txt");
@@ -216,8 +208,7 @@ TEST(KillResumeTest, CheckpointWriteFailureOnlyCostsARecoveryPoint) {
 }
 
 TEST(KillResumeTest, CorruptNewestCheckpointFallsBackToOlder) {
-  MatcherConfig base =
-      GridConfig(ScoringBackend::kRadixSort);
+  MatcherConfig base = GridConfig();
   const std::string dir = TempPath("kr_corrupt");
   const std::string clean_out = TempPath("kr_corrupt_clean.txt");
   const std::string resumed_out = TempPath("kr_corrupt_resumed.txt");
@@ -258,8 +249,7 @@ TEST(KillResumeTest, CorruptNewestCheckpointFallsBackToOlder) {
 }
 
 TEST(KillResumeTest, AllCheckpointsCorruptFallsBackToFreshStart) {
-  MatcherConfig base =
-      GridConfig(ScoringBackend::kHashMap);
+  MatcherConfig base = GridConfig();
   const std::string dir = TempPath("kr_allcorrupt");
   const std::string clean_out = TempPath("kr_allcorrupt_clean.txt");
   const std::string resumed_out = TempPath("kr_allcorrupt_resumed.txt");
@@ -299,8 +289,7 @@ TEST(KillResumeTest, GracefulStopCheckpointsAndResumes) {
   // `stop:` is the deterministic stand-in for SIGTERM: the run finishes its
   // round, writes a final checkpoint, exits 0 with a partial matching; a
   // resume run completes it identically to a never-stopped run.
-  MatcherConfig base =
-      GridConfig(ScoringBackend::kRadixSort);
+  MatcherConfig base = GridConfig();
   const std::string dir = TempPath("kr_stop");
   const std::string clean_out = TempPath("kr_stop_clean.txt");
   const std::string partial_out = TempPath("kr_stop_partial.txt");
@@ -349,8 +338,7 @@ TEST(KillResumeTest, CrashMidSpillResumesFromSpilledCheckpoint) {
   // snapshot, re-spill on its next round, and finish byte-identical to an
   // UNBUDGETED clean run — proving both crash recovery and that the
   // checkpoint format is representation-independent.
-  MatcherConfig base =
-      GridConfig(ScoringBackend::kRadixSort);
+  MatcherConfig base = GridConfig();
   const std::string dir = TempPath("kr_spill");
   const std::string scratch = TempPath("kr_spill_scratch");
   const std::string clean_out = TempPath("kr_spill_clean.txt");
@@ -397,8 +385,7 @@ TEST(KillResumeTest, CheckpointRetentionKeepsNewestAndStillResumes) {
   // leaves exactly the two newest snapshots, and a crash/resume cycle under
   // the same retention still recovers (the newest surviving snapshot is by
   // construction inside the retained window).
-  MatcherConfig base =
-      GridConfig(ScoringBackend::kRadixSort);
+  MatcherConfig base = GridConfig();
   base.checkpoint_keep = 2;
   const std::string dir = TempPath("kr_keep");
   const std::string clean_out = TempPath("kr_keep_clean.txt");

@@ -1,11 +1,9 @@
 // THE serve correctness contract: after ANY sequence of delta batches the
 // incremental matcher's maps are bit-identical to a from-scratch batch run
-// (`UserMatching`, single-threaded) on the final graphs — across
-// scoring-backend (for the reference run; serve's stamped store has no
-// backend choice) × thread-count, through deletes, re-inserted edges, node
-// growth, empty batches, and a snapshot round-trip mid-stream. Every grid
-// cell re-verifies after EVERY batch, so a divergence pins the batch that
-// introduced it.
+// (`UserMatching`, single-threaded) on the final graphs — at 1 and 4 serve
+// threads, through deletes, re-inserted edges, node growth, empty batches,
+// and a snapshot round-trip mid-stream. Every grid cell re-verifies after
+// EVERY batch, so a divergence pins the batch that introduced it.
 #include <algorithm>
 #include <cstdint>
 #include <random>
@@ -73,7 +71,6 @@ struct SideModel {
 
 struct GridCase {
   const char* name;
-  ScoringBackend reference_backend;  // serve ignores it; the batch run uses it
   int threads;
 };
 
@@ -160,7 +157,6 @@ TEST_P(ServeDifferentialTest, MatchesBatchRunAfterEveryBatch) {
   config.compact_overlay_every = 2;  // exercise mid-stream compaction
 
   MatcherConfig reference = config.matcher;
-  reference.scoring_backend = param.reference_backend;
   reference.num_threads = 1;
 
   SideModel model1{ToEdgeSet(pair.g1), pair.g1.num_nodes()};
@@ -271,10 +267,8 @@ TEST_P(ServeDifferentialTest, SnapshotRoundTripContinuesIdentically) {
 INSTANTIATE_TEST_SUITE_P(
     Grid, ServeDifferentialTest,
     testing::Values(
-        GridCase{"RadixT4", ScoringBackend::kRadixSort, 4},
-        GridCase{"HashT4", ScoringBackend::kHashMap, 4},
-        GridCase{"HashT1", ScoringBackend::kHashMap, 1},
-        GridCase{"RadixT1", ScoringBackend::kRadixSort, 1}),
+        GridCase{"T4", 4},
+        GridCase{"T1", 1}),
     CaseName);
 
 }  // namespace

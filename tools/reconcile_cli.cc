@@ -103,8 +103,6 @@ Core-matcher shorthands (equivalent --param spellings shown):
   --iterations    --param iterations=...                      [2]
   --threads       --param threads=... (0 = hardware)          [0]
   --no-bucketing  --param bucketing=false                     [false]
-  --serial-selection  --param parallel-selection=false
-  --scoring-backend   --param backend=hash|radix (radix default)
   --grain         --param grain=... (work-stealing chunk size, 0 = auto)
 
 Crash safety (core matcher; see DESIGN.md §2.4):
@@ -128,7 +126,7 @@ Crash safety (core matcher; see DESIGN.md §2.4):
                   io:enospc_after=N; RECONCILE_FAULT env var does the
                   same process-wide)
 
-Out-of-core score store (core matcher, radix backend; DESIGN.md §2.5):
+Out-of-core score store (core matcher; DESIGN.md §2.5):
   --memory-budget --param memory-budget=BYTES — hard budget for the
                   resident score-tier payload (0 = unbudgeted). When a
                   round's emission pushes the resident tiers past the
@@ -143,7 +141,7 @@ Out-of-core score store (core matcher, radix backend; DESIGN.md §2.5):
                   --memory-budget > 0; created on first spill; scratch is
                   removed on clean exit, including graceful stops
 
-Multi-process execution (core matcher, radix backend; DESIGN.md §2.7):
+Multi-process execution (core matcher; DESIGN.md §2.7):
   --workers       --param workers=N — fork N worker processes, each owning
                   a slice of the score shards; rounds exchange only
                   per-shard best-candidate tables and committed links.
@@ -230,12 +228,6 @@ bool BuildSpec(const Flags& flags, ReconcilerSpec* spec, std::string* error) {
   }
   if (flags.GetBool("no-bucketing", false)) {
     spec->Set("bucketing", "false");
-  }
-  if (flags.GetBool("serial-selection", false)) {
-    spec->Set("parallel-selection", "false");
-  }
-  if (flags.Has("scoring-backend")) {
-    spec->Set("backend", flags.GetString("scoring-backend", "radix"));
   }
   if (flags.Has("grain")) {
     spec->Set("grain", std::to_string(flags.GetInt("grain", 0)));

@@ -91,7 +91,6 @@ Execution (never affect the matching):
                   is pinned into serve checkpoints — pass it explicitly
                   when resuming with a different thread count  [0]
   --grain         work-stealing chunk size (0 = auto)         [0]
-  --serial-selection   serial mutual-best selection           [false]
   --compact-every fold overlay diffs into a fresh CSR every N batches
                   (0 = never; purely a scan-speed knob)       [8]
 
@@ -265,7 +264,6 @@ int RunServe(const Flags& flags) {
   mc.use_degree_bucketing = !flags.GetBool("no-bucketing", false);
   mc.num_threads = static_cast<int>(flags.GetInt("threads", 0));
   mc.num_shards = static_cast<int>(flags.GetInt("shards", 0));
-  mc.use_parallel_selection = !flags.GetBool("serial-selection", false);
   mc.scheduler_grain = static_cast<size_t>(flags.GetInt("grain", 0));
   config.compact_overlay_every =
       static_cast<int>(flags.GetInt("compact-every", 8));
