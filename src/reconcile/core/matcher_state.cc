@@ -220,8 +220,8 @@ MatchResult MatcherState::TakeResult(double total_seconds) {
 // Applies the mutual-unique-best rule over the scored pairs held in
 // `units` through the shared `SelectionEngine` (`core/selection.h`), which
 // commits accepted links directly into the maps and the link log.
-size_t MatcherState::SelectAndCommit(const std::vector<ScoreUnit>& units,
-                                     PhaseStats* stats) {
+size_t MatcherState::SelectAndCommit(
+    const std::vector<const TieredCountRuns*>& units, PhaseStats* stats) {
   SelectionContext ctx;
   ctx.pool = &pool_;
   ctx.min_score = config_.min_score;
@@ -428,12 +428,12 @@ size_t MatcherState::Round(int iteration, int bucket_exponent) {
   EmitPendingLinks(&stats);
   EnforceMemoryBudget(&stats);
 
-  std::vector<ScoreUnit> units;
+  std::vector<const TieredCountRuns*> units;
   units.reserve(static_cast<size_t>(kNumLevels - bucket_exponent) *
                 static_cast<size_t>(num_shards_));
   for (int level = bucket_exponent; level < kNumLevels; ++level) {
     for (const TieredCountRuns& store : runs_[static_cast<size_t>(level)]) {
-      units.push_back(ScoreUnit(&store));
+      units.push_back(&store);
     }
   }
   size_t accepted = SelectAndCommit(units, &stats);

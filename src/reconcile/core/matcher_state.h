@@ -134,7 +134,7 @@ class MatcherState {
   size_t Round(int iteration, int bucket_exponent);
   void AdvanceCursor();
   void CompactScores();
-  size_t SelectAndCommit(const std::vector<ScoreUnit>& units,
+  size_t SelectAndCommit(const std::vector<const TieredCountRuns*>& units,
                          PhaseStats* stats);
   void EmitPendingLinks(PhaseStats* stats);
   size_t EmitGrain(size_t num_items) const;

@@ -1,6 +1,5 @@
 #include "reconcile/core/selection.h"
 
-#include <algorithm>
 #include <atomic>
 
 #include "reconcile/util/logging.h"
@@ -10,19 +9,11 @@
 namespace reconcile {
 
 SelectionEngine::SelectionEngine(size_t n1, size_t n2)
-    : n1_(n1), n2_(n2), atomic_best1_(n1), atomic_best2_(n2) {}
+    : atomic_best1_(n1), atomic_best2_(n2) {}
 
-void SelectionEngine::EnsureNodeCapacity(size_t n1, size_t n2) {
-  if (n1 <= n1_ && n2 <= n2_) return;
-  n1_ = std::max(n1_, n1);
-  n2_ = std::max(n2_, n2);
-  atomic_best1_ = AtomicBestTable(n1_);
-  atomic_best2_ = AtomicBestTable(n2_);
-}
-
-size_t SelectionEngine::SelectAndCommit(const std::vector<ScoreUnit>& units,
-                                        const SelectionContext& ctx,
-                                        PhaseStats* stats) {
+size_t SelectionEngine::SelectAndCommit(
+    const std::vector<const TieredCountRuns*>& units,
+    const SelectionContext& ctx, PhaseStats* stats) {
   Timer timer;
   atomic_best1_.NextEpoch();
   atomic_best2_.NextEpoch();
@@ -34,7 +25,7 @@ size_t SelectionEngine::SelectAndCommit(const std::vector<ScoreUnit>& units,
   std::atomic<size_t> candidate_pairs{0};
   auto observe_unit = [this, &units, &candidate_pairs](size_t i) {
     size_t local_pairs = 0;
-    units[i].ForEach([this, &local_pairs](uint64_t key, uint32_t score) {
+    units[i]->ForEach([this, &local_pairs](uint64_t key, uint32_t score) {
       atomic_best1_.Observe(PairFirst(key), score);
       atomic_best2_.Observe(PairSecond(key), score);
       ++local_pairs;
@@ -55,7 +46,7 @@ size_t SelectionEngine::SelectAndCommit(const std::vector<ScoreUnit>& units,
   auto accept_unit = [this, &ctx, &units, &map_1to2, &map_2to1,
                       &accepted_per_unit](size_t i) {
     auto& list = accepted_per_unit[i];
-    units[i].ForEach([this, &ctx, &map_1to2, &map_2to1,
+    units[i]->ForEach([this, &ctx, &map_1to2, &map_2to1,
                       &list](uint64_t key, uint32_t score) {
       if (score < ctx.min_score) return;
       NodeId u = PairFirst(key);

@@ -8,16 +8,15 @@
 
 #include "reconcile/core/best_table.h"
 #include "reconcile/core/result.h"
-#include "reconcile/core/score_unit.h"
 #include "reconcile/graph/types.h"
 #include "reconcile/util/thread_pool.h"
+#include "reconcile/util/tiered_store.h"
 
 namespace reconcile {
 
 /// Everything one selection round needs from its caller: the worker pool,
 /// the acceptance threshold, and the matching state the accepted links commit
-/// into. Both `MatcherState` and the serve-mode `IncrementalMatcher` build
-/// one of these per round, which is what lets them share the engine.
+/// into. `MatcherState` builds one of these per round.
 struct SelectionContext {
   ThreadPool* pool = nullptr;
   uint32_t min_score = 0;
@@ -26,9 +25,7 @@ struct SelectionContext {
   std::vector<std::pair<NodeId, NodeId>>* links = nullptr;
 };
 
-/// The mutual-unique-best selection engine, extracted from `MatcherState`
-/// so every caller that owns score units (batch matcher, serve-mode
-/// incremental matcher) folds them through the same code path.
+/// The mutual-unique-best selection engine of `MatcherState`.
 ///
 /// Three passes, each one task per unit on the work-stealing loop: the
 /// observe pass feeds CAS-max atomic best tables, the accept pass applies
@@ -46,22 +43,16 @@ class SelectionEngine {
  public:
   SelectionEngine(size_t n1, size_t n2);
 
-  /// Grows the tables to cover `n1`/`n2` nodes (serve mode: delta batches
-  /// can introduce new node ids). The tables are reconstructed — call only
-  /// between rounds; epochs restart, which is harmless because every round
-  /// opens with `NextEpoch`.
-  void EnsureNodeCapacity(size_t n1, size_t n2);
-
-  /// Applies the mutual-unique-best rule over `units` (disjoint score
-  /// units whose union is the live, bucket-eligible scored-pair multiset),
+  /// Applies the mutual-unique-best rule over `units` (disjoint per-(level,
+  /// shard) tier stacks whose union is the live, bucket-eligible scored-pair
+  /// multiset; a stack's `ForEach` k-way-merges its tiers, so a key split
+  /// across tiers surfaces once with its total count),
   /// commits accepted links into `ctx`'s maps and link log, and returns
   /// the number accepted. Fills `stats`' candidate/scan/select fields.
-  size_t SelectAndCommit(const std::vector<ScoreUnit>& units,
+  size_t SelectAndCommit(const std::vector<const TieredCountRuns*>& units,
                          const SelectionContext& ctx, PhaseStats* stats);
 
  private:
-  size_t n1_;
-  size_t n2_;
   AtomicBestTable atomic_best1_;
   AtomicBestTable atomic_best2_;
 };

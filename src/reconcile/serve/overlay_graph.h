@@ -14,12 +14,11 @@ class ThreadPool;
 
 /// A mutable graph view for the serve path: an immutable CSR base plus
 /// per-node sorted diff vectors of inserted (`added_`) and deleted
-/// (`removed_`) edges, mirroring the LSM shape proven in `TieredCountRuns`
-/// — cheap point updates accumulate in the small structure, and `Compact`
-/// periodically folds them into a fresh CSR so scans stay near
-/// base-structure speed. Every query (`degree`, `HasEdge`,
-/// `ForEachNeighbor`) already reflects the uncompacted diffs, so
-/// compaction is semantics-neutral and can run on any cadence.
+/// (`removed_`) edges — a delta batch lands as cheap point updates, and
+/// `Compact` folds them into a fresh CSR for the batch matcher to read
+/// (`base()`). Every query (`degree`, `HasEdge`, `ForEachNeighbor`)
+/// already reflects the uncompacted diffs, so compaction is
+/// semantics-neutral.
 ///
 /// Self-loops are rejected; inserting a present edge or deleting an absent
 /// one is a no-op (returns false). Node ids beyond the base graph grow the

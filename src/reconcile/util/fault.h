@@ -67,10 +67,10 @@ namespace reconcile {
 ///                          (value = 1-based batch number, the initial
 ///                          match counting as batch 1), fired after the
 ///                          overlays absorbed the deltas but before the
-///                          dirty links were re-emitted — the worst crash
-///                          instant: retraction visible, repair pending
+///                          matcher reran — the graphs hold the batch, the
+///                          served matching does not
 ///   after_batch            value point in `reconcile_serve` between
-///                          repairing the matching and writing the batch's
+///                          rerunning the matcher and writing the batch's
 ///                          checkpoint — a crash here loses exactly one
 ///                          batch, which the resume re-applies from the
 ///                          delta stream

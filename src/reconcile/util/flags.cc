@@ -4,14 +4,12 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "reconcile/util/logging.h"
-
 namespace reconcile {
 
 namespace {
 
-// A malformed numeric flag is a usage error (exit 2, like an unknown
-// model), not an internal invariant failure.
+// A malformed numeric or boolean flag is a usage error (exit 2, like an
+// unknown model), not an internal invariant failure.
 [[noreturn]] void UsageError(const std::string& key, const char* problem,
                              const std::string& value) {
   std::fprintf(stderr, "flag --%s %s: %s\n", key.c_str(), problem,
@@ -96,8 +94,7 @@ bool Flags::GetBool(const std::string& key, bool default_value) const {
   const std::string& v = it->second;
   if (v == "true" || v == "1" || v == "yes") return true;
   if (v == "false" || v == "0" || v == "no") return false;
-  RECONCILE_LOG(Fatal) << "flag --" << key << " is not a boolean: " << v;
-  return default_value;
+  UsageError(key, "is not a boolean", v);
 }
 
 std::vector<std::string> Flags::UnusedKeys() const {

@@ -1,7 +1,6 @@
 // End-to-end crash safety for the serve subsystem: a serve session killed
 // mid-batch (the `serve_apply` value point fires after the overlays
-// absorbed the deltas but BEFORE the dirty links were re-emitted — the
-// worst instant, with retraction visible and repair pending) must, when
+// absorbed the deltas but BEFORE the matcher reran on them) must, when
 // resumed from its newest checkpoint, fast-forward the delta stream past
 // the records the snapshot already consumed, re-apply the lost batch and
 // finish with a matching byte-identical to a never-killed session. Same
@@ -144,7 +143,6 @@ void ChildMain(const ChildSpec& spec) {
   ServeConfig config;
   config.matcher.num_threads = 4;
   config.matcher.num_shards = 4;
-  config.compact_overlay_every = 2;
   IncrementalMatcher matcher(pair.g1, pair.g2, seeds, config);
 
   bool resumed = false;
@@ -213,7 +211,7 @@ int RunChild(const ChildSpec& spec) {
 
 // One cycle per crash point. serve_apply=N fires inside the (N-1)-th delta
 // batch (the initial match is batch 1), between overlay absorption and
-// re-emission.
+// the rerun.
 void CheckServeKillResume(const std::string& crash_spec,
                           const std::string& tag) {
   const std::string dir = TempPath("skr_" + tag);

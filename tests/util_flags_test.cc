@@ -91,6 +91,12 @@ TEST(FlagsDeathTest, BadIntegerAborts) {
               "not an integer");
 }
 
+TEST(FlagsDeathTest, BadBoolExitsWithUsageError) {
+  Flags flags = ParseOk({"--b=maybe"});
+  EXPECT_EXIT(flags.GetBool("b", false), ::testing::ExitedWithCode(2),
+              "not a boolean");
+}
+
 TEST(FlagsDeathTest, IntegerOverflowExitsWithUsageError) {
   Flags flags =
       ParseOk({"--n=99999999999999999999", "--m=-99999999999999999999"});
@@ -106,11 +112,6 @@ TEST(FlagsDeathTest, BadDoubleExitsWithUsageError) {
               "not a number");
   EXPECT_EXIT(flags.GetDouble("y", 0.0), ::testing::ExitedWithCode(2),
               "out of range");
-}
-
-TEST(FlagsDeathTest, BadBoolAborts) {
-  Flags flags = ParseOk({"--b=maybe"});
-  EXPECT_DEATH(flags.GetBool("b", false), "not a boolean");
 }
 
 }  // namespace

@@ -3,10 +3,9 @@
 //
 // Loads the two partial copies and the trusted seeds, computes the initial
 // matching, then consumes a delta log (file or stdin) batch by batch: each
-// batch is netted out, the affected score state is retracted and re-emitted,
-// and the round schedule replays — fast-forwarding untouched rounds from the
-// round log — so the served matching is always bit-identical to a
-// from-scratch batch run on the current graphs (DESIGN.md §2.6). Serve
+// batch is netted out, applied to the graph overlays, and the batch matcher
+// reruns on the updated graphs, so the served matching is always
+// bit-identical to a from-scratch batch run on them (DESIGN.md §2.6). Serve
 // checkpoints are self-contained (they embed both graphs and the delta
 // stream cursor), so a killed session resumes exactly, mid-stream.
 //
@@ -23,6 +22,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -47,9 +47,10 @@ namespace {
 constexpr const char kUsage[] = R"(reconcile_serve — continuous reconciliation over a stream of edge deltas.
 
 Loads the two copies and the seeds, computes the initial matching, then
-applies delta batches from a log, repairing the matching incrementally.
-After every batch the served matching is bit-identical to a from-scratch
-run of the batch matcher on the current graphs.
+applies delta batches from a log, rerunning the matcher on the updated
+graphs after each one. After every batch the served matching is
+bit-identical to a from-scratch run of the batch matcher on the current
+graphs.
 
 Usage: reconcile_serve --g1=... --g2=... [--flag=value ...]
 
@@ -87,12 +88,8 @@ Matching semantics (same meaning as reconcile_cli):
 
 Execution (never affect the matching):
   --threads       worker threads (0 = hardware)               [0]
-  --shards        score shards (0 = max(4, threads)); the resolved count
-                  is pinned into serve checkpoints — pass it explicitly
-                  when resuming with a different thread count  [0]
+  --shards        score shards (0 = max(4, threads))          [0]
   --grain         work-stealing chunk size (0 = auto)         [0]
-  --compact-every fold overlay diffs into a fresh CSR every N batches
-                  (0 = never; purely a scan-speed knob)       [8]
 
 Crash safety (DESIGN.md §2.6; serve checkpoints are self-contained):
   --checkpoint-dir    write serve-batch-NNNNNN.ckpt snapshots here
@@ -104,7 +101,7 @@ Crash safety (DESIGN.md §2.6; serve checkpoints are self-contained):
                   and continue; the resumed session is bit-identical to
                   an uninterrupted one
   --fault         deterministic fault injection (crash:serve_apply=K
-                  kills mid-batch, crash:after_batch=K between repair
+                  kills mid-batch, crash:after_batch=K between rerun
                   and checkpoint; io: specs as in reconcile_cli)
 
 On SIGINT/SIGTERM the server finishes the in-flight batch, writes a final
@@ -114,12 +111,11 @@ Output:
   --save-matching write the served links (u v [seed]) after the stream
                   ends (and on graceful stop)
   --save-g1/--save-g2  write the final graphs as text edge lists
-  --phase-table   after each batch, per-replayed-round phase table
+  --phase-table   after each batch, the rerun's per-round phase table
 
-Per-batch telemetry goes to stdout:
-  batch 3: deltas 128 (120 effective) | dirty nodes 85 | dirty links 42 |
-  rescored units 37 | rounds 12 (replayed 9, skipped 3, diverged at 4) |
-  links 5023 (+12/-3) | 0.42s
+Per-batch telemetry goes to stdout (rounds 0: no net change, no rerun):
+  batch 3: deltas 128 (120 effective) | rounds 12 | links 5023 (+12/-3) |
+  42.0ms
 
 Exit codes:
   0  success (including a graceful SIGINT/SIGTERM stop)
@@ -134,21 +130,24 @@ bool LoadGraph(const std::string& path, Graph* out) {
   return true;
 }
 
+// Reads integer flag `key` (default `default_value`), which must lie in
+// [lo, hi]. Anything else is a usage error: one stderr line, false.
+bool GetIntInRange(const Flags& flags, const std::string& key,
+                   int64_t default_value, int64_t lo, int64_t hi,
+                   int64_t* out) {
+  *out = flags.GetInt(key, default_value);
+  if (*out >= lo && *out <= hi) return true;
+  std::fprintf(stderr, "flag --%s is out of range: %lld\n", key.c_str(),
+               static_cast<long long>(*out));
+  return false;
+}
+
 void PrintBatch(const ServeBatchStats& stats, bool initial) {
-  std::string rounds = std::to_string(stats.total_rounds) + " (replayed " +
-                       std::to_string(stats.replayed_rounds) + ", skipped " +
-                       std::to_string(stats.skipped_rounds);
-  if (stats.diverged_at >= 0) {
-    rounds += ", diverged at " + std::to_string(stats.diverged_at);
-  }
-  rounds += ")";
   std::printf(
-      "%s%d: deltas %zu (%zu effective) | dirty nodes %zu | dirty links "
-      "%zu | rescored units %zu | rounds %s | links %zu (+%zu/-%zu) | "
-      "%.1fms\n",
+      "%s%d: deltas %zu (%zu effective) | rounds %d | links %zu (+%zu/-%zu) "
+      "| %.1fms\n",
       initial ? "initial match as batch " : "batch ", stats.batch,
-      stats.deltas_in, stats.deltas_applied, stats.dirty_nodes,
-      stats.dirty_links, stats.rescored_units, rounds.c_str(),
+      stats.deltas_in, stats.deltas_applied, stats.replayed_rounds,
       stats.num_links, stats.links_added, stats.links_removed,
       stats.seconds * 1e3);
   std::fflush(stdout);
@@ -257,20 +256,31 @@ int RunServe(const Flags& flags) {
     return 2;
   }
 
-  ServeConfig config;
-  MatcherConfig& mc = config.matcher;
-  mc.min_score = static_cast<uint32_t>(flags.GetInt("threshold", 2));
-  mc.num_iterations = static_cast<int>(flags.GetInt("iterations", 2));
-  mc.use_degree_bucketing = !flags.GetBool("no-bucketing", false);
-  mc.num_threads = static_cast<int>(flags.GetInt("threads", 0));
-  mc.num_shards = static_cast<int>(flags.GetInt("shards", 0));
-  mc.scheduler_grain = static_cast<size_t>(flags.GetInt("grain", 0));
-  config.compact_overlay_every =
-      static_cast<int>(flags.GetInt("compact-every", 8));
-  if (mc.num_iterations < 1) {
-    std::fprintf(stderr, "--iterations must be >= 1\n");
+  // Integer flags, range-checked before any narrowing cast.
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
+  int64_t threshold = 0, iterations = 0, threads = 0, shards = 0, grain = 0,
+          batch_deltas = 0, keep = 0;
+  if (!GetIntInRange(flags, "threshold", 2, 0,
+                     std::numeric_limits<uint32_t>::max(), &threshold) ||
+      !GetIntInRange(flags, "iterations", 2, 1, kIntMax, &iterations) ||
+      !GetIntInRange(flags, "threads", 0, 0, kIntMax, &threads) ||
+      !GetIntInRange(flags, "shards", 0, 0, kIntMax, &shards) ||
+      !GetIntInRange(flags, "grain", 0, 0, kInt64Max, &grain) ||
+      !GetIntInRange(flags, "batch-deltas", 256, 0, kInt64Max,
+                     &batch_deltas) ||
+      !GetIntInRange(flags, "checkpoint-keep", 0, 0, kIntMax, &keep)) {
     return 2;
   }
+
+  ServeConfig config;
+  MatcherConfig& mc = config.matcher;
+  mc.min_score = static_cast<uint32_t>(threshold);
+  mc.num_iterations = static_cast<int>(iterations);
+  mc.use_degree_bucketing = !flags.GetBool("no-bucketing", false);
+  mc.num_threads = static_cast<int>(threads);
+  mc.num_shards = static_cast<int>(shards);
+  mc.scheduler_grain = static_cast<size_t>(grain);
   if (flags.Has("fault")) {
     std::string error;
     if (!ArmFaults(flags.GetString("fault", ""), &error)) {
@@ -322,8 +332,7 @@ int RunServe(const Flags& flags) {
   const bool checkpointing = !checkpoint_dir.empty();
   const int checkpoint_every =
       std::max(1, static_cast<int>(flags.GetInt("checkpoint-every", 1)));
-  const int checkpoint_keep =
-      static_cast<int>(flags.GetInt("checkpoint-keep", 0));
+  const int checkpoint_keep = static_cast<int>(keep);
   bool resumed = false;
   if (checkpointing) {
     std::string error;
@@ -338,8 +347,6 @@ int RunServe(const Flags& flags) {
   }
 
   const bool phase_table = flags.GetBool("phase-table", false);
-  const size_t batch_deltas =
-      static_cast<size_t>(flags.GetInt("batch-deltas", 256));
 
   DeltaReader reader;
   reader.set_tolerant(!flags.GetBool("strict-deltas", false));
@@ -383,7 +390,7 @@ int RunServe(const Flags& flags) {
       std::vector<EdgeDelta> batch;
       bool end_of_stream = false;
       std::string error;
-      if (!reader.NextBatch(batch_deltas, &batch, &end_of_stream, &error)) {
+      if (!reader.NextBatch(static_cast<size_t>(batch_deltas), &batch, &end_of_stream, &error)) {
         std::fprintf(stderr, "%s\n", error.c_str());
         stream_error = true;
         break;
@@ -392,7 +399,7 @@ int RunServe(const Flags& flags) {
         const ServeBatchStats stats = matcher.ApplyBatch(batch);
         PrintBatch(stats, /*initial=*/false);
         if (phase_table) PrintPhaseTable(stats);
-        // Fault hook between repairing the matching and persisting it: a
+        // Fault hook between rerunning the matcher and persisting it: a
         // `crash:after_batch=k` kill loses exactly this batch's state and
         // a resume must re-apply it from the stream.
         FaultValuePoint("after_batch", matcher.batches_applied());
