@@ -47,6 +47,12 @@ std::unique_ptr<Reconciler> MakeCore(const ReconcilerSpec& spec,
   config.num_shards = GetIntParam(reader, "shards", config.num_shards);
   config.stop_when_stable =
       reader.GetBool("stop-when-stable", config.stop_when_stable);
+  if (config.num_threads < 0) {
+    reader.AddError("parameter 'threads' must be >= 0 (0 = all cores)");
+  }
+  if (config.num_shards < 0) {
+    reader.AddError("parameter 'shards' must be >= 0 (0 = max(4, threads))");
+  }
   const int64_t grain = reader.GetInt("grain", 0);
   if (grain < 0) {
     reader.AddError("parameter 'grain' must be >= 0");
@@ -90,20 +96,6 @@ std::unique_ptr<Reconciler> MakeCore(const ReconcilerSpec& spec,
   if (config.memory_budget_bytes > 0 && config.score_dir.empty()) {
     reader.AddError("parameter 'memory-budget' requires 'score-dir'");
   }
-  config.workers = GetIntParam(reader, "workers", config.workers);
-  if (config.workers < 1) {
-    reader.AddError("parameter 'workers' must be >= 1 (1 = in-process)");
-  }
-  config.worker_retry =
-      GetIntParam(reader, "worker-retry", config.worker_retry);
-  if (config.worker_retry < 0) {
-    reader.AddError("parameter 'worker-retry' must be >= 0");
-  }
-  config.worker_timeout_ms =
-      GetIntParam(reader, "worker-timeout-ms", config.worker_timeout_ms);
-  if (config.worker_timeout_ms < 1) {
-    reader.AddError("parameter 'worker-timeout-ms' must be >= 1");
-  }
   config.fault_spec = reader.GetString("fault", config.fault_spec);
   if (!config.fault_spec.empty()) {
     std::string fault_error;
@@ -126,6 +118,9 @@ std::unique_ptr<Reconciler> MakeSimple(const ReconcilerSpec& spec,
   config.num_iterations =
       GetIntParam(reader, "iterations", config.num_iterations);
   config.num_threads = GetIntParam(reader, "threads", config.num_threads);
+  if (config.num_threads < 0) {
+    reader.AddError("parameter 'threads' must be >= 0 (0 = all cores)");
+  }
   if (config.num_iterations < 1) {
     reader.AddError("parameter 'iterations' must be >= 1");
   }
@@ -194,6 +189,9 @@ std::unique_ptr<Reconciler> MakeBp(const ReconcilerSpec& spec,
     config.max_candidates = static_cast<size_t>(max_candidates);
   }
   config.num_threads = GetIntParam(reader, "threads", config.num_threads);
+  if (config.num_threads < 0) {
+    reader.AddError("parameter 'threads' must be >= 0 (0 = all cores)");
+  }
   const int64_t grain = reader.GetInt("grain", 0);
   if (grain < 0) {
     reader.AddError("parameter 'grain' must be >= 0");
@@ -236,11 +234,7 @@ std::string CoreReconciler::Describe() const {
   out << "core(threshold=" << config_.min_score
       << ", iterations=" << config_.num_iterations
       << ", bucketing=" << OnOff(config_.use_degree_bucketing)
-      << ", tiers=" << config_.lsm_max_tiers;
-  if (config_.workers > 1) {
-    out << ", workers=" << config_.workers;
-  }
-  out << ")";
+      << ", tiers=" << config_.lsm_max_tiers << ")";
   return out.str();
 }
 
@@ -296,8 +290,7 @@ void RegisterBuiltinReconcilers(Registry& registry) {
        .params = "threshold, iterations, bucketing, min-bucket-exponent, "
                  "threads, shards, stop-when-stable, grain, max-tiers, "
                  "tier-ratio, checkpoint-dir, checkpoint-every, "
-                 "checkpoint-keep, resume, memory-budget, score-dir, "
-                 "workers, worker-retry, worker-timeout-ms, fault",
+                 "checkpoint-keep, resume, memory-budget, score-dir, fault",
        .threshold_param = "threshold",
        .factory = MakeCore});
   registry.Register(

@@ -24,8 +24,8 @@ namespace reconcile {
 ///    older rounds read as (score 0, ties 0), which turns the per-round
 ///    O(num_nodes) `Clear()` into an O(1) epoch bump.
 ///
-/// The packing is shared by the atomic (CAS-max) table and the dist
-/// worker's per-slice tables, so every layer agrees bit-for-bit on the rule.
+/// The packing and fold are plain functions so the rule can be tested apart
+/// from the atomic (CAS-max) table that applies it.
 namespace best_internal {
 
 inline constexpr int kTieBits = 2;

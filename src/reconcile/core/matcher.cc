@@ -4,7 +4,6 @@
 #include <iterator>
 
 #include "reconcile/core/matcher_state.h"
-#include "reconcile/dist/coordinator.h"
 #include "reconcile/util/checkpoint.h"
 #include "reconcile/util/fault.h"
 #include "reconcile/util/logging.h"
@@ -88,18 +87,6 @@ MatchResult UserMatching(const Graph& g1, const Graph& g2,
     std::string error;
     RECONCILE_CHECK(ArmFaults(config.fault_spec, &error))
         << "bad fault spec: " << error;
-  }
-
-  // Multi-process execution (DESIGN.md §2.7). `workers == 1` never enters
-  // the dist layer — the in-process path below is byte-for-byte the
-  // pre-dist code. A false return (unsupported configuration, or every
-  // worker lost with the retry budget spent) falls through to the
-  // in-process run, which produces the identical matching.
-  if (config.workers > 1) {
-    MatchResult dist_result;
-    if (dist::DistUserMatching(g1, g2, seeds, config, &dist_result)) {
-      return dist_result;
-    }
   }
 
   Timer timer;

@@ -93,28 +93,6 @@ struct MatcherConfig {
   /// `io:checkpoint_write_fail`). Empty = no faults armed here (the
   /// `RECONCILE_FAULT` env var still applies process-wide).
   std::string fault_spec;
-  /// Multi-process execution (DESIGN.md §2.7): fork this many worker
-  /// processes, each owning a contiguous slice of the score-shard range
-  /// partition, and run the round loop as a coordinator that exchanges only
-  /// per-shard best-candidate tables and committed links over CRC-framed
-  /// Unix sockets — edge data and score state never cross the wire.
-  /// Matchings are bit-identical to the in-process run for any worker
-  /// count, including under injected worker failures. `1` (default) is the
-  /// plain in-process path with zero overhead. Checkpoint/resume and
-  /// memory-budgeted runs fall back in-process with a one-line warning.
-  /// Clamped to the shard count.
-  int workers = 1;
-  /// Worker-loss retry budget: how many times the coordinator may respawn a
-  /// dead/hung/corrupting worker (exponential backoff between attempts)
-  /// before reassigning the lost shard slice to survivors permanently. When
-  /// every worker is gone and the budget is spent, the run degrades to the
-  /// in-process path — with an identical matching.
-  int worker_retry = 2;
-  /// Failure-detector deadline: a worker that produces no frame (results
-  /// and heartbeats both count) for this long while a request is
-  /// outstanding is declared lost. Workers heartbeat at a quarter of this
-  /// interval.
-  int worker_timeout_ms = 5000;
 };
 
 /// Runs User-Matching: expands the seed links into a one-to-one partial

@@ -12,8 +12,13 @@ namespace reconcile {
 
 namespace {
 
-// Local alias for the exported layout constant (matcher_state.h).
-constexpr int kNumLevels = kScoreLevels;
+// The `(level, shard)` score layout. Degree levels partition candidate
+// pairs by the first bucket in which they become eligible: level(u, v) =
+// min(log2 d1(u), log2 d2(v)), so the pairs eligible at bucket threshold 2^j
+// are exactly those stored at levels >= j. Shards are a range partition on
+// the g1 node id alone (shard(u, v) = u * S / n1), so every pair (u, ·), at
+// every level, lives in shard(u).
+constexpr int kNumLevels = 33;
 
 int FloorLog2(NodeId x) {
   int log = 0;
@@ -55,8 +60,8 @@ constexpr uint32_t kMatcherStateVersion = 1;
 constexpr uint8_t kIncrementalEngine = 1;
 constexpr uint8_t kRadixBackend = 1;
 
-}  // namespace
-
+// floor(log2(max(1, degree))) per node — the per-node half of the level
+// function above.
 std::vector<uint8_t> DegreeLevels(const Graph& g) {
   std::vector<uint8_t> levels(g.num_nodes());
   for (NodeId v = 0; v < g.num_nodes(); ++v) {
@@ -81,16 +86,22 @@ std::vector<uint32_t> RadixShardTable(NodeId n1, int num_shards) {
   return table;
 }
 
+// `config.num_shards` when positive, else max(4, worker threads). The count
+// is fingerprinted into checkpoints.
 int ResolveShardCount(const MatcherConfig& config, int num_threads) {
   return config.num_shards > 0 ? config.num_shards : std::max(4, num_threads);
 }
 
+// The top degree-bucket exponent of the round schedule (0 when bucketing is
+// off or both graphs are empty).
 int TopBucketExponent(const Graph& g1, const Graph& g2,
                       const MatcherConfig& config) {
   const NodeId max_degree = std::max(g1.max_degree(), g2.max_degree());
   return config.use_degree_bucketing && max_degree > 0 ? FloorLog2(max_degree)
                                                        : 0;
 }
+
+}  // namespace
 
 MatcherState::MatcherState(const Graph& g1, const Graph& g2,
                            const MatcherConfig& config)

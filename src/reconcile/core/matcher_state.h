@@ -21,36 +21,6 @@
 
 namespace reconcile {
 
-/// The `(level, shard)` score layout, exported so other execution layers —
-/// the multi-process runtime in `src/reconcile/dist/` foremost — partition
-/// the scored-pair multiset exactly like the in-process engine and their
-/// shard slices merge back bit-identically.
-///
-/// Degree levels partition candidate pairs by the first bucket in which
-/// they become eligible: level(u, v) = min(log2 d1(u), log2 d2(v)), so the
-/// pairs eligible at bucket threshold 2^j are exactly those stored at
-/// levels >= j. Shards are a range partition on the g1 node id alone
-/// (shard(u, v) = u * S / n1), which is what makes a shard slice
-/// self-contained: every pair (u, ·), at every level, lives in shard(u).
-inline constexpr int kScoreLevels = 33;
-
-/// floor(log2(max(1, degree))) per node — the per-node half of the level
-/// function above.
-std::vector<uint8_t> DegreeLevels(const Graph& g);
-
-/// The per-g1-node radix shard table: shard(u) = u * num_shards / n1.
-std::vector<uint32_t> RadixShardTable(NodeId n1, int num_shards);
-
-/// The shard count a run resolves from its config: `config.num_shards`
-/// when positive, else max(4, worker threads). Every layer that partitions
-/// must agree on this number (it is fingerprinted into checkpoints).
-int ResolveShardCount(const MatcherConfig& config, int num_threads);
-
-/// The top degree-bucket exponent of the round schedule (0 when bucketing
-/// is off or both graphs are empty).
-int TopBucketExponent(const Graph& g1, const Graph& g2,
-                      const MatcherConfig& config);
-
 /// The matcher's complete cross-round state as a first-class, *resumable*
 /// object — everything `UserMatching` carries from one scoring round to the
 /// next: the committed links and the partial node maps they imply, the
@@ -166,7 +136,8 @@ class MatcherState {
   // Persistent score state: an LSM tier stack per (level, shard);
   // `tier_policy_` decides when round deltas fold into the big run.
   std::vector<std::vector<TieredCountRuns>> runs_;  // [level][shard]
-  // Score shard per g1 node (range partition, see `RadixShardTable`).
+  // Score shard per g1 node (range partition, see `RadixShardTable` in
+  // matcher_state.cc).
   std::vector<uint32_t> radix_shard1_;
   // Out-of-core backing store for the tier stacks (null when unbudgeted).
   // Owns every spill file; destroying the state — clean exit or graceful

@@ -38,18 +38,6 @@ struct PhaseStats {
   size_t tiers_spilled = 0;
   size_t resident_score_bytes = 0;
   size_t spilled_score_bytes = 0;
-  // Multi-process execution (the dist coordinator, DESIGN.md §2.7): worker
-  // processes that contributed to this round, coordinator-side message and
-  // byte traffic, and the robustness counters — respawns attempted and
-  // shards reassigned to survivors while repairing this round. All zero on
-  // the in-process path.
-  int dist_workers = 0;
-  size_t dist_messages_sent = 0;
-  size_t dist_messages_received = 0;
-  size_t dist_bytes_sent = 0;
-  size_t dist_bytes_received = 0;
-  size_t dist_worker_retries = 0;
-  size_t dist_shards_reassigned = 0;
 };
 
 /// Output of a matcher run: a (partial) one-to-one correspondence between

@@ -13,7 +13,7 @@ namespace reconcile {
 
 namespace {
 
-enum class FaultKind { kCrash, kStop, kIo, kWorkerCrash };
+enum class FaultKind { kCrash, kStop, kIo };
 
 struct FaultEntry {
   FaultKind kind;
@@ -32,8 +32,6 @@ const char* KindName(FaultKind kind) {
       return "stop";
     case FaultKind::kIo:
       return "io";
-    case FaultKind::kWorkerCrash:
-      return "worker_crash";
   }
   return "?";
 }
@@ -94,11 +92,9 @@ struct Injector {
         entry.kind = FaultKind::kStop;
       } else if (kind == "io") {
         entry.kind = FaultKind::kIo;
-      } else if (kind == "worker_crash") {
-        entry.kind = FaultKind::kWorkerCrash;
       } else {
         *error = "fault entry '" + item + "' has unknown kind '" + kind +
-                 "' (want crash, stop, io or worker_crash)";
+                 "' (want crash, stop or io)";
         return false;
       }
       std::string rest = item.substr(colon + 1);
@@ -241,52 +237,9 @@ void FaultValuePoint(std::string_view point, int64_t value) {
                  static_cast<long long>(value));
     std::fflush(nullptr);
     // _exit, not abort: no atexit hooks, no core dump noise — models a
-    // SIGKILLed worker as closely as a self-inflicted death can.
+    // SIGKILLed process as closely as a self-inflicted death can.
     _exit(kFaultCrashExitCode);
   }
-}
-
-void WorkerFaultPoint(std::string_view point, int64_t value) {
-  Injector& injector = Injector::Get();
-  bool crash = false;
-  {
-    std::lock_guard<std::mutex> lock(injector.mu);
-    injector.MaybeArmFromEnvLocked();
-    for (const FaultEntry& entry : injector.entries) {
-      if (entry.kind != FaultKind::kWorkerCrash) continue;
-      if (entry.point != point || entry.value != value) continue;
-      crash = true;
-    }
-  }
-  if (crash) {
-    std::fprintf(stderr,
-                 "fault injection: worker crashing at %.*s=%lld (pid %d)\n",
-                 static_cast<int>(point.size()), point.data(),
-                 static_cast<long long>(value), static_cast<int>(getpid()));
-    std::fflush(nullptr);
-    _exit(kFaultCrashExitCode);
-  }
-}
-
-std::string StripWorkerFaults(const std::string& spec) {
-  std::vector<FaultEntry> parsed;
-  std::string error;
-  if (!Injector::ParseSpec(spec, &parsed, &error)) return spec;
-  std::string kept;
-  for (const FaultEntry& entry : parsed) {
-    if (entry.kind == FaultKind::kWorkerCrash) continue;
-    if (entry.kind == FaultKind::kIo &&
-        (entry.point == "msg_corrupt" || entry.point == "msg_stall")) {
-      continue;
-    }
-    if (!kept.empty()) kept += ';';
-    kept += KindName(entry.kind);
-    kept += ':';
-    kept += entry.point;
-    kept += '=';
-    kept += std::to_string(entry.value);
-  }
-  return kept;
 }
 
 }  // namespace reconcile

@@ -29,11 +29,6 @@ namespace reconcile {
 ///                              fires on every hit *after* the 4th — the
 ///                              shape of a disk filling up, where every
 ///                              write past the cliff fails, not just one
-///   worker_crash:after_shard=5 like crash:, but fires only at
-///                              `WorkerFaultPoint` sites — i.e. only inside
-///                              a dist worker process, never in the
-///                              coordinator that armed the same spec before
-///                              forking
 ///
 /// Arming sources, in precedence order: `MatcherConfig::fault_spec` (armed
 /// by `UserMatching` when non-empty) overrides the `RECONCILE_FAULT`
@@ -74,23 +69,6 @@ namespace reconcile {
 ///                          checkpoint — a crash here loses exactly one
 ///                          batch, which the resume re-applies from the
 ///                          delta stream
-///   worker_start           worker value point (`WorkerFaultPoint`) fired
-///                          when a dist worker enters its request loop
-///                          (value = worker slot, 1-based) — a
-///                          `worker_crash:worker_start=k` kills worker k
-///                          before it serves anything (pre-handshake death)
-///   after_shard            worker value point fired after a dist worker
-///                          finishes computing each shard of a round
-///                          (value = global shard id) — mid-round and
-///                          after-final-shard deaths
-///   msg_corrupt            io point on a dist worker's RESULT send: the
-///                          Nth RESULT frame has one payload byte flipped
-///                          after its CRC was computed (the coordinator
-///                          must detect and treat as worker loss)
-///   msg_stall              io point on a dist worker's RESULT send: the
-///                          worker goes silent (no result, no heartbeats)
-///                          long enough for the coordinator's deadline to
-///                          fire
 
 /// Exit code of a `crash:` fault (distinguishable from aborts and clean
 /// exits in kill/resume harnesses).
@@ -128,19 +106,6 @@ bool FaultPointExhausted(std::string_view point);
 /// `stop:` entries (calling `RequestGracefulStop()`) whose armed value
 /// equals `value`.
 void FaultValuePoint(std::string_view point, int64_t value);
-
-/// Worker value fault point: like `FaultValuePoint` but fires only armed
-/// `worker_crash:` entries. Called exclusively from dist worker processes,
-/// so a spec armed in the coordinator (and inherited across fork) kills the
-/// intended worker and nothing else.
-void WorkerFaultPoint(std::string_view point, int64_t value);
-
-/// `spec` minus the one-shot worker-failure entries (`worker_crash:*` and
-/// the `io:msg_corrupt` / `io:msg_stall` transport faults). Respawned
-/// workers re-arm with this so an injected failure fires once and the
-/// retry actually recovers; retry-exhaustion tests set `worker_retry=0`
-/// instead.
-std::string StripWorkerFaults(const std::string& spec);
 
 }  // namespace reconcile
 

@@ -73,6 +73,19 @@ int64_t Flags::GetInt(const std::string& key, int64_t default_value) const {
   return value;
 }
 
+int64_t Flags::GetIntInRange(const std::string& key, int64_t default_value,
+                             int64_t lo, int64_t hi) const {
+  const int64_t value = GetInt(key, default_value);
+  if (value < lo || value > hi) {
+    UsageError(key,
+               ("is out of range [" + std::to_string(lo) + ", " +
+                std::to_string(hi) + "]")
+                   .c_str(),
+               std::to_string(value));
+  }
+  return value;
+}
+
 double Flags::GetDouble(const std::string& key, double default_value) const {
   read_[key] = true;
   auto it = values_.find(key);

@@ -25,6 +25,10 @@ class Flags {
   std::string GetString(const std::string& key,
                         const std::string& default_value) const;
   int64_t GetInt(const std::string& key, int64_t default_value) const;
+  /// `GetInt` that also rejects a present value outside [lo, hi] as a usage
+  /// error, so callers can narrow the result without a silent wrap.
+  int64_t GetIntInRange(const std::string& key, int64_t default_value,
+                        int64_t lo, int64_t hi) const;
   double GetDouble(const std::string& key, double default_value) const;
   bool GetBool(const std::string& key, bool default_value) const;
 

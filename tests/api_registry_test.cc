@@ -56,6 +56,9 @@ TEST(RegistryTest, RemovedSchedulingParamsAreUnknown) {
       {"core", "backend"},
       {"core", "incremental"},
       {"core", "parallel-selection"},
+      {"core", "workers"},
+      {"core", "worker-retry"},
+      {"core", "worker-timeout-ms"},
       {"bp", "scheduler"}};
   for (const auto& [key, param] : removed) {
     std::string error;
@@ -93,6 +96,18 @@ TEST(RegistryTest, OutOfRangeValuesAreSpecErrorsNotCrashes) {
               nullptr)
         << exponent;
     EXPECT_NE(error.find("min-bucket-exponent"), std::string::npos);
+  }
+  const std::pair<const char*, const char*> negative[] = {
+      {"core", "threads"}, {"core", "shards"}, {"simple", "threads"},
+      {"bp", "threads"}};
+  for (const auto& [key, param] : negative) {
+    EXPECT_EQ(Registry::Global().Create(ReconcilerSpec(key).Set(param, "-1"),
+                                        &error),
+              nullptr)
+        << key << ":" << param;
+    EXPECT_NE(error.find(std::string("'") + param + "' must be >= 0"),
+              std::string::npos)
+        << error;
   }
 }
 

@@ -82,6 +82,14 @@ TEST_F(FaultTest, MalformedSpecsRejectedWithDiagnostic) {
   EXPECT_EQ(ArmedFaultSpec(), "");
 }
 
+TEST_F(FaultTest, RemovedWorkerCrashKindIsRejected) {
+  std::string error;
+  EXPECT_FALSE(ValidateFaultSpec("worker_crash:after_shard=1", &error));
+  EXPECT_NE(error.find("unknown kind 'worker_crash'"), std::string::npos)
+      << error;
+  EXPECT_NE(error.find("want crash, stop or io"), std::string::npos) << error;
+}
+
 TEST_F(FaultTest, MalformedArmLeavesPreviousSetIntact) {
   std::string error;
   ASSERT_TRUE(ArmFaults("io:checkpoint_write_fail", &error));

@@ -86,9 +86,15 @@ TEST(FlagsTest, LastValueWins) {
 }
 
 TEST(FlagsDeathTest, BadIntegerAborts) {
-  Flags flags = ParseOk({"--n=abc"});
+  Flags flags = ParseOk({"--n=abc", "--m=2.5", "--k="});
   EXPECT_EXIT(flags.GetInt("n", 0), ::testing::ExitedWithCode(2),
               "not an integer");
+  EXPECT_EXIT(flags.GetIntInRange("n", 1, 1, 100),
+              ::testing::ExitedWithCode(2), "not an integer: abc");
+  EXPECT_EXIT(flags.GetIntInRange("m", 1, 1, 100),
+              ::testing::ExitedWithCode(2), "not an integer: 2.5");
+  EXPECT_EXIT(flags.GetIntInRange("k", 1, 1, 100),
+              ::testing::ExitedWithCode(2), "not an integer");
 }
 
 TEST(FlagsDeathTest, BadBoolExitsWithUsageError) {
@@ -104,6 +110,26 @@ TEST(FlagsDeathTest, IntegerOverflowExitsWithUsageError) {
               "out of range");
   EXPECT_EXIT(flags.GetInt("m", 0), ::testing::ExitedWithCode(2),
               "out of range");
+}
+
+TEST(FlagsTest, IntInRangeAcceptsBoundsAndDefault) {
+  Flags flags = ParseOk({"--lo=1", "--hi=8", "--neg=-3"});
+  EXPECT_EQ(flags.GetIntInRange("lo", 5, 1, 8), 1);
+  EXPECT_EQ(flags.GetIntInRange("hi", 5, 1, 8), 8);
+  EXPECT_EQ(flags.GetIntInRange("neg", 0, -3, 3), -3);
+  EXPECT_EQ(flags.GetIntInRange("absent", 5, 1, 8), 5);
+  EXPECT_TRUE(flags.UnusedKeys().empty());
+}
+
+TEST(FlagsDeathTest, IntOutOfRangeExitsWithUsageError) {
+  Flags flags = ParseOk({"--threads=-1", "--every=-5", "--big=9"});
+  EXPECT_EXIT(flags.GetIntInRange("threads", 0, 0, 64),
+              ::testing::ExitedWithCode(2),
+              "flag --threads is out of range \\[0, 64\\]: -1");
+  EXPECT_EXIT(flags.GetIntInRange("every", 1, 1, 100),
+              ::testing::ExitedWithCode(2), "out of range \\[1, 100\\]: -5");
+  EXPECT_EXIT(flags.GetIntInRange("big", 1, 1, 8),
+              ::testing::ExitedWithCode(2), "out of range \\[1, 8\\]: 9");
 }
 
 TEST(FlagsDeathTest, BadDoubleExitsWithUsageError) {

@@ -106,7 +106,9 @@ int Run(int argc, const char* const argv[]) {
   }
 
   const std::string model = flags.GetString("model", "pa");
-  const NodeId nodes = static_cast<NodeId>(flags.GetInt("nodes", 10000));
+  constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+  const NodeId nodes = static_cast<NodeId>(flags.GetIntInRange(
+      "nodes", 10000, 1, std::numeric_limits<NodeId>::max()));
   const uint64_t rng_seed = static_cast<uint64_t>(flags.GetInt("rng-seed", 42));
   const std::string out_path = flags.GetString("out", "");
   if (out_path.empty()) {
@@ -119,10 +121,12 @@ int Run(int argc, const char* const argv[]) {
     g = GenerateErdosRenyi(nodes, flags.GetDouble("er-p", 0.001), rng_seed);
   } else if (model == "pa") {
     g = GeneratePreferentialAttachment(
-        nodes, static_cast<int>(flags.GetInt("m", 10)), rng_seed);
+        nodes, static_cast<int>(flags.GetIntInRange("m", 10, 1, kIntMax)),
+        rng_seed);
   } else if (model == "rmat") {
     RmatParams params;
-    params.scale = static_cast<int>(flags.GetInt("rmat-scale", 16));
+    params.scale =
+        static_cast<int>(flags.GetIntInRange("rmat-scale", 16, 1, 30));
     params.edge_factor = flags.GetDouble("rmat-edge-factor", 8.0);
     g = GenerateRmat(params, rng_seed);
   } else if (model == "chunglu") {
@@ -131,8 +135,9 @@ int Run(int argc, const char* const argv[]) {
                                         flags.GetDouble("avg-degree", 20.0)),
                         rng_seed);
   } else if (model == "ws") {
-    g = GenerateWattsStrogatz(nodes, static_cast<int>(flags.GetInt("ws-k", 10)),
-                              flags.GetDouble("ws-beta", 0.1), rng_seed);
+    g = GenerateWattsStrogatz(
+        nodes, static_cast<int>(flags.GetIntInRange("ws-k", 10, 1, kIntMax)),
+        flags.GetDouble("ws-beta", 0.1), rng_seed);
   } else if (model == "sbm") {
     SbmParams params;
     const std::string blocks = flags.GetString("blocks", "1000,1000");

@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "reconcile/eval/table.h"
@@ -74,8 +75,8 @@ int Run(int argc, const char* const argv[]) {
   Graph g = Graph::FromEdgeList(std::move(edges));
 
   StatisticsOptions options;
-  options.power_law_dmin =
-      static_cast<NodeId>(flags.GetInt("power-law-dmin", 5));
+  options.power_law_dmin = static_cast<NodeId>(flags.GetIntInRange(
+      "power-law-dmin", 5, 1, std::numeric_limits<NodeId>::max()));
   const GraphStatistics s = ComputeStatistics(g, options);
 
   Table table({"statistic", "value"});

@@ -22,6 +22,7 @@
 
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -52,6 +53,8 @@
 
 namespace reconcile {
 namespace {
+
+constexpr int64_t kIntMax = std::numeric_limits<int>::max();
 
 // The --help text. docs/cli.md embeds this output verbatim (generated by
 // tools/gen_cli_docs.sh; CI diffs doc against binary), so edits here are
@@ -140,27 +143,6 @@ Out-of-core score store (core matcher; DESIGN.md §2.5):
                   files (spill-<pid>-<seq>.spill). Required when
                   --memory-budget > 0; created on first spill; scratch is
                   removed on clean exit, including graceful stops
-
-Multi-process execution (core matcher; DESIGN.md §2.7):
-  --workers       --param workers=N — fork N worker processes, each owning
-                  a slice of the score shards; rounds exchange only
-                  per-shard best-candidate tables and committed links.
-                  The matching is bit-identical to --workers=1 for every
-                  worker count and failure schedule. 1 = in-process (the
-                  dist layer is never entered)                 [1]
-  --worker-retry  --param worker-retry=N — respawns allowed per worker
-                  slot (exponential backoff) before its shard slice is
-                  permanently reassigned to survivors; when every worker
-                  is gone with the budget spent, the run degrades to the
-                  in-process path with a warning               [2]
-  --worker-timeout-ms  --param worker-timeout-ms=MS — per-request deadline
-                  and heartbeat window for declaring a worker dead or
-                  hung                                         [5000]
-  Fault kinds for chaos testing: worker_crash:worker_start=S (slot S dies
-  before its handshake, 1-based), worker_crash:after_shard=K (dies after
-  scanning shard K), io:msg_corrupt=N (Nth result frame corrupted on the
-  wire; CRC catches it), io:msg_stall=N (Nth result withheld; the deadline
-  catches it).
 
 On SIGINT/SIGTERM the matcher finishes the in-flight round, writes a final
 checkpoint (when --checkpoint-dir is set) and exits 0 with the partial
@@ -253,17 +235,6 @@ bool BuildSpec(const Flags& flags, ReconcilerSpec* spec, std::string* error) {
   if (flags.GetBool("resume", false)) {
     spec->Set("resume", "true");
   }
-  if (flags.Has("workers")) {
-    spec->Set("workers", std::to_string(flags.GetInt("workers", 1)));
-  }
-  if (flags.Has("worker-retry")) {
-    spec->Set("worker-retry",
-              std::to_string(flags.GetInt("worker-retry", 2)));
-  }
-  if (flags.Has("worker-timeout-ms")) {
-    spec->Set("worker-timeout-ms",
-              std::to_string(flags.GetInt("worker-timeout-ms", 5000)));
-  }
   if (flags.Has("fault")) {
     spec->Set("fault", flags.GetString("fault", ""));
   }
@@ -322,26 +293,31 @@ int RunCli(const Flags& flags) {
   RealizationPair pair;
   bool pair_ready = false;
   Graph underlying;
+  // Range-checked before the narrowing casts (a negative --nodes would
+  // otherwise wrap to ~4e9 nodes).
+  auto nodes = [&flags] {
+    return static_cast<NodeId>(flags.GetIntInRange(
+        "nodes", 20000, 1, std::numeric_limits<NodeId>::max()));
+  };
   if (model == "er") {
-    underlying = GenerateErdosRenyi(
-        static_cast<NodeId>(flags.GetInt("nodes", 20000)),
-        flags.GetDouble("er-p", 0.001), rng_seed);
+    underlying = GenerateErdosRenyi(nodes(), flags.GetDouble("er-p", 0.001),
+                                    rng_seed);
   } else if (model == "pa") {
     underlying = GeneratePreferentialAttachment(
-        static_cast<NodeId>(flags.GetInt("nodes", 20000)),
-        static_cast<int>(flags.GetInt("m", 20)), rng_seed);
+        nodes(), static_cast<int>(flags.GetIntInRange("m", 20, 1, kIntMax)),
+        rng_seed);
   } else if (model == "rmat") {
     RmatParams params;
-    params.scale = static_cast<int>(flags.GetInt("rmat-scale", 16));
+    params.scale =
+        static_cast<int>(flags.GetIntInRange("rmat-scale", 16, 1, 30));
     underlying = GenerateRmat(params, rng_seed);
   } else if (model == "chunglu") {
-    std::vector<double> weights = PowerLawWeights(
-        static_cast<NodeId>(flags.GetInt("nodes", 20000)),
-        flags.GetDouble("exponent", 2.5), flags.GetDouble("avg-degree", 20.0));
+    std::vector<double> weights =
+        PowerLawWeights(nodes(), flags.GetDouble("exponent", 2.5),
+                        flags.GetDouble("avg-degree", 20.0));
     underlying = GenerateChungLu(weights, rng_seed);
   } else if (model == "ws") {
-    underlying = GenerateWattsStrogatz(
-        static_cast<NodeId>(flags.GetInt("nodes", 20000)), 10, 0.1, rng_seed);
+    underlying = GenerateWattsStrogatz(nodes(), 10, 0.1, rng_seed);
   } else if (model == "facebook") {
     underlying = MakeFacebookStandin(scale, rng_seed);
   } else if (model == "enron") {
@@ -386,7 +362,8 @@ int RunCli(const Flags& flags) {
       pair = SampleCascade(underlying, options, rng_seed + 1);
     } else if (process == "timeslice") {
       TimesliceOptions options;
-      options.num_periods = static_cast<int>(flags.GetInt("periods", 12));
+      options.num_periods =
+          static_cast<int>(flags.GetIntInRange("periods", 12, 2, kIntMax));
       options.repeat_lambda = flags.GetDouble("repeat-lambda", 1.0);
       options.participation = flags.GetDouble("participation", 1.0);
       pair = SampleTimeslice(underlying, options, rng_seed + 1);
@@ -431,7 +408,8 @@ int RunCli(const Flags& flags) {
     seeding.bias = SeedBias::kDegreeProportional;
   } else if (bias == "top") {
     seeding.bias = SeedBias::kTopDegree;
-    seeding.fixed_count = static_cast<size_t>(flags.GetInt("top-count", 100));
+    seeding.fixed_count = static_cast<size_t>(flags.GetIntInRange(
+        "top-count", 100, 1, std::numeric_limits<int64_t>::max()));
   } else if (bias != "uniform") {
     std::fprintf(stderr,
                  "unknown --seed-bias=%s (want uniform, degree or top)\n",

@@ -130,18 +130,6 @@ bool LoadGraph(const std::string& path, Graph* out) {
   return true;
 }
 
-// Reads integer flag `key` (default `default_value`), which must lie in
-// [lo, hi]. Anything else is a usage error: one stderr line, false.
-bool GetIntInRange(const Flags& flags, const std::string& key,
-                   int64_t default_value, int64_t lo, int64_t hi,
-                   int64_t* out) {
-  *out = flags.GetInt(key, default_value);
-  if (*out >= lo && *out <= hi) return true;
-  std::fprintf(stderr, "flag --%s is out of range: %lld\n", key.c_str(),
-               static_cast<long long>(*out));
-  return false;
-}
-
 void PrintBatch(const ServeBatchStats& stats, bool initial) {
   std::printf(
       "%s%d: deltas %zu (%zu effective) | rounds %d | links %zu (+%zu/-%zu) "
@@ -259,19 +247,18 @@ int RunServe(const Flags& flags) {
   // Integer flags, range-checked before any narrowing cast.
   constexpr int64_t kIntMax = std::numeric_limits<int>::max();
   constexpr int64_t kInt64Max = std::numeric_limits<int64_t>::max();
-  int64_t threshold = 0, iterations = 0, threads = 0, shards = 0, grain = 0,
-          batch_deltas = 0, keep = 0;
-  if (!GetIntInRange(flags, "threshold", 2, 0,
-                     std::numeric_limits<uint32_t>::max(), &threshold) ||
-      !GetIntInRange(flags, "iterations", 2, 1, kIntMax, &iterations) ||
-      !GetIntInRange(flags, "threads", 0, 0, kIntMax, &threads) ||
-      !GetIntInRange(flags, "shards", 0, 0, kIntMax, &shards) ||
-      !GetIntInRange(flags, "grain", 0, 0, kInt64Max, &grain) ||
-      !GetIntInRange(flags, "batch-deltas", 256, 0, kInt64Max,
-                     &batch_deltas) ||
-      !GetIntInRange(flags, "checkpoint-keep", 0, 0, kIntMax, &keep)) {
-    return 2;
-  }
+  const int64_t threshold = flags.GetIntInRange(
+      "threshold", 2, 0, std::numeric_limits<uint32_t>::max());
+  const int64_t iterations = flags.GetIntInRange("iterations", 2, 1, kIntMax);
+  const int64_t threads = flags.GetIntInRange("threads", 0, 0, kIntMax);
+  const int64_t shards = flags.GetIntInRange("shards", 0, 0, kIntMax);
+  const int64_t grain = flags.GetIntInRange("grain", 0, 0, kInt64Max);
+  const int64_t batch_deltas =
+      flags.GetIntInRange("batch-deltas", 256, 0, kInt64Max);
+  const int checkpoint_every =
+      static_cast<int>(flags.GetIntInRange("checkpoint-every", 1, 1, kIntMax));
+  const int checkpoint_keep =
+      static_cast<int>(flags.GetIntInRange("checkpoint-keep", 0, 0, kIntMax));
 
   ServeConfig config;
   MatcherConfig& mc = config.matcher;
@@ -330,9 +317,6 @@ int RunServe(const Flags& flags) {
 
   const std::string checkpoint_dir = flags.GetString("checkpoint-dir", "");
   const bool checkpointing = !checkpoint_dir.empty();
-  const int checkpoint_every =
-      std::max(1, static_cast<int>(flags.GetInt("checkpoint-every", 1)));
-  const int checkpoint_keep = static_cast<int>(keep);
   bool resumed = false;
   if (checkpointing) {
     std::string error;
