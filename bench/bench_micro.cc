@@ -192,8 +192,7 @@ BENCHMARK(BM_GenerateChungLu)->Arg(1 << 14)->Arg(1 << 17);
 // End-to-end matching on a PA graph at one vs many threads. Per-phase
 // seconds from the final run's PhaseStats are exported as counters
 // (emit_s / merge_s / scan_s / select_s).
-void MatchBenchmark(benchmark::State& state, int threads,
-                    int lsm_max_tiers = 2) {
+void MatchBenchmark(benchmark::State& state, int threads) {
   Graph g = GeneratePreferentialAttachment(8000, 10, 5);
   RealizationPair pair = SampleIndependent(g, {}, 6);
   SeedOptions seed_options;
@@ -201,7 +200,6 @@ void MatchBenchmark(benchmark::State& state, int threads,
   auto seeds = GenerateSeeds(pair, seed_options, 7);
   MatcherConfig config;
   config.num_threads = threads;
-  config.lsm_max_tiers = lsm_max_tiers;
   MatchResult::PhaseTimeTotals split;
   for (auto _ : state) {
     MatchResult result = UserMatching(pair.g1, pair.g2, seeds, config);
@@ -223,15 +221,9 @@ void BM_MatchIncremental2T(benchmark::State& state) {
 void BM_MatchIncremental4T(benchmark::State& state) {
   MatchBenchmark(state, 4);
 }
-// LSM series: single-tier store (merge every round delta into the big run —
-// the pre-LSM behavior).
-void BM_MatchSingleTier4T(benchmark::State& state) {
-  MatchBenchmark(state, 4, /*lsm_max_tiers=*/1);
-}
 BENCHMARK(BM_MatchIncremental1T)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MatchIncremental2T)->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MatchIncremental4T)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MatchSingleTier4T)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace reconcile

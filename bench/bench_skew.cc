@@ -3,10 +3,9 @@
 // links — a hub link (a1, a2) emits ~deg(a1)·deg(a2) candidate pairs, so
 // with fixed chunking whichever worker drew the hub chunk would serialize
 // the round (the imbalance Wakita & Tsurumi describe for mega-scale social
-// graphs); the work-stealing loop rebalances it. Both series run at a
-// fixed thread count; read `emit_s` for the emission phase under skew, and
-// `merge_s` for the LSM tier store (the single-tier series pins the pre-LSM
-// merge-every-round behavior).
+// graphs); the work-stealing loop rebalances it. The series runs at a fixed
+// thread count; read `emit_s` for the emission phase under skew, and
+// `merge_s` for the LSM tier store.
 //
 // Top-degree-biased seeds put the hubs into the witness set from round one,
 // so the skew is live in every measured round. `tools/run_bench.sh`
@@ -34,7 +33,7 @@ RealizationPair MakeSkewPair() {
   return SampleIndependent(g, sample, 0x5CE12);
 }
 
-void SkewMatchBenchmark(benchmark::State& state, int lsm_max_tiers) {
+void BM_SkewMatchStealingRadix(benchmark::State& state) {
   static const RealizationPair& pair = *new RealizationPair(MakeSkewPair());
   SeedOptions seed_options;
   seed_options.bias = SeedBias::kTopDegree;
@@ -43,7 +42,6 @@ void SkewMatchBenchmark(benchmark::State& state, int lsm_max_tiers) {
 
   MatcherConfig config;
   config.num_threads = 4;
-  config.lsm_max_tiers = lsm_max_tiers;
   MatchResult::PhaseTimeTotals split;
   for (auto _ : state) {
     MatchResult result = UserMatching(pair.g1, pair.g2, seeds, config);
@@ -56,15 +54,7 @@ void SkewMatchBenchmark(benchmark::State& state, int lsm_max_tiers) {
   state.counters["select_s"] = split.select_seconds;
 }
 
-void BM_SkewMatchStealingRadix(benchmark::State& state) {
-  SkewMatchBenchmark(state, /*lsm_max_tiers=*/2);
-}
-// LSM off (single tier): isolates the tier store's contribution.
-void BM_SkewMatchStealingRadixSingleTier(benchmark::State& state) {
-  SkewMatchBenchmark(state, /*lsm_max_tiers=*/1);
-}
 BENCHMARK(BM_SkewMatchStealingRadix)->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_SkewMatchStealingRadixSingleTier)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace reconcile

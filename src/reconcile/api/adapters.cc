@@ -53,22 +53,6 @@ std::unique_ptr<Reconciler> MakeCore(const ReconcilerSpec& spec,
   if (config.num_shards < 0) {
     reader.AddError("parameter 'shards' must be >= 0 (0 = max(4, threads))");
   }
-  const int64_t grain = reader.GetInt("grain", 0);
-  if (grain < 0) {
-    reader.AddError("parameter 'grain' must be >= 0");
-  } else {
-    config.scheduler_grain = static_cast<size_t>(grain);
-  }
-  config.lsm_max_tiers =
-      GetIntParam(reader, "max-tiers", config.lsm_max_tiers);
-  if (config.lsm_max_tiers < 1) {
-    reader.AddError("parameter 'max-tiers' must be >= 1");
-  }
-  config.lsm_size_ratio = reader.GetDouble("tier-ratio", config.lsm_size_ratio);
-  if (config.lsm_size_ratio < 0.0) {
-    reader.AddError("parameter 'tier-ratio' must be >= 0 (0 disables the "
-                    "ratio trigger)");
-  }
   config.checkpoint_dir =
       reader.GetString("checkpoint-dir", config.checkpoint_dir);
   config.checkpoint_every_rounds = GetIntParam(
@@ -192,12 +176,6 @@ std::unique_ptr<Reconciler> MakeBp(const ReconcilerSpec& spec,
   if (config.num_threads < 0) {
     reader.AddError("parameter 'threads' must be >= 0 (0 = all cores)");
   }
-  const int64_t grain = reader.GetInt("grain", 0);
-  if (grain < 0) {
-    reader.AddError("parameter 'grain' must be >= 0");
-  } else {
-    config.scheduler_grain = static_cast<size_t>(grain);
-  }
   // Pre-validate what BpMatch enforces fatally.
   if (config.iterations < 1) {
     reader.AddError("parameter 'iterations' must be >= 1");
@@ -233,8 +211,7 @@ std::string CoreReconciler::Describe() const {
   std::ostringstream out;
   out << "core(threshold=" << config_.min_score
       << ", iterations=" << config_.num_iterations
-      << ", bucketing=" << OnOff(config_.use_degree_bucketing)
-      << ", tiers=" << config_.lsm_max_tiers << ")";
+      << ", bucketing=" << OnOff(config_.use_degree_bucketing) << ")";
   return out.str();
 }
 
@@ -288,9 +265,9 @@ void RegisterBuiltinReconcilers(Registry& registry) {
        .summary = "User-Matching (paper §3.2): degree-bucketed witness "
                   "scoring, mutual-best selection",
        .params = "threshold, iterations, bucketing, min-bucket-exponent, "
-                 "threads, shards, stop-when-stable, grain, max-tiers, "
-                 "tier-ratio, checkpoint-dir, checkpoint-every, "
-                 "checkpoint-keep, resume, memory-budget, score-dir, fault",
+                 "threads, shards, stop-when-stable, checkpoint-dir, "
+                 "checkpoint-every, checkpoint-keep, resume, memory-budget, "
+                 "score-dir, fault",
        .threshold_param = "threshold",
        .factory = MakeCore});
   registry.Register(
@@ -320,7 +297,7 @@ void RegisterBuiltinReconcilers(Registry& registry) {
        .summary = "belief-propagation matching: min-sum message passing "
                   "over witness candidates (Halimi-Ayday)",
        .params = "iterations, damping, prior, min-belief, max-sweeps, "
-                 "max-candidates, threads, grain",
+                 "max-candidates, threads",
        .threshold_param = "",
        .factory = MakeBp});
   registry.Register(

@@ -51,12 +51,6 @@ struct Top2 {
   }
 };
 
-size_t ResolveGrain(const BpConfig& config, const ThreadPool& pool,
-                    size_t n) {
-  return config.scheduler_grain > 0 ? config.scheduler_grain
-                                    : pool.GrainFor(n);
-}
-
 // Discovers candidates for every unmatched g1 node: g2 nodes adjacent to
 // the image of a matched neighbour, scored by witness count plus a degree
 // similarity prior, strongest `max_candidates` kept. Pure function of
@@ -73,7 +67,7 @@ CandidateGraph DiscoverCandidates(const Graph& g1, const Graph& g2,
   };
   std::vector<std::vector<Scored>> per_node(n);
   ParallelForWorkStealing(
-      &pool, n, ResolveGrain(config, pool, n),
+      &pool, n, pool.GrainFor(n),
       [&](size_t begin, size_t end) {
         struct Acc {
           NodeId candidate;
@@ -213,8 +207,8 @@ MatchResult BpMatch(const Graph& g1, const Graph& g2,
     std::vector<Top2> top_u(graph.active.size());
     std::vector<Top2> top_v(graph.rev_nodes.size());
 
-    const size_t node_grain = ResolveGrain(config, pool, graph.active.size());
-    const size_t rev_grain = ResolveGrain(config, pool, graph.rev_nodes.size());
+    const size_t node_grain = pool.GrainFor(graph.active.size());
+    const size_t rev_grain = pool.GrainFor(graph.rev_nodes.size());
     for (int iter = 0; iter < config.iterations; ++iter) {
       ParallelForWorkStealing(
           &pool, graph.active.size(), node_grain,

@@ -36,13 +36,10 @@ struct BpConfig {
   int max_sweeps = 5;
   /// Candidate cap per g1 node (strongest witnesses kept).
   size_t max_candidates = 8;
-  /// Worker threads (0 = hardware concurrency).
+  /// Worker threads (0 = hardware concurrency). Matchings are
+  /// bit-identical across thread counts: every update is a pure function
+  /// of the previous iteration's messages.
   int num_threads = 0;
-  /// Items per work-stealing chunk in candidate discovery and message
-  /// passing (0 = auto). Matchings are bit-identical across grains and
-  /// thread counts: every update is a pure function of the previous
-  /// iteration's messages.
-  size_t scheduler_grain = 0;
 };
 
 /// Runs belief-propagation matching from the seed links. Per-sweep

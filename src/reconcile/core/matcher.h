@@ -35,22 +35,6 @@ struct MatcherConfig {
   int num_shards = 0;
   /// Stop outer iterations early once a full sweep finds no new link.
   bool stop_when_stable = true;
-  /// Chunk size the work-stealing loop (`util/parallel_for.h`) claims per
-  /// lock acquisition in the emission loop (0 = auto). Smaller grains
-  /// rebalance skewed (hub-heavy) rounds at finer resolution for a little
-  /// more claim traffic. Results are grain-invariant.
-  size_t scheduler_grain = 0;
-  /// LSM-style tiered score store: cap on resident sorted-run tiers per (level, shard). Round deltas
-  /// accumulate as small tiers and fold into the big persistent run only
-  /// when `lsm_size_ratio` or this cap trips, so late low-yield rounds stop
-  /// rewriting the full run every round. `1` restores the pre-LSM
-  /// merge-every-round behavior. The default 2 (big run + one delta batch)
-  /// halves merge traffic while the selection scan stays on the two-way
-  /// fast path; higher caps defer merges further but pay a k-way scan
-  /// fold. Matchings are identical for all settings.
-  int lsm_max_tiers = 2;
-  /// Size-ratio compaction trigger (see `TierPolicy::size_ratio`).
-  double lsm_size_ratio = 4.0;
   /// Crash safety: when non-empty, the matcher snapshots its full
   /// cross-round state (`MatcherState`) into this directory after every
   /// `checkpoint_every_rounds`-th completed round (and always after the

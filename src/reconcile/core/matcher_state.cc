@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <limits>
 
 #include "reconcile/util/checkpoint.h"
 #include "reconcile/util/logging.h"
@@ -110,7 +109,6 @@ MatcherState::MatcherState(const Graph& g1, const Graph& g2,
       config_(config),
       pool_(config.num_threads > 0 ? config.num_threads
                                    : ThreadPool::DefaultThreads()),
-      tier_policy_{config.lsm_max_tiers, config.lsm_size_ratio},
       num_shards_(ResolveShardCount(config, pool_.num_threads())),
       map_1to2_(g1.num_nodes(), kInvalidNode),
       map_2to1_(g2.num_nodes(), kInvalidNode),
@@ -252,10 +250,9 @@ size_t MatcherState::SelectAndCommit(
 
 // Chunk size the work-stealing emission loop claims per lock acquisition.
 // Per-item cost is heavy-tailed on skewed graphs (a hub link emits
-// deg(hub)^2-ish pairs), so the auto grain aims at 64 claims per worker;
+// deg(hub)^2-ish pairs), so the grain aims at 64 claims per worker;
 // claims are a spinlock pop, so the extra traffic is cheap.
 size_t MatcherState::EmitGrain(size_t num_items) const {
-  if (config_.scheduler_grain > 0) return config_.scheduler_grain;
   return ThreadPool::GrainSize(num_items, pool_.num_threads(), 1, 64);
 }
 
@@ -265,7 +262,7 @@ size_t MatcherState::EmitGrain(size_t num_items) const {
 // store each, the shard being a precomputed per-node lookup. The merge
 // (`merge_seconds`) then sorts each touched cell's delta, run-length-
 // encodes it and appends it to the cell's LSM tier stack, which folds
-// tiers into the big persistent run only when the size-ratio policy trips.
+// the delta into the big persistent run only when the size-ratio rule trips.
 void MatcherState::EmitPendingLinks(PhaseStats* stats) {
   const size_t begin = emitted_links_;
   const size_t end = links_.size();
@@ -308,8 +305,8 @@ void MatcherState::EmitPendingLinks(PhaseStats* stats) {
 
   // Sort-and-append: one touched (level, shard) cell at a time.
   // Concatenate the producer chunks, radix-sort, run-length-encode, then
-  // append the round delta as a new LSM tier (compaction per the
-  // size-ratio policy — late low-yield rounds usually stop here without
+  // append the round delta as a new LSM tier (folded per the size-ratio
+  // rule — late low-yield rounds usually stop here without
   // touching the big run).
   Timer merge_timer;
   ParallelForEach(
@@ -337,7 +334,7 @@ void MatcherState::EmitPendingLinks(PhaseStats* stats) {
         }
         std::vector<uint64_t> scratch;
         SortedCountRun delta_run = SortAndCount(std::move(raw), scratch);
-        runs_[level][shard].Append(std::move(delta_run), tier_policy_);
+        runs_[level][shard].Append(std::move(delta_run));
       });
   stats->merge_seconds += merge_timer.Seconds();
 
@@ -472,9 +469,9 @@ bool MatcherState::SaveSnapshot(const std::string& path,
   writer.AppendU64(g2_.num_edges());
   writer.AppendU64(graph_fp2_);
   // Config fingerprint: the knobs that change what the matcher computes or
-  // how the score state is laid out. Execution-only knobs (threads, grain,
-  // LSM tier policy) are matching-invariant
-  // and intentionally absent — see the class comment.
+  // how the score state is laid out. Execution-only knobs (threads, memory
+  // budget) are matching-invariant and intentionally absent — see the
+  // class comment.
   writer.AppendU32(config_.min_score);
   writer.AppendI32(config_.num_iterations);
   writer.AppendU8(config_.use_degree_bucketing ? 1 : 0);
@@ -693,10 +690,16 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
         *error = path + ": truncated SCORES section";
         return false;
       }
-      // Rebuild the exact tier stack (no policy folding): tier boundaries
-      // affect when future compactions run, and the resumed process must
-      // replay them identically.
-      TierPolicy keep_all{std::numeric_limits<int>::max(), 0.0};
+      // Rebuild the exact tier stack (no folding): tier boundaries affect
+      // when future folds run, and the resumed process must replay them
+      // identically. Only a run under a retired larger tier cap could have
+      // written more tiers than the store holds.
+      if (num_tiers > TieredCountRuns::kMaxTiers) {
+        *error = path + ": SCORES cell declares " + std::to_string(num_tiers) +
+                 " tiers (at most " +
+                 std::to_string(TieredCountRuns::kMaxTiers) + ")";
+        return false;
+      }
       for (uint32_t t = 0; t < num_tiers; ++t) {
         SortedCountRun tier;
         if (!section->ReadVector(&tier.keys) ||
@@ -705,7 +708,7 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
           *error = path + ": malformed SCORES tier";
           return false;
         }
-        store.Append(std::move(tier), keep_all);
+        store.AppendUnfolded(std::move(tier));
       }
     }
   }

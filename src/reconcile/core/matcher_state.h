@@ -47,11 +47,12 @@ namespace reconcile {
 /// CRC32 — see `util/checkpoint.h`) with META (state version, graph and
 /// config fingerprints, round cursor), LINKS (the committed link log; seeds
 /// are its prefix, and the node maps are rebuilt from it on load) and one
-/// SCORES section. Execution knobs that cannot affect the matching
-/// (threads, grain, LSM tier policy) are deliberately *not* fingerprinted —
-/// a snapshot taken under one may resume under another; semantic knobs
-/// (threshold, iterations, bucketing, the resolved shard count) are, and a
-/// mismatch is a clean rejection. DESIGN.md §2.4 documents the layout and
+/// SCORES section (each cell's tier stack as written, at most
+/// `TieredCountRuns::kMaxTiers` tiers). Execution knobs that cannot affect
+/// the matching (threads, memory budget) are deliberately *not*
+/// fingerprinted — a snapshot taken under one may resume under another;
+/// semantic knobs (threshold, iterations, bucketing, the resolved shard
+/// count) are, and a mismatch is a clean rejection. DESIGN.md §2.4 documents the layout and
 /// the resume invariant.
 class MatcherState {
  public:
@@ -123,7 +124,6 @@ class MatcherState {
   const Graph& g2_;
   MatcherConfig config_;
   ThreadPool pool_;
-  TierPolicy tier_policy_;
   int num_shards_;
   std::vector<NodeId> map_1to2_;
   std::vector<NodeId> map_2to1_;
@@ -133,8 +133,7 @@ class MatcherState {
   SelectionEngine selection_;
   std::vector<uint8_t> level1_;
   std::vector<uint8_t> level2_;
-  // Persistent score state: an LSM tier stack per (level, shard);
-  // `tier_policy_` decides when round deltas fold into the big run.
+  // Persistent score state: an LSM tier stack per (level, shard).
   std::vector<std::vector<TieredCountRuns>> runs_;  // [level][shard]
   // Score shard per g1 node (range partition, see `RadixShardTable` in
   // matcher_state.cc).

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "reconcile/core/matcher_state.h"
 #include "reconcile/util/checkpoint.h"
@@ -35,6 +36,26 @@ uint64_t SeedFingerprint(std::span<const std::pair<NodeId, NodeId>> seeds) {
   return h;
 }
 
+// Invokes `fn(u, v)` for every edge of `g` once, as u < v, in ascending
+// (u, v) order — the canonical edge order of snapshots and rebuilds.
+template <typename Fn>
+void ForEachCanonicalEdge(const Graph& g, Fn&& fn) {
+  for (NodeId u = 0; u < g.num_nodes(); ++u) {
+    for (NodeId v : g.Neighbors(u)) {
+      if (u < v) fn(u, v);
+    }
+  }
+}
+
+std::vector<Edge> CanonicalEdges(const Graph& g) {
+  std::vector<Edge> edges;
+  edges.reserve(g.num_edges());
+  ForEachCanonicalEdge(g, [&edges](NodeId u, NodeId v) {
+    edges.emplace_back(u, v);
+  });
+  return edges;
+}
+
 }  // namespace
 
 IncrementalMatcher::IncrementalMatcher(
@@ -43,16 +64,16 @@ IncrementalMatcher::IncrementalMatcher(
     : config_(config),
       pool_(config.matcher.num_threads > 0 ? config.matcher.num_threads
                                            : ThreadPool::DefaultThreads()),
-      o1_(std::move(g1)),
-      o2_(std::move(g2)),
+      g1_(std::move(g1)),
+      g2_(std::move(g2)),
       seeds_(seeds.begin(), seeds.end()),
-      map_1to2_(o1_.num_nodes(), kInvalidNode),
-      map_2to1_(o2_.num_nodes(), kInvalidNode) {
+      map_1to2_(g1_.num_nodes(), kInvalidNode),
+      map_2to1_(g2_.num_nodes(), kInvalidNode) {
   RECONCILE_CHECK_GE(config_.matcher.num_iterations, 1);
   RECONCILE_CHECK_GE(config_.matcher.min_bucket_exponent, 0);
   for (const auto& [u, v] : seeds_) {
-    RECONCILE_CHECK_LT(u, o1_.num_nodes());
-    RECONCILE_CHECK_LT(v, o2_.num_nodes());
+    RECONCILE_CHECK_LT(u, g1_.num_nodes());
+    RECONCILE_CHECK_LT(v, g2_.num_nodes());
     RECONCILE_CHECK_EQ(map_1to2_[u], kInvalidNode)
         << "duplicate seed for g1 node " << u;
     RECONCILE_CHECK_EQ(map_2to1_[v], kInvalidNode)
@@ -74,45 +95,52 @@ ServeBatchStats IncrementalMatcher::ApplyBatch(
   // batch and after it. Only edges whose presence *changed* end-to-end act
   // on the session — an insert/delete pair inside one batch, a re-insert
   // of a present edge, or a delete of an absent one are all no-ops.
+  Graph* const graphs[2] = {&g1_, &g2_};
   std::unordered_map<uint64_t, bool> initial[2], current[2];
   for (const EdgeDelta& d : deltas) {
     if (d.u == d.v) continue;  // self-loops never enter the graphs
     const int g = d.graph == 1 ? 0 : 1;
-    const OverlayGraph& o = g == 0 ? o1_ : o2_;
     const uint64_t key = PackPair(std::min(d.u, d.v), std::max(d.u, d.v));
     auto [it, inserted] = current[g].try_emplace(key, false);
-    if (inserted) initial[g].emplace(key, o.HasEdge(d.u, d.v));
+    if (inserted) initial[g].emplace(key, graphs[g]->HasEdge(d.u, d.v));
     it->second = d.insert;
   }
 
-  // (2) Apply the net deltas to the overlays, in key order (hash order is
-  // not deterministic; node growth must be).
-  OverlayGraph* const overlays[2] = {&o1_, &o2_};
+  // (2) Rebuild each changed graph from its old canonical edges minus the
+  // net deletes plus the net inserts. Only an effective insert can grow
+  // the node range; the CSR build canonicalizes, so hash order is moot.
   for (int g = 0; g < 2; ++g) {
-    std::vector<uint64_t> changed;
+    std::vector<uint64_t> deletes, inserts;
     for (const auto& [key, now] : current[g]) {
-      if (now != initial[g][key]) changed.push_back(key);
+      if (now != initial[g][key]) (now ? inserts : deletes).push_back(key);
     }
-    std::sort(changed.begin(), changed.end());
-    for (uint64_t key : changed) {
-      const NodeId u = PairFirst(key), v = PairSecond(key);
-      RECONCILE_CHECK(current[g][key] ? overlays[g]->InsertEdge(u, v)
-                                      : overlays[g]->DeleteEdge(u, v));
-    }
-    stats.deltas_applied += changed.size();
+    if (deletes.empty() && inserts.empty()) continue;
+    stats.deltas_applied += deletes.size() + inserts.size();
+    std::sort(deletes.begin(), deletes.end());
+    const Graph& old = *graphs[g];
+    EdgeList edges(old.num_nodes());
+    edges.Reserve(old.num_edges() - deletes.size() + inserts.size());
+    size_t next = 0;  // deletes are present edges, met in key order
+    ForEachCanonicalEdge(old, [&](NodeId u, NodeId v) {
+      if (next < deletes.size() && deletes[next] == PackPair(u, v)) {
+        ++next;
+      } else {
+        edges.Add(u, v);
+      }
+    });
+    RECONCILE_CHECK_EQ(next, deletes.size());
+    for (uint64_t key : inserts) edges.Add(PairFirst(key), PairSecond(key));
+    *graphs[g] = Graph::FromEdgeList(std::move(edges), &pool_);
   }
 
-  // (3) Mid-batch fault hook: the overlays hold the batch, the matching
+  // (3) Mid-batch fault hook: the graphs hold the batch, the matching
   // does not. A `crash:serve_apply=k` kill here loses batch k, and a
   // resume must re-apply it from the stream.
   FaultValuePoint("serve_apply", stats.batch);
   ++batches_applied_;
 
   if (stats.deltas_applied > 0 || !matched_) {
-    // (4) Fold the diffs into fresh CSRs — the batch matcher reads one.
-    o1_.Compact(&pool_);
-    o2_.Compact(&pool_);
-    // (5) Rerun the batch matcher on the current graphs.
+    // (4) Rerun the batch matcher on the current graphs.
     Rerun(&stats);
   }
   stats.num_links = num_links_;
@@ -125,7 +153,7 @@ void IncrementalMatcher::Rerun(ServeBatchStats* stats) {
   // honours graceful-stop requests, and a batch must never serve a
   // partial matching.
   Timer timer;
-  MatcherState state(o1_.base(), o2_.base(), config_.matcher);
+  MatcherState state(g1_, g2_, config_.matcher);
   state.SeedLinks(seeds_);
   while (!state.Done()) state.RunRound();
   MatchResult next = state.TakeResult(timer.Seconds());
@@ -181,12 +209,12 @@ bool IncrementalMatcher::SaveSnapshot(const std::string& path,
   // lists), so a resume needs no replay of the delta stream to rebuild
   // them, and the matching is a rerun on them.
   writer.BeginSection(kSectionGraph1);
-  writer.AppendU64(o1_.num_nodes());
-  writer.AppendVector(o1_.Materialize().edges());
+  writer.AppendU64(g1_.num_nodes());
+  writer.AppendVector(CanonicalEdges(g1_));
   writer.EndSection();
   writer.BeginSection(kSectionGraph2);
-  writer.AppendU64(o2_.num_nodes());
-  writer.AppendVector(o2_.Materialize().edges());
+  writer.AppendU64(g2_.num_nodes());
+  writer.AppendVector(CanonicalEdges(g2_));
   writer.EndSection();
 
   return writer.Commit(path, error);
@@ -289,8 +317,8 @@ bool IncrementalMatcher::LoadSnapshot(const std::string& path,
   }
 
   // Everything validated — commit, then rerun on the restored graphs.
-  o1_ = OverlayGraph(std::move(g1));
-  o2_ = OverlayGraph(std::move(g2));
+  g1_ = std::move(g1);
+  g2_ = std::move(g2);
   batches_applied_ = batches_applied;
   deltas_consumed_ = deltas_consumed;
   ServeBatchStats ignored;

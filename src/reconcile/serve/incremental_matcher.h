@@ -13,7 +13,6 @@
 #include "reconcile/graph/graph.h"
 #include "reconcile/graph/types.h"
 #include "reconcile/serve/delta_log.h"
-#include "reconcile/serve/overlay_graph.h"
 #include "reconcile/util/thread_pool.h"
 
 namespace reconcile {
@@ -24,8 +23,8 @@ inline constexpr char kServeCheckpointPrefix[] = "serve-batch-";
 
 struct ServeConfig {
   /// Matching semantics and execution knobs of the batch matcher every
-  /// batch reruns: threshold, iterations, bucketing, stability, threads,
-  /// shards, grain and the LSM tier policy all apply.
+  /// batch reruns: threshold, iterations, bucketing, stability, threads and
+  /// shards all apply.
   MatcherConfig matcher;
 };
 
@@ -50,14 +49,15 @@ struct ServeBatchStats {
 };
 
 /// The continuous-reconciliation engine: holds a live matching over a pair
-/// of delta-overlay graphs and keeps it equal to a from-scratch batch run
+/// of CSR graphs and keeps it equal to a from-scratch batch run
 /// on the current graphs (`serve_incremental_differential_test` checks
 /// this after every batch at 1 and 4 threads, and
 /// `integration_serve_kill_resume_test` across kill/resume).
 ///
-/// Each batch is netted out, applied to the two `OverlayGraph`s, compacted
-/// into fresh CSRs, and the batch matcher (`MatcherState`) runs again on
-/// them to completion (DESIGN.md §2.6). The rerun never stops early, so a
+/// Each batch is netted out against the two graphs, each changed graph is
+/// rebuilt from its old edges minus the net deletes plus the net inserts,
+/// and the batch matcher (`MatcherState`) runs again on them to completion
+/// (DESIGN.md §2.6). The rerun never stops early, so a
 /// graceful-stop request cannot make a batch serve a partial matching.
 ///
 /// Between any two `ApplyBatch` calls the session serializes to a
@@ -84,8 +84,8 @@ class IncrementalMatcher {
 
   const std::vector<NodeId>& map_1to2() const { return map_1to2_; }
   const std::vector<NodeId>& map_2to1() const { return map_2to1_; }
-  const OverlayGraph& g1() const { return o1_; }
-  const OverlayGraph& g2() const { return o2_; }
+  const Graph& g1() const { return g1_; }
+  const Graph& g2() const { return g2_; }
   size_t num_links() const { return num_links_; }
   int batches_applied() const { return batches_applied_; }
 
@@ -110,14 +110,14 @@ class IncrementalMatcher {
   bool LoadSnapshot(const std::string& path, std::string* error);
 
  private:
-  // Runs the batch matcher to completion on the compacted overlays and
+  // Runs the batch matcher to completion on the current graphs and
   // installs its maps, filling the rerun half of `stats`.
   void Rerun(ServeBatchStats* stats);
 
   ServeConfig config_;
-  ThreadPool pool_;  // overlay compaction
-  OverlayGraph o1_;
-  OverlayGraph o2_;
+  ThreadPool pool_;  // graph rebuilds
+  Graph g1_;
+  Graph g2_;
   std::vector<std::pair<NodeId, NodeId>> seeds_;
   std::vector<NodeId> map_1to2_;
   std::vector<NodeId> map_2to1_;

@@ -61,8 +61,8 @@ namespace reconcile {
 ///   serve_apply            value point in `IncrementalMatcher::ApplyBatch`
 ///                          (value = 1-based batch number, the initial
 ///                          match counting as batch 1), fired after the
-///                          overlays absorbed the deltas but before the
-///                          matcher reran — the graphs hold the batch, the
+///                          graphs were rebuilt with the deltas but before
+///                          the matcher reran — the graphs hold the batch, the
 ///                          served matching does not
 ///   after_batch            value point in `reconcile_serve` between
 ///                          rerunning the matcher and writing the batch's

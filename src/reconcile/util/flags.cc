@@ -1,6 +1,7 @@
 #include "reconcile/util/flags.h"
 
 #include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -97,6 +98,20 @@ double Flags::GetDouble(const std::string& key, double default_value) const {
     UsageError(key, "is not a number", it->second);
   }
   if (errno == ERANGE) UsageError(key, "is out of range", it->second);
+  return value;
+}
+
+double Flags::GetDoubleInRange(const std::string& key, double default_value,
+                               double lo, double hi, bool lo_open) const {
+  const double value = GetDouble(key, default_value);
+  const bool above_lo = lo_open ? value > lo : value >= lo;
+  if (!std::isfinite(value) || !above_lo || value > hi) {
+    char range[64], shown[32];
+    std::snprintf(range, sizeof(range), "is out of range %c%g, %g%c",
+                  lo_open ? '(' : '[', lo, hi, std::isinf(hi) ? ')' : ']');
+    std::snprintf(shown, sizeof(shown), "%g", value);
+    UsageError(key, range, shown);
+  }
   return value;
 }
 

@@ -30,6 +30,12 @@ class Flags {
   int64_t GetIntInRange(const std::string& key, int64_t default_value,
                         int64_t lo, int64_t hi) const;
   double GetDouble(const std::string& key, double default_value) const;
+  /// `GetDouble` that also rejects a present value outside [lo, hi] — or
+  /// (lo, hi] when `lo_open` — as a usage error, so a bad value fails
+  /// before it reaches a library invariant check. `hi` may be infinity for
+  /// "unbounded"; NaN and infinite values are always rejected.
+  double GetDoubleInRange(const std::string& key, double default_value,
+                          double lo, double hi, bool lo_open = false) const;
   bool GetBool(const std::string& key, bool default_value) const;
 
   const std::vector<std::string>& positional() const { return positional_; }

@@ -17,7 +17,7 @@ struct SortedCountRun;
 /// dominate RAM. `SpillStore` moves cold tiers to disk: a tier is written as
 /// one flat file under a score directory and mapped back read-only, so the
 /// matcher keeps only a pointer-sized view resident while every consumer
-/// (the selection `ForEach` k-way merge, snapshot serialization, tier
+/// (the selection `ForEach` two-way merge, snapshot serialization, tier
 /// compaction) streams the same bytes it would have read from the resident
 /// vectors. Scans over spilled tiers are purely sequential — exactly the
 /// access pattern mmap streaming rewards and the sorted score store's

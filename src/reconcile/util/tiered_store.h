@@ -4,36 +4,16 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "reconcile/util/logging.h"
 #include "reconcile/util/radix_sort.h"
 #include "reconcile/util/spill_store.h"
 
 namespace reconcile {
-
-/// When `TieredCountRuns::Append` folds tiers together (size-tiered
-/// compaction, LSM-style). Both knobs only move merge work around in time;
-/// the aggregate the store represents — and therefore every matching
-/// computed from it — is identical for all settings.
-struct TierPolicy {
-  /// Hard cap on resident tiers (values < 1 behave as 1). `1` merges every
-  /// delta straight into the single persistent run — the pre-LSM behavior;
-  /// `2` (one big run + one delta batch) keeps scans on the two-way merge
-  /// fast path.
-  int max_tiers = 2;
-  /// A freshly appended tier is folded into its predecessor while the
-  /// predecessor is at most this factor larger (then the merged result is
-  /// re-checked against *its* predecessor, cascading). Tier sizes therefore
-  /// stay geometrically separated, so total merge traffic is O(N log N)
-  /// instead of the O(N · rounds) of merging every round delta into one big
-  /// run. Values <= 0 disable the ratio trigger — only `max_tiers` forces
-  /// merges.
-  double size_ratio = 4.0;
-};
 
 /// Borrowed view of one sorted `(key, count)` run — the common shape of a
 /// resident `SortedCountRun` and an mmap'd `SpilledRun`. Every consumer of
@@ -44,30 +24,21 @@ struct RunView {
   const uint64_t* keys = nullptr;
   const uint32_t* counts = nullptr;
   size_t size = 0;
-
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (size_t i = 0; i < size; ++i) fn(keys[i], counts[i]);
-  }
-
-  uint32_t Count(uint64_t key) const {
-    const uint64_t* end = keys + size;
-    const uint64_t* it = std::lower_bound(keys, end, key);
-    if (it == end || *it != key) return 0;
-    return counts[it - keys];
-  }
 };
 
-/// LSM-style tiered aggregate of `(key, count)` pairs: a short stack of
-/// sorted-run tiers (oldest and largest first) that together represent one
-/// logical count multiset. Round deltas land as small new tiers; the big
-/// persistent run is only rewritten when the size-ratio policy trips, so
-/// late low-yield rounds stop paying a full-run merge each round.
+/// LSM-style tiered aggregate of `(key, count)` pairs: at most two sorted-run
+/// tiers — the big persistent run and one delta batch — that together
+/// represent one logical count multiset. A round delta lands as a new tier
+/// and folds into its predecessor only when the predecessor is at most
+/// `kSizeRatio` times its size (or the stack would exceed `kMaxTiers`), so
+/// late low-yield rounds stop paying a full-run merge each round. The
+/// policy is a constant: it only moves merge work around in time, and the
+/// aggregate — and every matching computed from it — is the same for any
+/// policy (DESIGN.md §2.2).
 ///
-/// A key may appear in several tiers; `ForEach`/`Count` fold the tiers back
-/// together on the fly (k-way merge summing duplicate keys), so consumers
-/// see exactly the single-run aggregate. `k` is bounded by
-/// `TierPolicy::max_tiers`, keeping scans linear with a small constant.
+/// A key may appear in both tiers; `ForEach` folds them back together on
+/// the fly (a two-way merge summing duplicate keys), so consumers see
+/// exactly the single-run aggregate.
 ///
 /// Each tier lives either resident (a `SortedCountRun`) or spilled (an
 /// mmap'd `SpilledRun`, see `util/spill_store.h`); the memory-budget
@@ -84,28 +55,36 @@ class TieredCountRuns {
     return entries * (sizeof(uint64_t) + sizeof(uint32_t));
   }
 
-  /// Appends a round delta as a new tier, then applies `policy`'s merge
-  /// cascade. Empty deltas are dropped. A cascade step whose merge target
-  /// is spilled materializes it first (mutating a mapping is impossible);
-  /// the budget layer may re-spill the merged result afterwards.
-  void Append(SortedCountRun&& delta, const TierPolicy& policy) {
+  /// Most tiers the stack holds: the big run plus one delta batch.
+  static constexpr size_t kMaxTiers = 2;
+  /// A new tier folds into its predecessor while the predecessor is at most
+  /// this many times its size, so tier sizes stay geometrically separated.
+  static constexpr size_t kSizeRatio = 4;
+
+  /// Appends a round delta as a new tier, then folds per the policy above.
+  /// Empty deltas are dropped. A fold whose target is spilled materializes
+  /// it first (mutating a mapping is impossible); the budget layer may
+  /// re-spill the merged result afterwards.
+  void Append(SortedCountRun&& delta) {
     if (delta.empty()) return;
     tiers_.emplace_back();
     tiers_.back().resident = std::move(delta);
-    const size_t cap = static_cast<size_t>(std::max(1, policy.max_tiers));
-    const double ratio = policy.size_ratio;
     while (tiers_.size() > 1 &&
-           (tiers_.size() > cap ||
-            (ratio > 0.0 &&
-             static_cast<double>(tiers_[tiers_.size() - 2].size()) <=
-                 ratio * static_cast<double>(tiers_.back().size())))) {
+           (tiers_.size() > kMaxTiers ||
+            tiers_[tiers_.size() - 2].size() <=
+                kSizeRatio * tiers_.back().size())) {
       MergeTopIntoPredecessor();
     }
   }
 
-  /// Folds everything into a single tier (a full compaction).
-  void Compact() {
-    while (tiers_.size() > 1) MergeTopIntoPredecessor();
+  /// Pushes `run` as the newest tier without folding — the snapshot
+  /// loader's hook, since tier boundaries decide when later folds run and a
+  /// resumed process must replay them identically. The stack must hold
+  /// fewer than `kMaxTiers` tiers.
+  void AppendUnfolded(SortedCountRun&& run) {
+    RECONCILE_CHECK_LT(tiers_.size(), kMaxTiers);
+    tiers_.emplace_back();
+    tiers_.back().resident = std::move(run);
   }
 
   /// Invokes `fn(key, total_count)` once per distinct key, in ascending key
@@ -113,63 +92,25 @@ class TieredCountRuns {
   /// the fully merged run, whether tiers are resident or spilled.
   template <typename Fn>
   void ForEach(Fn&& fn) const {
-    if (tiers_.empty()) return;
-    if (tiers_.size() == 1) {
-      tiers_[0].View().ForEach(fn);
-      return;
-    }
-    if (tiers_.size() == 2) {
-      // Two tiers (one big run + one delta batch) is the steady state under
-      // small caps; a branch-lean two-way merge keeps the selection scan
-      // close to single-run cost. Spilled tiers stream through the same
-      // loop — mmap makes the pointer walk identical.
-      const RunView a = tiers_[0].View();
-      const RunView b = tiers_[1].View();
-      size_t i = 0, j = 0;
-      while (i < a.size && j < b.size) {
-        const uint64_t ka = a.keys[i];
-        const uint64_t kb = b.keys[j];
-        if (ka < kb) {
-          fn(ka, a.counts[i++]);
-        } else if (kb < ka) {
-          fn(kb, b.counts[j++]);
-        } else {
-          fn(ka, a.counts[i++] + b.counts[j++]);
-        }
+    // A branch-lean two-way merge keeps the selection scan close to
+    // single-run cost; a missing tier is an empty view. Spilled tiers
+    // stream through the same loop — mmap makes the pointer walk identical.
+    const RunView a = tiers_.size() > 0 ? tiers_[0].View() : RunView{};
+    const RunView b = tiers_.size() > 1 ? tiers_[1].View() : RunView{};
+    size_t i = 0, j = 0;
+    while (i < a.size && j < b.size) {
+      const uint64_t ka = a.keys[i];
+      const uint64_t kb = b.keys[j];
+      if (ka < kb) {
+        fn(ka, a.counts[i++]);
+      } else if (kb < ka) {
+        fn(kb, b.counts[j++]);
+      } else {
+        fn(ka, a.counts[i++] + b.counts[j++]);
       }
-      for (; i < a.size; ++i) fn(a.keys[i], a.counts[i]);
-      for (; j < b.size; ++j) fn(b.keys[j], b.counts[j]);
-      return;
     }
-    const size_t k = tiers_.size();
-    std::vector<RunView> views(k);
-    for (size_t t = 0; t < k; ++t) views[t] = tiers_[t].View();
-    std::vector<size_t> pos(k, 0);
-    for (;;) {
-      uint64_t min_key = std::numeric_limits<uint64_t>::max();
-      bool any = false;
-      for (size_t t = 0; t < k; ++t) {
-        if (pos[t] >= views[t].size) continue;
-        any = true;
-        min_key = std::min(min_key, views[t].keys[pos[t]]);
-      }
-      if (!any) break;
-      uint32_t total = 0;
-      for (size_t t = 0; t < k; ++t) {
-        if (pos[t] < views[t].size && views[t].keys[pos[t]] == min_key) {
-          total += views[t].counts[pos[t]];
-          ++pos[t];
-        }
-      }
-      fn(min_key, total);
-    }
-  }
-
-  /// Total count for `key` across tiers (0 if absent).
-  uint32_t Count(uint64_t key) const {
-    uint32_t total = 0;
-    for (const Tier& tier : tiers_) total += tier.View().Count(key);
-    return total;
+    for (; i < a.size; ++i) fn(a.keys[i], a.counts[i]);
+    for (; j < b.size; ++j) fn(b.keys[j], b.counts[j]);
   }
 
   /// Keeps only entries with `pred(key, tier_count)`. The predicate sees the

@@ -59,7 +59,11 @@ TEST(RegistryTest, RemovedSchedulingParamsAreUnknown) {
       {"core", "workers"},
       {"core", "worker-retry"},
       {"core", "worker-timeout-ms"},
-      {"bp", "scheduler"}};
+      {"core", "grain"},
+      {"core", "max-tiers"},
+      {"core", "tier-ratio"},
+      {"bp", "scheduler"},
+      {"bp", "grain"}};
   for (const auto& [key, param] : removed) {
     std::string error;
     EXPECT_EQ(Registry::Global().Create(ReconcilerSpec(key).Set(param, "1"),

@@ -108,18 +108,6 @@ TEST(MatcherStateTest, ResumeEquivalenceAcrossPausePoints) {
   }
 }
 
-TEST(MatcherStateTest, ResumeEquivalenceWithMultiTierLsmStacks) {
-  // High tier cap + disabled ratio trigger: snapshots capture stacks of
-  // several unmerged tiers, and the restored stacks must replay the same
-  // future compaction schedule.
-  Workload w = MakeWorkload(9003);
-  MatcherConfig config;
-  config.num_shards = 4;
-  config.lsm_max_tiers = 8;
-  config.lsm_size_ratio = 0.0;
-  CheckResumeEquivalence(w, config, 4, "lsm8");
-}
-
 TEST(MatcherStateTest, ResumeEquivalenceWithSixShards) {
   // A shard count that is not a multiple of the default: save/load must
   // carry every (level, shard) cell, and the resumed run must stay
@@ -168,7 +156,6 @@ TEST(MatcherStateTest, SnapshotRoundTripsByteIdentically) {
   Workload w = MakeWorkload(9006);
   MatcherConfig config;
   config.num_shards = 4;
-  config.lsm_max_tiers = 4;
 
   const std::string first = TempPath("golden_first.ckpt");
   const std::string second = TempPath("golden_second.ckpt");
@@ -332,6 +319,45 @@ TEST_F(SnapshotRejectionTest, RemovedEngineSnapshotsRejected) {
     ExpectRejectedAndStateIntact(removed, c.why);
     std::remove(removed.c_str());
   }
+}
+
+// A score cell holds at most two tiers (the big run plus one delta); only
+// a run under the retired `max-tiers` param could have written more. The
+// test rewrites a valid snapshot's first SCORES cell as three tiers.
+TEST_F(SnapshotRejectionTest, CellWithThreeTiersRejected) {
+  constexpr uint32_t kMeta = 1, kLinks = 2, kScores = 4;
+  SnapshotReader reader;
+  std::string error;
+  ASSERT_TRUE(reader.Open(path_, &error)) << error;
+  SnapshotWriter writer;
+  for (uint32_t id : {kMeta, kLinks, kScores}) {
+    SnapshotReader::Section* section = reader.Find(id);
+    ASSERT_NE(section, nullptr);
+    writer.BeginSection(id);
+    if (id == kScores) {
+      uint32_t num_tiers = 0;
+      ASSERT_TRUE(section->ReadU32(&num_tiers));
+      for (uint32_t t = 0; t < num_tiers; ++t) {
+        std::vector<uint64_t> keys;
+        std::vector<uint32_t> counts;
+        ASSERT_TRUE(section->ReadVector(&keys));
+        ASSERT_TRUE(section->ReadVector(&counts));
+      }
+      writer.AppendU32(3);
+      for (uint64_t key : {1, 2, 3}) {
+        writer.AppendVector(std::vector<uint64_t>{key});
+        writer.AppendVector(std::vector<uint32_t>{1});
+      }
+    }
+    std::vector<uint8_t> rest(section->Remaining());
+    ASSERT_TRUE(section->ReadBytes(rest.data(), rest.size()));
+    writer.AppendBytes(rest.data(), rest.size());
+    writer.EndSection();
+  }
+  const std::string three = TempPath("reject_three_tiers.ckpt");
+  ASSERT_TRUE(writer.Commit(three, &error)) << error;
+  ExpectRejectedAndStateIntact(three, "declares 3 tiers");
+  std::remove(three.c_str());
 }
 
 TEST_F(SnapshotRejectionTest, WrongShardCountRejected) {

@@ -1,9 +1,7 @@
-// Scheduler and LSM-store equivalence: the work-stealing loop must produce
-// matchings bit-identical to the 1-thread run (where every loop runs
-// serially in index order) for every grain, thread count and steal
-// schedule, and the tiered score store must be unobservable for every tier
-// threshold — including policies that force compaction mid-run. Any
-// divergence means a hot-path loop's aggregation stopped being
+// Scheduler equivalence: the work-stealing loop must produce matchings
+// bit-identical to the 1-thread run (where every loop runs serially in
+// index order) for every thread count and steal schedule, budgeted or not.
+// Any divergence means a hot-path loop's aggregation stopped being
 // partition-independent, or a tier fold lost/duplicated a count.
 #include <dirent.h>
 #include <stdlib.h>
@@ -50,7 +48,7 @@ void ExpectSameMatching(const MatchResult& result, const MatchResult& reference)
   ASSERT_EQ(result.map_2to1, reference.map_2to1);
 }
 
-// Work-stealing across grains and threads. The 1-thread run anchors each
+// Work-stealing across thread counts. The 1-thread run anchors each
 // workload.
 TEST(SchedulerDeterminismTest, StealingMatchesSingleThreadAcrossGrid) {
   for (uint64_t rng_seed : {7101u, 7102u}) {
@@ -64,17 +62,12 @@ TEST(SchedulerDeterminismTest, StealingMatchesSingleThreadAcrossGrid) {
     ASSERT_GT(reference.NumNewLinks(), 0u)
         << "workload too easy to detect divergence";
 
-    for (size_t grain : {size_t{0}, size_t{1}, size_t{7}, size_t{4096}}) {
-      for (int threads : {2, 5}) {
-        SCOPED_TRACE("grain=" + std::to_string(grain) +
-                     " threads=" + std::to_string(threads));
-        MatcherConfig config;
-        config.scheduler_grain = grain;
-        config.num_threads = threads;
-        MatchResult result =
-            UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
-        ExpectSameMatching(result, reference);
-      }
+    for (int threads : {2, 5}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      MatcherConfig config;
+      config.num_threads = threads;
+      MatchResult result = UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
+      ExpectSameMatching(result, reference);
     }
   }
 }
@@ -95,38 +88,6 @@ TEST(SchedulerDeterminismTest, PhaseCountersMatchAcrossThreadCounts) {
     EXPECT_EQ(a.phases[i].candidate_pairs, b.phases[i].candidate_pairs);
     EXPECT_EQ(a.phases[i].new_links, b.phases[i].new_links);
     EXPECT_EQ(a.phases[i].links_in, b.phases[i].links_in);
-  }
-}
-
-// LSM tier thresholds: every (max_tiers, size_ratio) combination — from
-// merge-every-round (max_tiers=1) through ratio=0 (tiers only fold when the
-// cap forces a mid-round compaction cascade) — must yield the single-tier
-// matching.
-TEST(LsmStoreDeterminismTest, TierThresholdsAreUnobservable) {
-  for (uint64_t rng_seed : {7201u, 7202u}) {
-    SCOPED_TRACE("rng_seed=" + std::to_string(rng_seed));
-    Workload w = MakeWorkload(rng_seed);
-
-    MatcherConfig reference_config;
-    reference_config.lsm_max_tiers = 1;  // pre-LSM behavior
-    reference_config.num_threads = 1;
-    MatchResult reference =
-        UserMatching(w.pair.g1, w.pair.g2, w.seeds, reference_config);
-    ASSERT_GT(reference.NumNewLinks(), 0u);
-
-    for (int max_tiers : {2, 3, 8}) {
-      for (double ratio : {0.0, 1.0, 4.0, 1e9}) {
-        SCOPED_TRACE("max_tiers=" + std::to_string(max_tiers) +
-                     " ratio=" + std::to_string(ratio));
-        MatcherConfig config;
-        config.lsm_max_tiers = max_tiers;
-        config.lsm_size_ratio = ratio;
-        config.num_threads = 4;
-        MatchResult result =
-            UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
-        ExpectSameMatching(result, reference);
-      }
-    }
   }
 }
 

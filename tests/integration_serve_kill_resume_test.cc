@@ -1,6 +1,6 @@
 // End-to-end crash safety for the serve subsystem: a serve session killed
-// mid-batch (the `serve_apply` value point fires after the overlays
-// absorbed the deltas but BEFORE the matcher reran on them) must, when
+// mid-batch (the `serve_apply` value point fires after the graphs were
+// rebuilt with the deltas but BEFORE the matcher reran on them) must, when
 // resumed from its newest checkpoint, fast-forward the delta stream past
 // the records the snapshot already consumed, re-apply the lost batch and
 // finish with a matching byte-identical to a never-killed session. Same
@@ -210,8 +210,8 @@ int RunChild(const ChildSpec& spec) {
 }
 
 // One cycle per crash point. serve_apply=N fires inside the (N-1)-th delta
-// batch (the initial match is batch 1), between overlay absorption and
-// the rerun.
+// batch (the initial match is batch 1), between the graph rebuild and the
+// rerun.
 void CheckServeKillResume(const std::string& crash_spec,
                           const std::string& tag) {
   const std::string dir = TempPath("skr_" + tag);

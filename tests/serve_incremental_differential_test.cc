@@ -53,25 +53,40 @@ Graph FromEdgeSet(const EdgeSet& edges, NodeId num_nodes) {
 }
 
 // Mirror of the side the matcher mutates, used to build the reference
-// graphs for the from-scratch run.
+// graphs for the from-scratch run. Records apply in order; the node range
+// follows the serve growth rule at the end of each batch: only an insert
+// that survives its batch (an edge absent before it and present after)
+// can extend the range.
 struct SideModel {
   EdgeSet edges;
   NodeId num_nodes = 0;
 
-  // Sequential application with the overlay's growth rule: only an
-  // *effective* insert can extend the node range.
   void Apply(const EdgeDelta& d) {
     if (d.u == d.v) return;
-    const auto key = Canon(d.u, d.v);
     if (d.insert) {
-      if (edges.insert(key).second) {
-        num_nodes = std::max({num_nodes, d.u + 1, d.v + 1});
-      }
+      edges.insert(Canon(d.u, d.v));
     } else {
-      edges.erase(key);
+      edges.erase(Canon(d.u, d.v));
+    }
+  }
+
+  // `batch_start` is `edges` as the batch began.
+  void EndBatch(const EdgeSet& batch_start) {
+    for (const auto& [u, v] : edges) {
+      if (batch_start.count({u, v}) == 0) {
+        num_nodes = std::max(num_nodes, v + 1);
+      }
     }
   }
 };
+
+void ApplyBatch(const std::vector<EdgeDelta>& batch, SideModel& model1,
+                SideModel& model2) {
+  const EdgeSet start1 = model1.edges, start2 = model2.edges;
+  for (const EdgeDelta& d : batch) (d.graph == 1 ? model1 : model2).Apply(d);
+  model1.EndBatch(start1);
+  model2.EndBatch(start2);
+}
 
 struct GridCase {
   const char* name;
@@ -84,8 +99,9 @@ std::string CaseName(const testing::TestParamInfo<GridCase>& info) {
 
 // Deterministic delta script: several batches of deletes of present edges
 // (graph 1 and 2), fresh inserts, re-inserts of previously deleted edges,
-// node growth past the initial range, and one empty batch. Derived from the
-// current models so deletes always hit real edges.
+// in-batch no-ops (one of them to a new node id, which must not grow the
+// node range), node growth past the initial range, and one empty batch.
+// Derived from the current models so deletes always hit real edges.
 std::vector<std::vector<EdgeDelta>> MakeDeltaScript(SideModel model1,
                                                     SideModel model2,
                                                     uint32_t seed) {
@@ -94,6 +110,7 @@ std::vector<std::vector<EdgeDelta>> MakeDeltaScript(SideModel model1,
   std::vector<std::pair<NodeId, NodeId>> deleted1, deleted2;
   for (int b = 0; b < 6; ++b) {
     std::vector<EdgeDelta> batch;
+    const EdgeSet start1 = model1.edges, start2 = model2.edges;
     auto push = [&](int graph, bool insert, NodeId u, NodeId v) {
       EdgeDelta d;
       d.graph = graph;
@@ -106,6 +123,30 @@ std::vector<std::vector<EdgeDelta>> MakeDeltaScript(SideModel model1,
     if (b == 3) {
       script.push_back(batch);  // empty batch: must be a strict no-op
       continue;
+    }
+    if (b == 1) {
+      // Net no-ops, first in the batch so nothing else touches their
+      // edges: an edge to a brand-new node id inserted then deleted, a
+      // delete of an absent edge to a new id, a self-loop, and a present
+      // edge deleted then re-inserted. None may grow a node range.
+      push(1, true, 0, model1.num_nodes + 3);
+      push(1, false, model1.num_nodes + 3, 0);
+      push(2, false, 1, model2.num_nodes + 7);
+      push(1, true, 4, 4);
+      const auto edge = *model2.edges.begin();
+      push(2, false, edge.first, edge.second);
+      push(2, true, edge.second, edge.first);
+    }
+    if (b == 5) {
+      // Re-insert an edge that an earlier batch deleted and that is still
+      // absent.
+      const auto absent = std::find_if(
+          deleted1.begin(), deleted1.end(),
+          [&model1](const auto& e) { return model1.edges.count(e) == 0; });
+      EXPECT_NE(absent, deleted1.end());
+      if (absent != deleted1.end()) {
+        push(1, true, absent->second, absent->first);
+      }
     }
     for (int g = 1; g <= 2; ++g) {
       SideModel& model = g == 1 ? model1 : model2;
@@ -137,6 +178,8 @@ std::vector<std::vector<EdgeDelta>> MakeDeltaScript(SideModel model1,
       push(1, true, model1.num_nodes + 2, rng() % model1.num_nodes);
       push(2, true, model2.num_nodes + 1, rng() % model2.num_nodes);
     }
+    model1.EndBatch(start1);
+    model2.EndBatch(start2);
     script.push_back(std::move(batch));
   }
   return script;
@@ -179,10 +222,15 @@ TEST_P(ServeDifferentialTest, MatchesBatchRunAfterEveryBatch) {
   }
 
   for (size_t b = 0; b < script.size(); ++b) {
-    for (const EdgeDelta& d : script[b]) {
-      (d.graph == 1 ? model1 : model2).Apply(d);
-    }
+    const NodeId nodes1 = matcher.g1().num_nodes();
+    const NodeId nodes2 = matcher.g2().num_nodes();
+    ApplyBatch(script[b], model1, model2);
     const ServeBatchStats stats = matcher.ApplyBatch(script[b]);
+    if (b == 1) {
+      // The insert and delete of an edge to a new node id cancel out.
+      EXPECT_EQ(matcher.g1().num_nodes(), nodes1);
+      EXPECT_EQ(matcher.g2().num_nodes(), nodes2);
+    }
     if (script[b].empty()) {
       EXPECT_EQ(stats.deltas_applied, 0u);
       EXPECT_EQ(stats.links_added, 0u);
@@ -194,8 +242,8 @@ TEST_P(ServeDifferentialTest, MatchesBatchRunAfterEveryBatch) {
     const Graph g2_now = FromEdgeSet(model2.edges, model2.num_nodes);
     ASSERT_EQ(matcher.g1().num_nodes(), g1_now.num_nodes()) << "batch " << b;
     ASSERT_EQ(matcher.g2().num_nodes(), g2_now.num_nodes()) << "batch " << b;
-    ASSERT_EQ(matcher.g1().num_edges(), g1_now.num_edges()) << "batch " << b;
-    ASSERT_EQ(matcher.g2().num_edges(), g2_now.num_edges()) << "batch " << b;
+    ASSERT_EQ(ToEdgeSet(matcher.g1()), model1.edges) << "batch " << b;
+    ASSERT_EQ(ToEdgeSet(matcher.g2()), model2.edges) << "batch " << b;
 
     const MatchResult batch = UserMatching(g1_now, g2_now, seeds, reference);
     ASSERT_EQ(matcher.map_1to2(), batch.map_1to2) << "batch " << b;
@@ -281,9 +329,7 @@ TEST_P(ServeDifferentialTest, GracefulStopRequestDoesNotTruncateBatch) {
   SideModel model1{ToEdgeSet(pair.g1), pair.g1.num_nodes()};
   SideModel model2{ToEdgeSet(pair.g2), pair.g2.num_nodes()};
   const auto script = MakeDeltaScript(model1, model2, 29);
-  for (const EdgeDelta& d : script[0]) {
-    (d.graph == 1 ? model1 : model2).Apply(d);
-  }
+  ApplyBatch(script[0], model1, model2);
   // The reference runs first: UserMatching itself honours the request.
   const MatchResult initial = UserMatching(pair.g1, pair.g2, seeds, reference);
   const MatchResult after = UserMatching(

@@ -1,5 +1,7 @@
 #include "reconcile/util/flags.h"
 
+#include <limits>
+
 #include <gtest/gtest.h>
 
 namespace reconcile {
@@ -138,6 +140,38 @@ TEST(FlagsDeathTest, BadDoubleExitsWithUsageError) {
               "not a number");
   EXPECT_EXIT(flags.GetDouble("y", 0.0), ::testing::ExitedWithCode(2),
               "out of range");
+}
+
+TEST(FlagsTest, DoubleInRangeAcceptsBoundsAndDefault) {
+  Flags flags = ParseOk({"--lo=0", "--hi=1", "--mid=0.25", "--big=1e6"});
+  const double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_DOUBLE_EQ(flags.GetDoubleInRange("lo", 0.5, 0.0, 1.0), 0.0);
+  EXPECT_DOUBLE_EQ(flags.GetDoubleInRange("hi", 0.5, 0.0, 1.0, true), 1.0);
+  EXPECT_DOUBLE_EQ(flags.GetDoubleInRange("mid", 0.5, 0.0, 1.0, true), 0.25);
+  EXPECT_DOUBLE_EQ(flags.GetDoubleInRange("big", 1.0, 0.0, kInf, true), 1e6);
+  EXPECT_DOUBLE_EQ(flags.GetDoubleInRange("absent", 0.5, 0.0, 1.0), 0.5);
+  EXPECT_TRUE(flags.UnusedKeys().empty());
+}
+
+TEST(FlagsDeathTest, DoubleOutOfRangeExitsWithUsageError) {
+  Flags flags = ParseOk({"--p=2", "--zero=0", "--neg=-0.5", "--exp=2",
+                         "--nan=nan", "--inf=inf", "--bad=x"});
+  const double kInf = std::numeric_limits<double>::infinity();
+  EXPECT_EXIT(flags.GetDoubleInRange("p", 0.05, 0.0, 1.0, true),
+              ::testing::ExitedWithCode(2),
+              "flag --p is out of range \\(0, 1\\]: 2");
+  EXPECT_EXIT(flags.GetDoubleInRange("zero", 0.05, 0.0, 1.0, true),
+              ::testing::ExitedWithCode(2), "out of range \\(0, 1\\]: 0");
+  EXPECT_EXIT(flags.GetDoubleInRange("neg", 0.5, 0.0, 1.0),
+              ::testing::ExitedWithCode(2), "out of range \\[0, 1\\]: -0.5");
+  EXPECT_EXIT(flags.GetDoubleInRange("exp", 2.5, 2.0, kInf, true),
+              ::testing::ExitedWithCode(2), "out of range \\(2, inf\\): 2");
+  EXPECT_EXIT(flags.GetDoubleInRange("nan", 0.5, 0.0, 1.0),
+              ::testing::ExitedWithCode(2), "out of range");
+  EXPECT_EXIT(flags.GetDoubleInRange("inf", 1.0, 0.0, kInf),
+              ::testing::ExitedWithCode(2), "out of range");
+  EXPECT_EXIT(flags.GetDoubleInRange("bad", 0.5, 0.0, 1.0),
+              ::testing::ExitedWithCode(2), "not a number");
 }
 
 }  // namespace

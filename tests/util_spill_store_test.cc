@@ -50,6 +50,15 @@ std::vector<std::pair<uint64_t, uint32_t>> Fold(const TieredCountRuns& s) {
   return out;
 }
 
+// A two-tier store: a big run plus a delta small enough (more than 4x
+// smaller) to stay a separate tier.
+TieredCountRuns MakeTwoTierStore(uint64_t seed) {
+  TieredCountRuns store;
+  store.Append(MakeRun(MakeDeltaStream(seed, 1, 2000, 100000)[0]));
+  store.Append(MakeRun(MakeDeltaStream(seed + 1, 1, 50, 100000)[0]));
+  return store;
+}
+
 size_t CountDirEntries(const std::string& dir) {
   DIR* handle = ::opendir(dir.c_str());
   if (handle == nullptr) return 0;
@@ -106,19 +115,15 @@ TEST_F(SpillStoreTest, SpilledRunRoundTripsExactBytes) {
 }
 
 TEST_F(SpillStoreTest, SpillingTiersIsUnobservableInTheFold) {
-  const auto deltas = MakeDeltaStream(7, 6, 800, 500);
-  TierPolicy policy{8, 0.0};  // keep tiers separate
-  TieredCountRuns resident;
-  for (const auto& delta : deltas) resident.Append(MakeRun(delta), policy);
+  const TieredCountRuns resident = MakeTwoTierStore(7);
   const auto reference = Fold(resident);
-  ASSERT_GT(resident.num_tiers(), 2u);
+  ASSERT_EQ(resident.num_tiers(), 2u);
 
   // Spill every subset of tiers (bitmask) and byte-compare the fold.
   SpillStore store(dir_);
   const size_t tiers = resident.num_tiers();
   for (uint32_t mask = 1; mask < (1u << tiers); ++mask) {
-    TieredCountRuns mixed;
-    for (const auto& delta : deltas) mixed.Append(MakeRun(delta), policy);
+    TieredCountRuns mixed = MakeTwoTierStore(7);
     std::string error;
     for (size_t t = 0; t < tiers; ++t) {
       if (mask & (1u << t)) {
@@ -127,18 +132,13 @@ TEST_F(SpillStoreTest, SpillingTiersIsUnobservableInTheFold) {
       }
     }
     ASSERT_EQ(Fold(mixed), reference) << "mask=" << mask;
-    // Count() reads through the same views.
-    ASSERT_EQ(mixed.Count(reference.front().first),
-              reference.front().second);
   }
   EXPECT_EQ(CountDirEntries(dir_), 0u) << "dropped stores must unlink";
 }
 
 TEST_F(SpillStoreTest, ResidentBytesMoveToSpilledOnSpill) {
-  TierPolicy policy{8, 0.0};
-  TieredCountRuns store;
-  store.Append(MakeRun(MakeDeltaStream(3, 1, 2000, 100000)[0]), policy);
-  store.Append(MakeRun(MakeDeltaStream(4, 1, 50, 100000)[0]), policy);
+  TieredCountRuns store = MakeTwoTierStore(3);
+  ASSERT_EQ(store.num_tiers(), 2u);
   const size_t before = store.resident_bytes();
   ASSERT_EQ(before, TieredCountRuns::BytesForEntries(store.total_entries()));
   SpillStore spill(dir_);
@@ -153,10 +153,10 @@ TEST_F(SpillStoreTest, ResidentBytesMoveToSpilledOnSpill) {
 }
 
 TEST_F(SpillStoreTest, FilterMaterializesSpilledTiers) {
-  TierPolicy policy{8, 0.0};
   TieredCountRuns store;
-  store.Append(MakeRun({10, 11, 12, 12}), policy);
-  store.Append(MakeRun({11, 13}), policy);
+  store.Append(MakeRun({10, 11, 12, 12, 14, 16, 18, 20, 22, 24}));
+  store.Append(MakeRun({11, 13}));
+  ASSERT_EQ(store.num_tiers(), 2u);
   SpillStore spill(dir_);
   std::string error;
   ASSERT_TRUE(store.SpillTier(0, spill, &error)) << error;
@@ -164,49 +164,54 @@ TEST_F(SpillStoreTest, FilterMaterializesSpilledTiers) {
   store.Filter([](uint64_t key, uint32_t) { return key % 2 == 0; });
   EXPECT_EQ(store.num_spilled_tiers(), 0u);
   EXPECT_EQ(CountDirEntries(dir_), 0u) << "materialize must drop the files";
-  EXPECT_EQ(store.Count(10), 1u);
-  EXPECT_EQ(store.Count(11), 0u);
-  EXPECT_EQ(store.Count(12), 2u);
-  EXPECT_EQ(store.Count(13), 0u);
+  const std::vector<std::pair<uint64_t, uint32_t>> expected = {
+      {10, 1}, {12, 2}, {14, 1}, {16, 1}, {18, 1}, {20, 1}, {22, 1}, {24, 1}};
+  EXPECT_EQ(Fold(store), expected);
 }
 
-TEST_F(SpillStoreTest, AppendCascadeMaterializesSpilledTarget) {
-  TierPolicy cascade{1, 4.0};  // every append folds into the single run
-  TierPolicy keep{8, 0.0};
+TEST_F(SpillStoreTest, AppendFoldMaterializesSpilledTarget) {
   TieredCountRuns store;
-  store.Append(MakeRun({1, 2, 3}), keep);
+  store.Append(MakeRun({1, 2, 3}));
   SpillStore spill(dir_);
   std::string error;
   ASSERT_TRUE(store.SpillTier(0, spill, &error)) << error;
-  store.Append(MakeRun({2, 4}), cascade);
+  // 3 entries are within 4x of the 2-entry delta: the append folds into
+  // the spilled run, which must come back resident first.
+  store.Append(MakeRun({2, 4}));
   EXPECT_EQ(store.num_tiers(), 1u);
   EXPECT_EQ(store.num_spilled_tiers(), 0u);
-  EXPECT_EQ(store.Count(2), 2u);
-  EXPECT_EQ(store.Count(4), 1u);
+  const std::vector<std::pair<uint64_t, uint32_t>> expected = {
+      {1, 1}, {2, 2}, {3, 1}, {4, 1}};
+  EXPECT_EQ(Fold(store), expected);
 }
 
 // The fault sweep: each injected failure mode, fired at every spill
-// boundary of a multi-tier store, must (a) fail that one spill, (b) keep
-// the tier resident, (c) leave no file behind for the failed spill, and
-// (d) keep the fold byte-identical to the all-resident store.
+// boundary of three two-tier stores (like the matcher's score cells), must
+// (a) fail that one spill, (b) keep the tier resident, (c) leave no file
+// behind for the failed spill, and (d) keep every fold byte-identical to
+// the all-resident store.
 TEST_F(SpillStoreTest, InjectedFaultsAtEveryBoundaryDegradeGracefully) {
-  const auto deltas = MakeDeltaStream(11, 5, 600, 400);
-  TierPolicy policy{8, 0.0};
-  TieredCountRuns reference_store;
-  for (const auto& delta : deltas) {
-    reference_store.Append(MakeRun(delta), policy);
+  constexpr size_t kCells = 3;
+  auto make_cells = [] {
+    std::vector<TieredCountRuns> cells;
+    for (size_t c = 0; c < kCells; ++c) {
+      cells.push_back(MakeTwoTierStore(11 + 2 * c));
+    }
+    return cells;
+  };
+  std::vector<std::vector<std::pair<uint64_t, uint32_t>>> reference;
+  for (const TieredCountRuns& cell : make_cells()) {
+    ASSERT_EQ(cell.num_tiers(), 2u);
+    reference.push_back(Fold(cell));
   }
-  const auto reference = Fold(reference_store);
-  const size_t tiers = reference_store.num_tiers();
-  ASSERT_GE(tiers, 3u);
+  const size_t tiers = 2 * kCells;
 
   for (const char* fault : {"io:spill_write_fail", "io:spill_truncate",
                             "io:mmap_fail", "io:enospc_after=0"}) {
     for (size_t boundary = 1; boundary <= tiers; ++boundary) {
       SCOPED_TRACE(std::string(fault) + " at spill #" +
                    std::to_string(boundary));
-      TieredCountRuns store;
-      for (const auto& delta : deltas) store.Append(MakeRun(delta), policy);
+      std::vector<TieredCountRuns> cells = make_cells();
       SpillStore spill(dir_);
       std::string arm_error;
       // enospc_after is a threshold point (fails every hit past N); the
@@ -218,12 +223,14 @@ TEST_F(SpillStoreTest, InjectedFaultsAtEveryBoundaryDegradeGracefully) {
       ASSERT_TRUE(ArmFaults(spec, &arm_error)) << arm_error;
 
       size_t failures = 0;
-      for (size_t t = 0; t < tiers; ++t) {
-        std::string error;
-        if (!store.SpillTier(t, spill, &error)) {
-          ++failures;
-          EXPECT_FALSE(store.tier_spilled(t)) << error;
-          EXPECT_FALSE(error.empty());
+      for (TieredCountRuns& cell : cells) {
+        for (size_t t = 0; t < cell.num_tiers(); ++t) {
+          std::string error;
+          if (!cell.SpillTier(t, spill, &error)) {
+            ++failures;
+            EXPECT_FALSE(cell.tier_spilled(t)) << error;
+            EXPECT_FALSE(error.empty());
+          }
         }
       }
       DisarmFaults();
@@ -231,7 +238,9 @@ TEST_F(SpillStoreTest, InjectedFaultsAtEveryBoundaryDegradeGracefully) {
       EXPECT_EQ(spill.stats().spill_failures, failures);
       // Exactly one file per successful spill; no torn/failed leftovers.
       EXPECT_EQ(CountDirEntries(dir_), spill.stats().tiers_spilled);
-      EXPECT_EQ(Fold(store), reference);
+      for (size_t c = 0; c < kCells; ++c) {
+        EXPECT_EQ(Fold(cells[c]), reference[c]) << "cell " << c;
+      }
     }
   }
 }

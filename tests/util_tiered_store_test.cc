@@ -1,11 +1,13 @@
 // TieredCountRuns: the LSM tier stack must present exactly the aggregate of
-// the fully merged run — same keys, same totals, ascending order — for
-// every append/compaction policy, and the size-ratio policy must bound the
-// resident tier count.
+// the fully merged run — same keys, same totals, ascending order — under
+// its fixed fold policy, which keeps at most two tiers and folds a delta
+// into a predecessor at most four times its size.
 #include "reconcile/util/tiered_store.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -18,6 +20,13 @@ namespace {
 SortedCountRun MakeRun(std::vector<uint64_t> raw) {
   std::vector<uint64_t> scratch;
   return SortAndCount(std::move(raw), scratch);
+}
+
+// A run of `size` distinct keys starting at `first`.
+SortedCountRun MakeDistinctRun(uint64_t first, size_t size) {
+  std::vector<uint64_t> raw;
+  for (size_t i = 0; i < size; ++i) raw.push_back(first + i);
+  return MakeRun(std::move(raw));
 }
 
 // Random delta stream with overlapping keys across deltas.
@@ -50,118 +59,110 @@ std::map<uint64_t, uint32_t> Materialize(const TieredCountRuns& store) {
   return out;
 }
 
-TEST(TieredStoreTest, AggregateMatchesReferenceForAllPolicies) {
-  const auto deltas = MakeDeltaStream(77, 9, 500, 300);
-  std::map<uint64_t, uint32_t> reference;
-  for (const auto& delta : deltas) {
-    for (uint64_t key : delta) ++reference[key];
-  }
-  for (int max_tiers : {1, 2, 4, 16}) {
-    for (double ratio : {0.0, 1.0, 2.0, 4.0, 1e9}) {
-      TierPolicy policy{max_tiers, ratio};
-      TieredCountRuns store;
-      for (const auto& delta : deltas) {
-        store.Append(MakeRun(delta), policy);
-        EXPECT_LE(store.num_tiers(), static_cast<size_t>(max_tiers))
-            << "max_tiers=" << max_tiers << " ratio=" << ratio;
-      }
-      EXPECT_EQ(Materialize(store), reference)
-          << "max_tiers=" << max_tiers << " ratio=" << ratio;
+TEST(TieredStoreTest, AggregateMatchesReferenceForDeltaShapes) {
+  // Equal-sized deltas fold every time; shrinking deltas (the late
+  // low-yield rounds) stay a separate second tier until the cap forces a
+  // fold. Either way the fold is the single-run aggregate.
+  for (size_t shrink : {1, 2, 8}) {
+    SCOPED_TRACE("shrink=" + std::to_string(shrink));
+    std::map<uint64_t, uint32_t> reference;
+    TieredCountRuns store;
+    size_t size = 4000;
+    for (uint64_t seed = 77; seed < 86; ++seed) {
+      const auto delta = MakeDeltaStream(seed, 1, size, 3000)[0];
+      for (uint64_t key : delta) ++reference[key];
+      store.Append(MakeRun(delta));
+      EXPECT_LE(store.num_tiers(), TieredCountRuns::kMaxTiers);
+      EXPECT_EQ(Materialize(store), reference);
+      size = std::max<size_t>(1, size / shrink);
     }
   }
 }
 
-TEST(TieredStoreTest, SingleTierPolicyKeepsOneRun) {
-  TierPolicy policy{1, 4.0};
-  TieredCountRuns store;
-  for (const auto& delta : MakeDeltaStream(3, 6, 100, 64)) {
-    store.Append(MakeRun(delta), policy);
-    EXPECT_EQ(store.num_tiers(), 1u);
-  }
-}
-
-TEST(TieredStoreTest, GeometricDeltasStayInSeparateTiers) {
-  // With ratio 2, each delta 4x smaller than its predecessor must not
-  // trigger a cascade: 4000 is > 2 * 1000, etc.
-  TierPolicy policy{8, 2.0};
-  TieredCountRuns store;
-  size_t size = 4000;
-  for (int i = 0; i < 4; ++i, size /= 4) {
-    std::vector<uint64_t> raw;
-    // Distinct key ranges per delta keep run sizes equal to raw sizes.
-    for (size_t j = 0; j < size; ++j) {
-      raw.push_back(static_cast<uint64_t>(i) * 1000000 + j);
-    }
-    store.Append(MakeRun(raw), policy);
-  }
-  EXPECT_EQ(store.num_tiers(), 4u);
-}
-
-TEST(TieredStoreTest, EqualSizedDeltasCascade) {
-  // With ratio 4, appending equal-sized deltas merges every time: the new
-  // tier is always within 4x of its predecessor.
-  TierPolicy policy{8, 4.0};
+TEST(TieredStoreTest, EqualSizedDeltasFold) {
   TieredCountRuns store;
   for (int i = 0; i < 6; ++i) {
-    std::vector<uint64_t> raw;
-    for (uint64_t j = 0; j < 64; ++j) raw.push_back(j);
-    store.Append(MakeRun(raw), policy);
+    store.Append(MakeDistinctRun(0, 64));
     EXPECT_EQ(store.num_tiers(), 1u);
   }
-  EXPECT_EQ(store.Count(0), 6u);
+  const std::map<uint64_t, uint32_t> folded = Materialize(store);
+  ASSERT_EQ(folded.size(), 64u);
+  EXPECT_EQ(folded.at(0), 6u);
 }
 
-TEST(TieredStoreTest, CountSumsAcrossTiers) {
-  TierPolicy policy{8, 0.0};  // ratio trigger off: never cascade below the cap
+TEST(TieredStoreTest, RatioAndCapDecideFolds) {
   TieredCountRuns store;
-  store.Append(MakeRun({1, 2, 2, 3}), policy);
-  store.Append(MakeRun({2, 3, 4}), policy);
-  store.Append(MakeRun({3}), policy);
-  EXPECT_EQ(store.Count(1), 1u);
-  EXPECT_EQ(store.Count(2), 3u);
-  EXPECT_EQ(store.Count(3), 3u);
-  EXPECT_EQ(store.Count(4), 1u);
-  EXPECT_EQ(store.Count(99), 0u);
+  store.Append(MakeDistinctRun(0, 4000));
+  // 4000 > 4 * 100: the small delta stays a second tier.
+  store.Append(MakeDistinctRun(10000, 100));
+  ASSERT_EQ(store.num_tiers(), 2u);
+  // A third tier exceeds the cap and folds into the delta tier; the
+  // merged 200 entries are still small next to the big run.
+  store.Append(MakeDistinctRun(20000, 100));
+  ASSERT_EQ(store.num_tiers(), 2u);
+  EXPECT_EQ(store.tier_size(0), 4000u);
+  EXPECT_EQ(store.tier_size(1), 200u);
+  // 1200 merged entries are within 4x of the big run: everything folds.
+  store.Append(MakeDistinctRun(30000, 1000));
+  ASSERT_EQ(store.num_tiers(), 1u);
+  EXPECT_EQ(store.tier_size(0), 5200u);
+}
+
+TEST(TieredStoreTest, PredecessorExactlyFourTimesLargerFolds) {
+  TieredCountRuns folds;
+  folds.Append(MakeDistinctRun(0, 400));
+  folds.Append(MakeDistinctRun(1000, 100));
+  EXPECT_EQ(folds.num_tiers(), 1u);
+
+  TieredCountRuns stays;
+  stays.Append(MakeDistinctRun(0, 401));
+  stays.Append(MakeDistinctRun(1000, 100));
+  EXPECT_EQ(stays.num_tiers(), 2u);
 }
 
 TEST(TieredStoreTest, FilterAppliesAcrossTiersAndDropsEmpties) {
-  TierPolicy policy{8, 0.0};
   TieredCountRuns store;
-  store.Append(MakeRun({10, 11, 12}), policy);
-  store.Append(MakeRun({10, 13}), policy);
-  store.Append(MakeRun({11}), policy);
-  ASSERT_EQ(store.num_tiers(), 3u);
+  store.Append(MakeRun({10, 12, 12, 14, 16, 18, 20, 22, 24, 26}));
+  store.Append(MakeRun({11, 12}));
+  ASSERT_EQ(store.num_tiers(), 2u);
   store.Filter([](uint64_t key, uint32_t) { return key % 2 == 0; });
-  EXPECT_EQ(store.Count(10), 2u);
-  EXPECT_EQ(store.Count(11), 0u);
-  EXPECT_EQ(store.Count(12), 1u);
-  EXPECT_EQ(store.Count(13), 0u);
-  // The third tier held only key 11 and must be gone.
+  const std::map<uint64_t, uint32_t> kept = Materialize(store);
+  EXPECT_EQ(kept.count(11), 0u);
+  EXPECT_EQ(kept.at(10), 1u);
+  EXPECT_EQ(kept.at(12), 3u);
+  EXPECT_EQ(kept.size(), 9u);
   EXPECT_EQ(store.num_tiers(), 2u);
+  // The delta tier now holds only key 12; emptying it drops the tier.
+  store.Filter([](uint64_t key, uint32_t) { return key != 12; });
+  EXPECT_EQ(store.num_tiers(), 1u);
   store.Filter([](uint64_t, uint32_t) { return false; });
   EXPECT_TRUE(store.empty());
 }
 
-TEST(TieredStoreTest, CompactFoldsToOneTierWithSameAggregate) {
-  TierPolicy policy{8, 0.0};
+TEST(TieredStoreTest, AppendUnfoldedKeepsTierBoundaries) {
+  // The snapshot loader rebuilds a written stack exactly: two equal-sized
+  // tiers stay two, where Append would have folded them.
   TieredCountRuns store;
-  const auto deltas = MakeDeltaStream(5, 5, 200, 100);
-  for (const auto& delta : deltas) store.Append(MakeRun(delta), policy);
-  const std::map<uint64_t, uint32_t> before = Materialize(store);
-  ASSERT_GT(store.num_tiers(), 1u);
-  store.Compact();
+  store.AppendUnfolded(MakeDistinctRun(0, 64));
+  store.AppendUnfolded(MakeDistinctRun(32, 64));
+  ASSERT_EQ(store.num_tiers(), 2u);
+  const std::map<uint64_t, uint32_t> folded = Materialize(store);
+  EXPECT_EQ(folded.size(), 96u);
+  EXPECT_EQ(folded.at(0), 1u);
+  EXPECT_EQ(folded.at(40), 2u);
+  // The next Append folds per the policy again.
+  store.Append(MakeDistinctRun(200, 16));
   EXPECT_EQ(store.num_tiers(), 1u);
-  EXPECT_EQ(Materialize(store), before);
+  EXPECT_EQ(store.total_entries(), 112u);
 }
 
 TEST(TieredStoreTest, EmptyDeltasAreDropped) {
-  TierPolicy policy{4, 4.0};
   TieredCountRuns store;
-  store.Append(SortedCountRun{}, policy);
+  store.Append(SortedCountRun{});
   EXPECT_TRUE(store.empty());
   EXPECT_EQ(store.num_tiers(), 0u);
-  store.Append(MakeRun({7}), policy);
-  store.Append(SortedCountRun{}, policy);
+  store.Append(MakeRun({7}));
+  store.Append(SortedCountRun{});
   EXPECT_EQ(store.num_tiers(), 1u);
   EXPECT_EQ(store.total_entries(), 1u);
 }

@@ -74,13 +74,10 @@ reconcile_cli --model=rmat --rmat-scale=13 --s1=0.7 --s2=0.6
 reconcile_cli --algorithm=percolation:threshold=3 --model=er --nodes=5000
 
 # --param: merged into the algorithm spec (equivalent to shorthands).
-reconcile_cli --param shards=8,grain=16 --threads=4
+reconcile_cli --param shards=8 --threads=4
 
 # --threshold / --iterations: the paper's T and k knobs.
 reconcile_cli --threshold=3 --iterations=1
-
-# --grain: work-stealing chunk size of the emission loop (0 = auto).
-reconcile_cli --grain=4 --threads=4
 
 # --seed-bias / --attack: top-degree seeds under a sybil attack.
 reconcile_cli --seed-bias=top --top-count=200 --attack=0.01

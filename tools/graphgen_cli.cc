@@ -116,9 +116,23 @@ int Run(int argc, const char* const argv[]) {
     return 2;
   }
 
+  // Range-checked double flags shared by several models (each fails with a
+  // usage error before it reaches a generator's invariant check).
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  auto exponent = [&flags] {
+    return flags.GetDoubleInRange("exponent", 2.5, 2.0, kInf, true);
+  };
+  auto avg_degree = [&flags] {
+    return flags.GetDoubleInRange("avg-degree", 20.0, 0.0, kInf, true);
+  };
+  auto scale = [&flags] {
+    return flags.GetDoubleInRange("scale", 0.25, 0.0, 1.0, true);
+  };
+
   Graph g;
   if (model == "er") {
-    g = GenerateErdosRenyi(nodes, flags.GetDouble("er-p", 0.001), rng_seed);
+    g = GenerateErdosRenyi(
+        nodes, flags.GetDoubleInRange("er-p", 0.001, 0.0, 1.0), rng_seed);
   } else if (model == "pa") {
     g = GeneratePreferentialAttachment(
         nodes, static_cast<int>(flags.GetIntInRange("m", 10, 1, kIntMax)),
@@ -130,14 +144,18 @@ int Run(int argc, const char* const argv[]) {
     params.edge_factor = flags.GetDouble("rmat-edge-factor", 8.0);
     g = GenerateRmat(params, rng_seed);
   } else if (model == "chunglu") {
-    g = GenerateChungLu(PowerLawWeights(nodes,
-                                        flags.GetDouble("exponent", 2.5),
-                                        flags.GetDouble("avg-degree", 20.0)),
+    g = GenerateChungLu(PowerLawWeights(nodes, exponent(), avg_degree()),
                         rng_seed);
   } else if (model == "ws") {
-    g = GenerateWattsStrogatz(
-        nodes, static_cast<int>(flags.GetIntInRange("ws-k", 10, 1, kIntMax)),
-        flags.GetDouble("ws-beta", 0.1), rng_seed);
+    const int64_t k = flags.GetIntInRange("ws-k", 10, 1, kIntMax);
+    if (2 * k >= static_cast<int64_t>(nodes)) {
+      std::cerr << "--model=ws needs --nodes > 2 * --ws-k (got --nodes="
+                << nodes << ", --ws-k=" << k << ")\n";
+      return 2;
+    }
+    g = GenerateWattsStrogatz(nodes, static_cast<int>(k),
+                              flags.GetDoubleInRange("ws-beta", 0.1, 0.0, 1.0),
+                              rng_seed);
   } else if (model == "sbm") {
     SbmParams params;
     const std::string blocks = flags.GetString("blocks", "1000,1000");
@@ -146,15 +164,14 @@ int Run(int argc, const char* const argv[]) {
                 << " (want comma-separated positive integers)\n";
       return 2;
     }
-    params.p_in = flags.GetDouble("p-in", 0.01);
-    params.p_out = flags.GetDouble("p-out", 0.001);
+    params.p_in = flags.GetDoubleInRange("p-in", 0.01, 0.0, 1.0);
+    params.p_out = flags.GetDoubleInRange("p-out", 0.001, 0.0, 1.0);
     g = GenerateSbm(params, rng_seed);
   } else if (model == "config") {
     // Power-law degree sequence realized exactly via the erased
     // configuration model.
-    std::vector<double> weights = PowerLawWeights(
-        nodes, flags.GetDouble("exponent", 2.5),
-        flags.GetDouble("avg-degree", 20.0));
+    std::vector<double> weights =
+        PowerLawWeights(nodes, exponent(), avg_degree());
     std::vector<NodeId> degrees(weights.size());
     size_t sum = 0;
     for (size_t i = 0; i < weights.size(); ++i) {
@@ -164,16 +181,15 @@ int Run(int argc, const char* const argv[]) {
     if (sum % 2 == 1) ++degrees[0];
     g = GenerateConfigurationModel(degrees, rng_seed);
   } else if (model == "facebook") {
-    g = MakeFacebookStandin(flags.GetDouble("scale", 0.25), rng_seed);
+    g = MakeFacebookStandin(scale(), rng_seed);
   } else if (model == "enron") {
-    g = MakeEnronStandin(flags.GetDouble("scale", 0.25), rng_seed);
+    g = MakeEnronStandin(scale(), rng_seed);
   } else if (model == "dblp") {
-    g = MakeDblpStandin(flags.GetDouble("scale", 0.25), rng_seed);
+    g = MakeDblpStandin(scale(), rng_seed);
   } else if (model == "gowalla") {
-    g = MakeGowallaStandin(flags.GetDouble("scale", 0.25), rng_seed);
+    g = MakeGowallaStandin(scale(), rng_seed);
   } else if (model == "affiliation") {
-    g = MakeAffiliationStandin(flags.GetDouble("scale", 0.25), rng_seed)
-            .Fold();
+    g = MakeAffiliationStandin(scale(), rng_seed).Fold();
   } else {
     std::cerr << "unknown --model=" << model << "\n";
     return 2;

@@ -55,6 +55,9 @@ namespace reconcile {
 namespace {
 
 constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+// Ring degree of --model=ws; the generator needs nodes > 2k.
+constexpr int kWsRingDegree = 10;
 
 // The --help text. docs/cli.md embeds this output verbatim (generated by
 // tools/gen_cli_docs.sh; CI diffs doc against binary), so edits here are
@@ -106,7 +109,6 @@ Core-matcher shorthands (equivalent --param spellings shown):
   --iterations    --param iterations=...                      [2]
   --threads       --param threads=... (0 = hardware)          [0]
   --no-bucketing  --param bucketing=false                     [false]
-  --grain         --param grain=... (work-stealing chunk size, 0 = auto)
 
 Crash safety (core matcher; see DESIGN.md §2.4):
   --checkpoint-dir    --param checkpoint-dir=... — snapshot the full round
@@ -166,8 +168,6 @@ Output and misc:
   --phase-table   per-round table: emissions, candidate pairs, new links
                   and the emit/merge/scan/select seconds
   --degree-table  per-degree-band precision/recall            [false]
-  --baseline      DEPRECATED alias: also run this algorithm
-                  after the main one (use --algorithm)        [none]
   --rng-seed      master RNG seed                             [42]
   --save-g1/--save-g2   write copies as text edge lists
   --save-matching write the final links (u v [seed], sorted)
@@ -211,9 +211,6 @@ bool BuildSpec(const Flags& flags, ReconcilerSpec* spec, std::string* error) {
   if (flags.GetBool("no-bucketing", false)) {
     spec->Set("bucketing", "false");
   }
-  if (flags.Has("grain")) {
-    spec->Set("grain", std::to_string(flags.GetInt("grain", 0)));
-  }
   if (flags.Has("checkpoint-dir")) {
     spec->Set("checkpoint-dir", flags.GetString("checkpoint-dir", ""));
   }
@@ -241,15 +238,6 @@ bool BuildSpec(const Flags& flags, ReconcilerSpec* spec, std::string* error) {
   return true;
 }
 
-// The deprecated --baseline=<key> comparison: map the old hand-tuned
-// configurations onto registry specs.
-ReconcilerSpec BaselineAliasSpec(const std::string& baseline) {
-  ReconcilerSpec spec(baseline);
-  if (baseline == "simple") spec.Set("threshold", "1");
-  if (baseline == "ns09") spec.Set("theta", "1");
-  return spec;
-}
-
 void PrintQuality(const MatchQuality& quality) {
   std::printf("  good %zu | bad %zu | precision %.2f%% | recall(all) %.2f%% | "
               "recall(new) %.2f%%\n",
@@ -271,7 +259,7 @@ int RunCli(const Flags& flags) {
   const uint64_t rng_seed = static_cast<uint64_t>(flags.GetInt("rng-seed", 42));
   const std::string model = flags.GetString("model", "pa");
   const std::string process = flags.GetString("process", "independent");
-  const double scale = flags.GetDouble("scale", 0.25);
+  const double scale = flags.GetDoubleInRange("scale", 0.25, 0.0, 1.0, true);
 
   // --- Algorithm resolution (fail before the expensive pair build). ------
   ReconcilerSpec spec;
@@ -295,13 +283,13 @@ int RunCli(const Flags& flags) {
   Graph underlying;
   // Range-checked before the narrowing casts (a negative --nodes would
   // otherwise wrap to ~4e9 nodes).
-  auto nodes = [&flags] {
+  auto nodes = [&flags](int64_t lo = 1) {
     return static_cast<NodeId>(flags.GetIntInRange(
-        "nodes", 20000, 1, std::numeric_limits<NodeId>::max()));
+        "nodes", 20000, lo, std::numeric_limits<NodeId>::max()));
   };
   if (model == "er") {
-    underlying = GenerateErdosRenyi(nodes(), flags.GetDouble("er-p", 0.001),
-                                    rng_seed);
+    underlying = GenerateErdosRenyi(
+        nodes(), flags.GetDoubleInRange("er-p", 0.001, 0.0, 1.0), rng_seed);
   } else if (model == "pa") {
     underlying = GeneratePreferentialAttachment(
         nodes(), static_cast<int>(flags.GetIntInRange("m", 20, 1, kIntMax)),
@@ -313,11 +301,14 @@ int RunCli(const Flags& flags) {
     underlying = GenerateRmat(params, rng_seed);
   } else if (model == "chunglu") {
     std::vector<double> weights =
-        PowerLawWeights(nodes(), flags.GetDouble("exponent", 2.5),
-                        flags.GetDouble("avg-degree", 20.0));
+        PowerLawWeights(nodes(),
+                        flags.GetDoubleInRange("exponent", 2.5, 2.0, kInf, true),
+                        flags.GetDoubleInRange("avg-degree", 20.0, 0.0, kInf,
+                                               true));
     underlying = GenerateChungLu(weights, rng_seed);
   } else if (model == "ws") {
-    underlying = GenerateWattsStrogatz(nodes(), 10, 0.1, rng_seed);
+    underlying = GenerateWattsStrogatz(nodes(2 * kWsRingDegree + 1),
+                                       kWsRingDegree, 0.1, rng_seed);
   } else if (model == "facebook") {
     underlying = MakeFacebookStandin(scale, rng_seed);
   } else if (model == "enron") {
@@ -338,8 +329,9 @@ int RunCli(const Flags& flags) {
       return 2;
     }
     AffiliationNetwork net = MakeAffiliationStandin(scale, rng_seed);
-    pair = SampleCommunity(net, flags.GetDouble("delete-prob", 0.25),
-                           rng_seed + 1);
+    pair = SampleCommunity(
+        net, flags.GetDoubleInRange("delete-prob", 0.25, 0.0, 1.0),
+        rng_seed + 1);
     pair_ready = true;
   } else {
     std::fprintf(stderr, "unknown --model=%s\n", model.c_str());
@@ -349,8 +341,8 @@ int RunCli(const Flags& flags) {
   if (!pair_ready) {
     if (process == "independent") {
       IndependentSampleOptions options;
-      options.s1 = flags.GetDouble("s1", 0.5);
-      options.s2 = flags.GetDouble("s2", 0.5);
+      options.s1 = flags.GetDoubleInRange("s1", 0.5, 0.0, 1.0);
+      options.s2 = flags.GetDoubleInRange("s2", 0.5, 0.0, 1.0);
       options.node_keep1 = flags.GetDouble("node-keep1", 1.0);
       options.node_keep2 = flags.GetDouble("node-keep2", 1.0);
       options.noise1 = flags.GetDouble("noise1", 0.0);
@@ -358,13 +350,14 @@ int RunCli(const Flags& flags) {
       pair = SampleIndependent(underlying, options, rng_seed + 1);
     } else if (process == "cascade") {
       CascadeSampleOptions options;
-      options.p = flags.GetDouble("p", 0.05);
+      options.p = flags.GetDoubleInRange("p", 0.05, 0.0, 1.0, true);
       pair = SampleCascade(underlying, options, rng_seed + 1);
     } else if (process == "timeslice") {
       TimesliceOptions options;
       options.num_periods =
           static_cast<int>(flags.GetIntInRange("periods", 12, 2, kIntMax));
-      options.repeat_lambda = flags.GetDouble("repeat-lambda", 1.0);
+      options.repeat_lambda =
+          flags.GetDoubleInRange("repeat-lambda", 1.0, 0.0, kInf);
       options.participation = flags.GetDouble("participation", 1.0);
       pair = SampleTimeslice(underlying, options, rng_seed + 1);
     } else {
@@ -374,7 +367,7 @@ int RunCli(const Flags& flags) {
     }
   }
 
-  double attack = flags.GetDouble("attack", 0.0);
+  const double attack = flags.GetDoubleInRange("attack", 0.0, 0.0, 1.0);
   if (attack > 0.0) {
     AttackOptions options;
     options.attach_prob = attack;
@@ -533,26 +526,6 @@ int RunCli(const Flags& flags) {
                     disagreement, std::string(reconciler->name()),
                     std::string(challenger->name()))
                     .c_str());
-  }
-
-  // --- Deprecated --baseline alias: run a second algorithm for comparison.
-  std::string baseline = flags.GetString("baseline", "none");
-  if (baseline != "none") {
-    ReconcilerSpec alias = BaselineAliasSpec(baseline);
-    std::fprintf(stderr,
-                 "warning: --baseline is deprecated; use "
-                 "--algorithm=%s (running it additionally for comparison)\n",
-                 alias.ToString().c_str());
-    std::unique_ptr<Reconciler> comparison =
-        Registry::Global().Create(alias, &error);
-    if (comparison == nullptr) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 2;
-    }
-    MatchResult b = comparison->Run(pair.g1, pair.g2, seeds);
-    std::printf("\n%s: %.2fs\n", comparison->Describe().c_str(),
-                b.total_seconds);
-    PrintQuality(Evaluate(pair, b));
   }
 
   for (const std::string& key : flags.UnusedKeys()) {

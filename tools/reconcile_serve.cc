@@ -3,8 +3,8 @@
 //
 // Loads the two partial copies and the trusted seeds, computes the initial
 // matching, then consumes a delta log (file or stdin) batch by batch: each
-// batch is netted out, applied to the graph overlays, and the batch matcher
-// reruns on the updated graphs, so the served matching is always
+// batch is netted out, the changed graphs are rebuilt, and the batch matcher
+// reruns on them, so the served matching is always
 // bit-identical to a from-scratch batch run on them (DESIGN.md §2.6). Serve
 // checkpoints are self-contained (they embed both graphs and the delta
 // stream cursor), so a killed session resumes exactly, mid-stream.
@@ -89,7 +89,6 @@ Matching semantics (same meaning as reconcile_cli):
 Execution (never affect the matching):
   --threads       worker threads (0 = hardware)               [0]
   --shards        score shards (0 = max(4, threads))          [0]
-  --grain         work-stealing chunk size (0 = auto)         [0]
 
 Crash safety (DESIGN.md §2.6; serve checkpoints are self-contained):
   --checkpoint-dir    write serve-batch-NNNNNN.ckpt snapshots here
@@ -252,7 +251,6 @@ int RunServe(const Flags& flags) {
   const int64_t iterations = flags.GetIntInRange("iterations", 2, 1, kIntMax);
   const int64_t threads = flags.GetIntInRange("threads", 0, 0, kIntMax);
   const int64_t shards = flags.GetIntInRange("shards", 0, 0, kIntMax);
-  const int64_t grain = flags.GetIntInRange("grain", 0, 0, kInt64Max);
   const int64_t batch_deltas =
       flags.GetIntInRange("batch-deltas", 256, 0, kInt64Max);
   const int checkpoint_every =
@@ -267,7 +265,6 @@ int RunServe(const Flags& flags) {
   mc.use_degree_bucketing = !flags.GetBool("no-bucketing", false);
   mc.num_threads = static_cast<int>(threads);
   mc.num_shards = static_cast<int>(shards);
-  mc.scheduler_grain = static_cast<size_t>(grain);
   if (flags.Has("fault")) {
     std::string error;
     if (!ArmFaults(flags.GetString("fault", ""), &error)) {
@@ -413,17 +410,14 @@ int RunServe(const Flags& flags) {
                  flags.GetString("save-matching", "").c_str());
     return 1;
   }
-  auto save_graph = [](const OverlayGraph& o, const std::string& path) {
-    return WriteEdgeListText(Graph::FromEdgeList(o.Materialize()), path);
-  };
   if (flags.Has("save-g1") &&
-      !save_graph(matcher.g1(), flags.GetString("save-g1", ""))) {
+      !WriteEdgeListText(matcher.g1(), flags.GetString("save-g1", ""))) {
     std::fprintf(stderr, "cannot write --save-g1=%s\n",
                  flags.GetString("save-g1", "").c_str());
     return 1;
   }
   if (flags.Has("save-g2") &&
-      !save_graph(matcher.g2(), flags.GetString("save-g2", ""))) {
+      !WriteEdgeListText(matcher.g2(), flags.GetString("save-g2", ""))) {
     std::fprintf(stderr, "cannot write --save-g2=%s\n",
                  flags.GetString("save-g2", "").c_str());
     return 1;

@@ -2,11 +2,10 @@
 # Builds and runs the perf-trajectory benchmarks, writing JSON baselines to
 # the repo root:
 #   BENCH_micro.json    — substrate hot paths + end-to-end matching
-#                         (1/2/4 threads, single-tier store at 4)
+#                         (1/2/4 threads)
 #   BENCH_scaling.json  — Table-2 RMAT scaling shape
-#   BENCH_skew.json     — hub-heavy Chung-Lu matching, LSM tier store
-#                         on/off (emit_s / merge_s counters carry the
-#                         per-phase split)
+#   BENCH_skew.json     — hub-heavy Chung-Lu matching (emit_s / merge_s
+#                         counters carry the per-phase split)
 #   BENCH_outofcore.json — memory-budgeted matching under 4x and 16x score
 #                         state pressure vs the unbudgeted baseline; the 4x
 #                         series must stay under 2x the baseline real_time
