@@ -3,8 +3,8 @@
 
 // Shared helpers for the table/figure reproduction harnesses. Each bench is
 // a deterministic, laptop-scale rerun of one experiment from the paper
-// (Korula & Lattanzi, VLDB 2014); see EXPERIMENTS.md for the mapping and
-// the paper-vs-measured discussion.
+// (Korula & Lattanzi, VLDB 2014); see README.md, "Reproduce the paper's
+// tables", for how to build and run them.
 
 #include <cstdio>
 #include <iostream>

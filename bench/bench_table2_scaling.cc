@@ -6,66 +6,72 @@
 //   RMAT24 -> 1, RMAT26 -> 1.199, RMAT28 -> 12.544.
 //
 // Here: RMAT at scales 13/15/17 (8k -> 131k nodes, x4 node steps like the
-// paper), edge factor 8. The shape to check: near-flat cost for the first
-// step, superlinear growth appearing at the largest scale — divide the
-// per-scale times from the JSON to recover the paper's relative column.
-//
-// This harness is google-benchmark based (unlike the narrative table
-// benches) so `tools/run_bench.sh` can capture it as JSON and track the
-// scaling trajectory across PRs. Graph generation, sampling and seeding
-// happen outside the timed region; only `UserMatching` is measured, with
-// the per-phase split exported as counters.
+// paper), edge factor 8, one match per scale. Graph generation, sampling
+// and seeding happen outside the timed region; only `UserMatching` is
+// timed. The shape to check: near-flat cost for the first step,
+// superlinear growth appearing at the largest scale. This is a paper
+// reproduction, not a perf baseline: perf numbers come from perfbench/.
 
-#include <benchmark/benchmark.h>
-
-#include "bench_main.h"
+#include "bench_common.h"
 #include "reconcile/core/matcher.h"
 #include "reconcile/gen/rmat.h"
 #include "reconcile/sampling/independent.h"
 #include "reconcile/seed/seeding.h"
+#include "reconcile/util/timer.h"
 
 namespace reconcile {
 namespace {
 
-// The trajectory series tracked across PRs.
-void BM_Table2RmatMatch(benchmark::State& state) {
-  const int scale = static_cast<int>(state.range(0));
-  RmatParams params;
-  params.scale = scale;
-  params.edge_factor = 8.0;
-  Graph g = GenerateRmat(params, 0xBE2C0 + static_cast<uint64_t>(scale));
-  IndependentSampleOptions sample;
-  sample.s1 = sample.s2 = 0.5;
-  RealizationPair pair =
-      SampleIndependent(g, sample, 0xBE2C100 + static_cast<uint64_t>(scale));
-  SeedOptions seed_options;
-  seed_options.fraction = 0.10;
-  auto seeds =
-      GenerateSeeds(pair, seed_options, 0xBE2C200 + static_cast<uint64_t>(scale));
-  MatcherConfig config;
-  config.min_score = 2;
+void Run() {
+  bench::PrintHeader(
+      "Table 2 — running time vs RMAT graph size",
+      "Table 2 (RMAT24/26/28, s=0.5, l=10%; relative running time)",
+      "RMAT scales 13/15/17, edge factor 8, s1=s2=0.5, l=10%, T=2");
 
-  MatchResult::PhaseTimeTotals split;
-  for (auto _ : state) {
+  struct Step {
+    int scale;
+    const char* paper_relative;
+  };
+  const Step steps[] = {{13, "1"}, {15, "1.199"}, {17, "12.544"}};
+
+  Table table({"scale", "nodes", "edges", "match s", "relative", "paper",
+               "emit s", "merge s", "scan s", "select s"});
+  double base_seconds = 0.0;
+  for (const Step& step : steps) {
+    const uint64_t salt = static_cast<uint64_t>(step.scale);
+    RmatParams params;
+    params.scale = step.scale;
+    params.edge_factor = 8.0;
+    Graph g = GenerateRmat(params, 0xBE2C0 + salt);
+    IndependentSampleOptions sample;
+    sample.s1 = sample.s2 = 0.5;
+    RealizationPair pair = SampleIndependent(g, sample, 0xBE2C100 + salt);
+    SeedOptions seed_options;
+    seed_options.fraction = 0.10;
+    auto seeds = GenerateSeeds(pair, seed_options, 0xBE2C200 + salt);
+    MatcherConfig config;
+    config.min_score = 2;
+
+    Timer timer;
     MatchResult result = UserMatching(pair.g1, pair.g2, seeds, config);
-    benchmark::DoNotOptimize(result.NumLinks());
-    split = result.SumPhaseSeconds();
-  }
-  state.counters["nodes"] = static_cast<double>(g.num_nodes());
-  state.counters["edges"] = static_cast<double>(g.num_edges());
-  state.counters["emit_s"] = split.emit_seconds;
-  state.counters["merge_s"] = split.merge_seconds;
-  state.counters["scan_s"] = split.scan_seconds;
-  state.counters["select_s"] = split.select_seconds;
-}
+    const double seconds = timer.Seconds();
+    if (base_seconds == 0.0) base_seconds = seconds;
 
-BENCHMARK(BM_Table2RmatMatch)
-    ->Arg(13)
-    ->Arg(15)
-    ->Arg(17)
-    ->Unit(benchmark::kMillisecond);
+    const MatchResult::PhaseTimeTotals split = result.SumPhaseSeconds();
+    table.AddRow({std::to_string(step.scale), std::to_string(g.num_nodes()),
+                  std::to_string(g.num_edges()), FormatDouble(seconds, 3),
+                  FormatDouble(seconds / base_seconds, 3), step.paper_relative,
+                  FormatDouble(split.emit_seconds, 3),
+                  FormatDouble(split.merge_seconds, 3),
+                  FormatDouble(split.scan_seconds, 3),
+                  FormatDouble(split.select_seconds, 3)});
+  }
+  table.Print(std::cout);
+  std::cout << "\nPaper shape: the first x4 step costs about the same; the "
+               "second grows superlinearly.\n\n";
+}
 
 }  // namespace
 }  // namespace reconcile
 
-RECONCILE_BENCHMARK_MAIN();
+int main() { reconcile::Run(); }

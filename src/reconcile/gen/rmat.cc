@@ -12,6 +12,8 @@ Graph GenerateRmat(const RmatParams& params, uint64_t seed) {
   RECONCILE_CHECK_LE(params.scale, 30);
   const double sum = params.a + params.b + params.c + params.d;
   RECONCILE_CHECK_LT(std::abs(sum - 1.0), 1e-9);
+  RECONCILE_CHECK(std::isfinite(params.edge_factor) && params.edge_factor > 0.0)
+      << "edge_factor " << params.edge_factor << " must be finite and > 0";
 
   Rng rng(seed);
   const NodeId n = static_cast<NodeId>(1u << params.scale);

@@ -12,7 +12,7 @@ namespace reconcile {
 /// the widely used skewed setting.
 struct RmatParams {
   int scale = 16;             ///< 2^scale nodes.
-  double edge_factor = 8.0;   ///< edges = edge_factor * 2^scale.
+  double edge_factor = 8.0;   ///< edges = edge_factor * 2^scale; > 0.
   double a = 0.57;
   double b = 0.19;
   double c = 0.19;

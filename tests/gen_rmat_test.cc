@@ -68,5 +68,12 @@ TEST(RmatDeathTest, RejectsBadProbabilities) {
   EXPECT_DEATH(GenerateRmat(params, 1), "Check failed");
 }
 
+TEST(RmatDeathTest, RejectsNonPositiveEdgeFactor) {
+  RmatParams params;
+  params.scale = 4;
+  params.edge_factor = -1.0;
+  EXPECT_DEATH(GenerateRmat(params, 1), "edge_factor");
+}
+
 }  // namespace
 }  // namespace reconcile

@@ -141,7 +141,8 @@ int Run(int argc, const char* const argv[]) {
     RmatParams params;
     params.scale =
         static_cast<int>(flags.GetIntInRange("rmat-scale", 16, 1, 30));
-    params.edge_factor = flags.GetDouble("rmat-edge-factor", 8.0);
+    params.edge_factor =
+        flags.GetDoubleInRange("rmat-edge-factor", 8.0, 0.0, kInf, true);
     g = GenerateRmat(params, rng_seed);
   } else if (model == "chunglu") {
     g = GenerateChungLu(PowerLawWeights(nodes, exponent(), avg_degree()),

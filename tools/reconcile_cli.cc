@@ -343,10 +343,10 @@ int RunCli(const Flags& flags) {
       IndependentSampleOptions options;
       options.s1 = flags.GetDoubleInRange("s1", 0.5, 0.0, 1.0);
       options.s2 = flags.GetDoubleInRange("s2", 0.5, 0.0, 1.0);
-      options.node_keep1 = flags.GetDouble("node-keep1", 1.0);
-      options.node_keep2 = flags.GetDouble("node-keep2", 1.0);
-      options.noise1 = flags.GetDouble("noise1", 0.0);
-      options.noise2 = flags.GetDouble("noise2", 0.0);
+      options.node_keep1 = flags.GetDoubleInRange("node-keep1", 1.0, 0.0, 1.0);
+      options.node_keep2 = flags.GetDoubleInRange("node-keep2", 1.0, 0.0, 1.0);
+      options.noise1 = flags.GetDoubleInRange("noise1", 0.0, 0.0, kInf);
+      options.noise2 = flags.GetDoubleInRange("noise2", 0.0, 0.0, kInf);
       pair = SampleIndependent(underlying, options, rng_seed + 1);
     } else if (process == "cascade") {
       CascadeSampleOptions options;
@@ -358,7 +358,8 @@ int RunCli(const Flags& flags) {
           static_cast<int>(flags.GetIntInRange("periods", 12, 2, kIntMax));
       options.repeat_lambda =
           flags.GetDoubleInRange("repeat-lambda", 1.0, 0.0, kInf);
-      options.participation = flags.GetDouble("participation", 1.0);
+      options.participation =
+          flags.GetDoubleInRange("participation", 1.0, 0.0, 1.0);
       pair = SampleTimeslice(underlying, options, rng_seed + 1);
     } else {
       std::fprintf(stderr, "unknown --process=%s for model %s\n",
@@ -394,8 +395,8 @@ int RunCli(const Flags& flags) {
 
   // --- Seeds. -------------------------------------------------------------
   SeedOptions seeding;
-  seeding.fraction = flags.GetDouble("seed-fraction", 0.1);
-  seeding.wrong_fraction = flags.GetDouble("wrong-seeds", 0.0);
+  seeding.fraction = flags.GetDoubleInRange("seed-fraction", 0.1, 0.0, 1.0);
+  seeding.wrong_fraction = flags.GetDoubleInRange("wrong-seeds", 0.0, 0.0, 1.0);
   std::string bias = flags.GetString("seed-bias", "uniform");
   if (bias == "degree") {
     seeding.bias = SeedBias::kDegreeProportional;
@@ -438,11 +439,12 @@ int RunCli(const Flags& flags) {
 
   if (flags.Has("validate-budget") || flags.Has("validate-delta")) {
     ValidationConfig validation;
-    const int64_t budget =
-        flags.GetInt("validate-budget", -1);  // -1 = verify everything
-    if (budget >= 0) validation.budget = static_cast<size_t>(budget);
+    if (flags.Has("validate-budget")) {  // absent = verify everything
+      validation.budget = static_cast<size_t>(flags.GetIntInRange(
+          "validate-budget", 0, 0, std::numeric_limits<int64_t>::max()));
+    }
     validation.delta = flags.GetDouble("validate-delta", 0.05);
-    if (validation.delta <= 0.0 || validation.delta >= 1.0) {
+    if (!(validation.delta > 0.0 && validation.delta < 1.0)) {  // NaN fails too
       std::fprintf(stderr, "--validate-delta must be in (0, 1)\n");
       return 2;
     }
