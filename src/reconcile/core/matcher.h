@@ -51,11 +51,12 @@ struct MatcherConfig {
   /// pruned.
   int checkpoint_keep = 0;
   /// Memory budget for the persistent score state in bytes (0 = unbudgeted,
-  /// the all-resident behavior). When the resident tier payload exceeds
-  /// this after a round's emission, the enforcement pass spills the biggest
-  /// cold tiers to mmap'd files under `score_dir` until resident payload
-  /// fits (largest-first, deterministic tie-breaks); selection streams
-  /// spilled tiers through the same fold, so matchings are bit-identical to
+  /// the all-resident behavior). When the resident tier and frontier
+  /// payload exceeds this after a round's emission, the enforcement pass
+  /// spills the biggest cold tiers to mmap'd files under `score_dir` until
+  /// resident payload fits (largest-first, deterministic tie-breaks; the
+  /// threshold frontier selection reads is never spilled); spilled tiers
+  /// are read through the same views, so matchings are bit-identical to
   /// the unbudgeted run. Requires `score_dir`. Spill failures — ENOSPC,
   /// torn writes, failed mmaps — degrade gracefully: the tier stays
   /// resident (stderr note) and after repeated failures spilling is

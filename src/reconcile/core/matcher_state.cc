@@ -115,8 +115,7 @@ MatcherState::MatcherState(const Graph& g1, const Graph& g2,
       selection_(g1.num_nodes(), g2.num_nodes()) {
   level1_ = DegreeLevels(g1);
   level2_ = DegreeLevels(g2);
-  runs_.resize(kNumLevels);
-  for (auto& level : runs_) level.resize(static_cast<size_t>(num_shards_));
+  runs_ = MakeScoreCells();
   radix_shard1_ = RadixShardTable(g1.num_nodes(), num_shards_);
   if (config.memory_budget_bytes > 0) {
     // The budget is a resource knob, not a semantic one: without a scratch
@@ -140,6 +139,18 @@ MatcherState::MatcherState(const Graph& g1, const Graph& g2,
 }
 
 MatcherState::~MatcherState() = default;
+
+std::vector<std::vector<TieredCountRuns>> MatcherState::MakeScoreCells()
+    const {
+  std::vector<std::vector<TieredCountRuns>> cells(kNumLevels);
+  for (auto& level : cells) {
+    level.reserve(static_cast<size_t>(num_shards_));
+    for (int shard = 0; shard < num_shards_; ++shard) {
+      level.emplace_back(config_.min_score);
+    }
+  }
+  return cells;
+}
 
 void MatcherState::SeedLinks(
     std::span<const std::pair<NodeId, NodeId>> seeds) {
@@ -195,8 +206,10 @@ void MatcherState::AdvanceCursor() {
 
 // Drops dead entries (pairs whose endpoints are both matched: they can
 // neither be accepted nor block an unmatched node) from the persistent
-// score state; called between outer iterations to keep scans and memory
-// proportional to the live frontier.
+// score state and its frontiers; called between outer iterations to keep
+// merges and memory proportional to the live pairs. Emission stopped
+// adding such pairs once both endpoints were matched; this sweep removes
+// the ones that died after their keys were stored.
 void MatcherState::CompactScores() {
   const size_t cells =
       static_cast<size_t>(kNumLevels) * static_cast<size_t>(num_shards_);
@@ -229,11 +242,10 @@ MatchResult MatcherState::TakeResult(double total_seconds) {
 // Applies the mutual-unique-best rule over the scored pairs held in
 // `units` through the shared `SelectionEngine` (`core/selection.h`), which
 // commits accepted links directly into the maps and the link log.
-size_t MatcherState::SelectAndCommit(
-    const std::vector<const TieredCountRuns*>& units, PhaseStats* stats) {
+size_t MatcherState::SelectAndCommit(const std::vector<RunView>& units,
+                                     PhaseStats* stats) {
   SelectionContext ctx;
   ctx.pool = &pool_;
-  ctx.min_score = config_.min_score;
   ctx.map_1to2 = &map_1to2_;
   ctx.map_2to1 = &map_2to1_;
   ctx.links = &links_;
@@ -259,7 +271,13 @@ size_t MatcherState::EmitGrain(size_t num_items) const {
 // Folds links_[emitted_links_ ..) into the persistent score state, filling
 // `stats`' emission count plus the time split. Emission (`emit_seconds`)
 // appends packed keys into per-(level, shard) flat buffers — one array
-// store each, the shard being a precomputed per-node lookup. The merge
+// store each, the shard being a precomputed per-node lookup. A pair whose
+// two endpoints are both matched is dead — it can never be accepted, and
+// its observations would only touch best-table entries of matched nodes,
+// which the accept pass never reads — and matched-ness only grows within a
+// run, so such pairs are skipped here instead of being sorted and merged
+// only for `CompactScores` to drop them; `PhaseStats::emissions` counts the
+// keys actually appended. The merge
 // (`merge_seconds`) then sorts each touched cell's delta, run-length-
 // encodes it and appends it to the cell's LSM tier stack, which folds
 // the delta into the big persistent run only when the size-ratio rule trips.
@@ -287,8 +305,10 @@ void MatcherState::EmitPendingLinks(PhaseStats* stats) {
         if (g1_.degree(u) < dmin) break;  // prefix is degree-sorted
         const uint8_t lu = level1_[u];
         const uint32_t shard = radix_shard1_[u];
+        const bool u_matched = map_1to2_[u] != kInvalidNode;
         for (NodeId v : g2_.NeighborsByDegree(a2)) {
           if (g2_.degree(v) < dmin) break;
+          if (u_matched && map_2to1_[v] != kInvalidNode) continue;  // dead
           const uint8_t level = std::min(lu, level2_[v]);
           if (keys[level].empty()) {
             keys[level].resize(static_cast<size_t>(num_shards_));
@@ -345,12 +365,13 @@ void MatcherState::EmitPendingLinks(PhaseStats* stats) {
 
 // --- Memory-budget enforcement -------------------------------------------
 // Runs after a round's emission, before selection: while the resident tier
-// payload exceeds the budget, spill the largest resident tiers to the
-// score directory (largest-first frees the most RAM per file; ties break
-// on (level, shard, tier index) so the spill schedule — and thus the fault
-// points any injected failure lands on — is deterministic). Selection then
-// streams spilled tiers through the same `ForEach` fold, so the matching
-// is unchanged by construction; only the resident footprint moves.
+// and frontier payload exceeds the budget, spill the largest resident
+// tiers to the score directory (largest-first frees the most RAM per file;
+// ties break on (level, shard, tier index) so the spill schedule — and
+// thus the fault points any injected failure lands on — is deterministic).
+// The frontiers selection reads are never spilled; later frontier lookups
+// read spilled tiers through the same views, so the matching is unchanged
+// by construction; only the resident footprint moves.
 //
 // Failure policy (the robustness contract): a failed spill leaves its tier
 // resident and is worth one stderr line; after `kMaxSpillFailures` the
@@ -436,12 +457,12 @@ size_t MatcherState::Round(int iteration, int bucket_exponent) {
   EmitPendingLinks(&stats);
   EnforceMemoryBudget(&stats);
 
-  std::vector<const TieredCountRuns*> units;
-  units.reserve(static_cast<size_t>(kNumLevels - bucket_exponent) *
-                static_cast<size_t>(num_shards_));
+  // Selection reads only the eligible cells' threshold frontiers; empty
+  // ones are skipped, which leaves the link-log order unchanged.
+  std::vector<RunView> units;
   for (int level = bucket_exponent; level < kNumLevels; ++level) {
     for (const TieredCountRuns& store : runs_[static_cast<size_t>(level)]) {
-      units.push_back(&store);
+      if (store.frontier().size > 0) units.push_back(store.frontier());
     }
   }
   size_t accepted = SelectAndCommit(units, &stats);
@@ -681,9 +702,8 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
     *error = path + ": missing SCORES section";
     return false;
   }
-  std::vector<std::vector<TieredCountRuns>> runs(kNumLevels);
+  std::vector<std::vector<TieredCountRuns>> runs = MakeScoreCells();
   for (auto& level : runs) {
-    level.resize(static_cast<size_t>(num_shards_));
     for (TieredCountRuns& store : level) {
       uint32_t num_tiers = 0;
       if (!section->ReadU32(&num_tiers)) {
@@ -707,6 +727,16 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
             tier.keys.size() != tier.counts.size() || tier.empty()) {
           *error = path + ": malformed SCORES tier";
           return false;
+        }
+        // The frontier rebuild gallops through sorted tiers, so a tier
+        // that is not a valid run (ascending keys, positive counts) is
+        // rejected here rather than trusted.
+        for (size_t i = 0; i < tier.size(); ++i) {
+          if (tier.counts[i] == 0 ||
+              (i > 0 && tier.keys[i] <= tier.keys[i - 1])) {
+            *error = path + ": SCORES tier is not a sorted count run";
+            return false;
+          }
         }
         store.AppendUnfolded(std::move(tier));
       }

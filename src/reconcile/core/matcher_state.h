@@ -105,7 +105,7 @@ class MatcherState {
   size_t Round(int iteration, int bucket_exponent);
   void AdvanceCursor();
   void CompactScores();
-  size_t SelectAndCommit(const std::vector<const TieredCountRuns*>& units,
+  size_t SelectAndCommit(const std::vector<RunView>& units,
                          PhaseStats* stats);
   void EmitPendingLinks(PhaseStats* stats);
   size_t EmitGrain(size_t num_items) const;
@@ -114,6 +114,8 @@ class MatcherState {
   // Fills the round's spill telemetry.
   void EnforceMemoryBudget(PhaseStats* stats);
 
+  // One empty tier stack per (level, shard) cell.
+  std::vector<std::vector<TieredCountRuns>> MakeScoreCells() const;
   // Rebuilds map_1to2_/map_2to1_ from a link log; false (with diagnostic)
   // on out-of-range or duplicate endpoints.
   bool RebuildMaps(const std::vector<std::pair<NodeId, NodeId>>& links,
@@ -133,7 +135,8 @@ class MatcherState {
   SelectionEngine selection_;
   std::vector<uint8_t> level1_;
   std::vector<uint8_t> level2_;
-  // Persistent score state: an LSM tier stack per (level, shard).
+  // Persistent score state: an LSM tier stack per (level, shard), each with
+  // its threshold frontier at `config_.min_score`.
   std::vector<std::vector<TieredCountRuns>> runs_;  // [level][shard]
   // Score shard per g1 node (range partition, see `RadixShardTable` in
   // matcher_state.cc).

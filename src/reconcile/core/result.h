@@ -16,8 +16,14 @@ struct PhaseStats {
   int iteration = 0;        ///< Outer iteration (1-based).
   int bucket_exponent = 0;  ///< Round matched nodes with degree >= 2^this.
   size_t links_in = 0;      ///< Links available as witnesses this round.
-  size_t emissions = 0;     ///< Candidate-pair witness emissions.
-  size_t candidate_pairs = 0;  ///< Distinct candidate pairs scored.
+  /// Witness keys appended to the score state. The core matcher skips a
+  /// pair whose two endpoints are both matched already (it can never be
+  /// accepted or block), so such pairs are not counted.
+  size_t emissions = 0;
+  /// Frontier pairs: the distinct bucket-eligible scored pairs whose score
+  /// reaches the threshold — the only pairs selection scans. (Baselines
+  /// that fill `PhaseStats` document their own meaning.)
+  size_t candidate_pairs = 0;
   size_t new_links = 0;     ///< Links accepted this round.
   double seconds = 0.0;     ///< Whole-round wall clock.
   // Per-round time split (seconds): witness emission (enumerating candidate

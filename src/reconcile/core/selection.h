@@ -14,18 +14,22 @@
 
 namespace reconcile {
 
-/// Everything one selection round needs from its caller: the worker pool,
-/// the acceptance threshold, and the matching state the accepted links commit
-/// into. `MatcherState` builds one of these per round.
+/// Everything one selection round needs from its caller: the worker pool
+/// and the matching state the accepted links commit into. `MatcherState`
+/// builds one of these per round.
 struct SelectionContext {
   ThreadPool* pool = nullptr;
-  uint32_t min_score = 0;
   std::vector<NodeId>* map_1to2 = nullptr;
   std::vector<NodeId>* map_2to1 = nullptr;
   std::vector<std::pair<NodeId, NodeId>>* links = nullptr;
 };
 
 /// The mutual-unique-best selection engine of `MatcherState`.
+///
+/// Selection reads only threshold frontiers (`TieredCountRuns::frontier`):
+/// a pair below the threshold T can neither be accepted nor block, because
+/// a node's best score decides acceptance only when it is >= T, and then
+/// every pair that reaches or ties it is >= T too (Korula–Lattanzi §3.2).
 ///
 /// Three passes, each one task per unit on the work-stealing loop: the
 /// observe pass feeds CAS-max atomic best tables, the accept pass applies
@@ -43,13 +47,12 @@ class SelectionEngine {
  public:
   SelectionEngine(size_t n1, size_t n2);
 
-  /// Applies the mutual-unique-best rule over `units` (disjoint per-(level,
-  /// shard) tier stacks whose union is the live, bucket-eligible scored-pair
-  /// multiset; a stack's `ForEach` k-way-merges its tiers, so a key split
-  /// across tiers surfaces once with its total count),
+  /// Applies the mutual-unique-best rule over `units` (the frontiers of
+  /// disjoint per-(level, shard) tier stacks: sorted `(key, total)` runs
+  /// whose union is every bucket-eligible scored pair with total >= T),
   /// commits accepted links into `ctx`'s maps and link log, and returns
   /// the number accepted. Fills `stats`' candidate/scan/select fields.
-  size_t SelectAndCommit(const std::vector<const TieredCountRuns*>& units,
+  size_t SelectAndCommit(const std::vector<RunView>& units,
                          const SelectionContext& ctx, PhaseStats* stats);
 
  private:

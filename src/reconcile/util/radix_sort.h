@@ -150,9 +150,14 @@ inline SortedCountRun SortAndCount(std::vector<uint64_t>&& raw,
 namespace internal {
 
 // Two-way merge core shared by the MergeCountRuns overloads; both inputs
-// are known non-empty here.
+// are known non-empty here. `on_delta_key(key, old_count, new_count)` sees
+// every key of `delta` in ascending order, with its count in `target`
+// before (0 if absent) and after the fold; the plain overloads pass a
+// no-op, which compiles away.
+template <typename OnDeltaKey>
 inline void MergeCountRunsImpl(SortedCountRun& target,
-                               const SortedCountRun& delta) {
+                               const SortedCountRun& delta,
+                               OnDeltaKey&& on_delta_key) {
   SortedCountRun merged;
   merged.keys.reserve(target.size() + delta.size());
   merged.counts.reserve(target.size() + delta.size());
@@ -164,12 +169,18 @@ inline void MergeCountRunsImpl(SortedCountRun& target,
       merged.keys.push_back(a);
       merged.counts.push_back(target.counts[i++]);
     } else if (b < a) {
+      on_delta_key(b, 0u, delta.counts[j]);
       merged.keys.push_back(b);
       merged.counts.push_back(delta.counts[j++]);
     } else {
+      const uint32_t total = target.counts[i] + delta.counts[j++];
+      on_delta_key(a, target.counts[i++], total);
       merged.keys.push_back(a);
-      merged.counts.push_back(target.counts[i++] + delta.counts[j++]);
+      merged.counts.push_back(total);
     }
+  }
+  for (size_t t = j; t < delta.size(); ++t) {
+    on_delta_key(delta.keys[t], 0u, delta.counts[t]);
   }
   merged.keys.insert(merged.keys.end(), target.keys.begin() + static_cast<ptrdiff_t>(i),
                      target.keys.end());
@@ -184,6 +195,8 @@ inline void MergeCountRunsImpl(SortedCountRun& target,
   target = std::move(merged);
 }
 
+inline constexpr auto kIgnoreDeltaKeys = [](uint64_t, uint32_t, uint32_t) {};
+
 }  // namespace internal
 
 /// Folds `delta` into `target`: a linear two-way merge summing the counts of
@@ -195,7 +208,7 @@ inline void MergeCountRuns(SortedCountRun& target,
     target = delta;
     return;
   }
-  internal::MergeCountRunsImpl(target, delta);
+  internal::MergeCountRunsImpl(target, delta, internal::kIgnoreDeltaKeys);
 }
 
 /// Consuming overload: an empty target adopts `delta`'s buffers outright —
@@ -207,7 +220,27 @@ inline void MergeCountRuns(SortedCountRun& target, SortedCountRun&& delta) {
     target = std::move(delta);
     return;
   }
-  internal::MergeCountRunsImpl(target, delta);
+  internal::MergeCountRunsImpl(target, delta, internal::kIgnoreDeltaKeys);
+}
+
+/// Observed fold: as `MergeCountRuns`, and also calls
+/// `on_delta_key(key, old_count, new_count)` for every key of `delta`, in
+/// ascending order, from inside the merge walk itself — `old_count` is the
+/// key's count in `target` before the fold (0 if absent). The tier store
+/// learns which keys a fold lifts past its threshold this way, without a
+/// second pass.
+template <typename OnDeltaKey>
+void MergeCountRuns(SortedCountRun& target, const SortedCountRun& delta,
+                    OnDeltaKey&& on_delta_key) {
+  if (delta.empty()) return;
+  if (target.empty()) {
+    delta.ForEach([&on_delta_key](uint64_t key, uint32_t count) {
+      on_delta_key(key, 0u, count);
+    });
+    target = delta;
+    return;
+  }
+  internal::MergeCountRunsImpl(target, delta, on_delta_key);
 }
 
 }  // namespace reconcile

@@ -17,12 +17,11 @@ struct SortedCountRun;
 /// dominate RAM. `SpillStore` moves cold tiers to disk: a tier is written as
 /// one flat file under a score directory and mapped back read-only, so the
 /// matcher keeps only a pointer-sized view resident while every consumer
-/// (the selection `ForEach` two-way merge, snapshot serialization, tier
-/// compaction) streams the same bytes it would have read from the resident
-/// vectors. Scans over spilled tiers are purely sequential — exactly the
-/// access pattern mmap streaming rewards and the sorted score store's
-/// design premise — so matchings are bit-identical to the all-resident run by
-/// construction.
+/// (the threshold frontier's lookups, snapshot serialization, tier
+/// compaction) reads the same bytes it would have read from the resident
+/// vectors, so matchings are bit-identical to the all-resident run by
+/// construction. Snapshots and folds stream a spilled tier sequentially;
+/// frontier lookups gallop through it in ascending key order.
 ///
 /// File format (host-endian, same-architecture scratch — spill files are
 /// transient per-process state, not durable interchange):

@@ -17,14 +17,32 @@ namespace reconcile {
 
 /// Borrowed view of one sorted `(key, count)` run — the common shape of a
 /// resident `SortedCountRun` and an mmap'd `SpilledRun`. Every consumer of
-/// tier contents (selection merge, snapshot writer, compaction) reads
+/// tier contents (frontier lookups, snapshot writer, compaction) reads
 /// through this, which is what makes spilling unobservable: the bytes are
-/// the same either way.
+/// the same either way. Selection reads the frontier through it too.
 struct RunView {
   const uint64_t* keys = nullptr;
   const uint32_t* counts = nullptr;
   size_t size = 0;
 };
+
+/// Count of `key` in `run`, found by galloping forward from `*cursor`,
+/// which is left at the first entry not below `key`. Successive calls must
+/// ask for ascending keys; a walk of `d` sorted keys through a run of `n`
+/// costs O(d log(n / d)) instead of a full merge.
+inline uint32_t GallopCount(const RunView& run, size_t* cursor, uint64_t key) {
+  size_t lo = *cursor;
+  size_t hi = lo;
+  for (size_t step = 1; hi < run.size && run.keys[hi] < key; step *= 2) {
+    lo = hi + 1;
+    hi += step;
+  }
+  hi = std::min(hi, run.size);
+  lo = static_cast<size_t>(std::lower_bound(run.keys + lo, run.keys + hi, key) -
+                           run.keys);
+  *cursor = lo;
+  return lo < run.size && run.keys[lo] == key ? run.counts[lo] : 0;
+}
 
 /// LSM-style tiered aggregate of `(key, count)` pairs: at most two sorted-run
 /// tiers — the big persistent run and one delta batch — that together
@@ -36,16 +54,24 @@ struct RunView {
 /// aggregate — and every matching computed from it — is the same for any
 /// policy (DESIGN.md §2.2).
 ///
-/// A key may appear in both tiers; `ForEach` folds them back together on
-/// the fly (a two-way merge summing duplicate keys), so consumers see
-/// exactly the single-run aggregate.
+/// A key may appear in both tiers; its total is the sum of its counts.
+///
+/// Beside the tiers the store keeps its *threshold frontier*: one resident
+/// sorted `(key, total)` run holding exactly the keys whose total across
+/// tiers is at least the store's `min_score`. Totals only grow under
+/// `Append`, so each delta can only lift keys into the frontier or raise the
+/// totals already there; `Append` finds both from the delta's keys alone
+/// (inside the fold's own merge walk when the delta folds, by galloping into
+/// the older tiers when it does not) and upserts them. Every stored key has
+/// a total of at least 1, so a `min_score` of 0 or 1 makes the frontier the
+/// whole store (DESIGN.md §2.2).
 ///
 /// Each tier lives either resident (a `SortedCountRun`) or spilled (an
 /// mmap'd `SpilledRun`, see `util/spill_store.h`); the memory-budget
 /// enforcement layer moves cold big tiers to disk via `SpillTier` and the
 /// store transparently materializes a spilled tier back whenever an
 /// operation must mutate it (compaction merge, `Filter`). Reads never
-/// distinguish the two forms.
+/// distinguish the two forms. The frontier is never spilled.
 class TieredCountRuns {
  public:
   /// Resident footprint of a run of `entries` entries (flat key + count
@@ -61,69 +87,101 @@ class TieredCountRuns {
   /// this many times its size, so tier sizes stay geometrically separated.
   static constexpr size_t kSizeRatio = 4;
 
-  /// Appends a round delta as a new tier, then folds per the policy above.
-  /// Empty deltas are dropped. A fold whose target is spilled materializes
-  /// it first (mutating a mapping is impossible); the budget layer may
-  /// re-spill the merged result afterwards.
+  /// A store whose frontier holds the keys with total >= `min_score`.
+  explicit TieredCountRuns(uint32_t min_score = 0)
+      : min_score_(std::max<uint32_t>(min_score, 1)) {}
+
+  /// Appends a round delta as a new tier, then folds per the policy above,
+  /// and brings the frontier up to date. Empty deltas are dropped. A fold
+  /// whose target is spilled materializes it first (mutating a mapping is
+  /// impossible); the budget layer may re-spill the merged result
+  /// afterwards.
   void Append(SortedCountRun&& delta) {
     if (delta.empty()) return;
-    tiers_.emplace_back();
-    tiers_.back().resident = std::move(delta);
-    while (tiers_.size() > 1 &&
-           (tiers_.size() > kMaxTiers ||
-            tiers_[tiers_.size() - 2].size() <=
-                kSizeRatio * tiers_.back().size())) {
-      MergeTopIntoPredecessor();
+    if (tiers_.empty() ||
+        (tiers_.size() == 1 && tiers_[0].size() > kSizeRatio * delta.size())) {
+      AppendUnfolded(std::move(delta));
+      return;
     }
-  }
-
-  /// Pushes `run` as the newest tier without folding — the snapshot
-  /// loader's hook, since tier boundaries decide when later folds run and a
-  /// resumed process must replay them identically. The stack must hold
-  /// fewer than `kMaxTiers` tiers.
-  void AppendUnfolded(SortedCountRun&& run) {
-    RECONCILE_CHECK_LT(tiers_.size(), kMaxTiers);
-    tiers_.emplace_back();
-    tiers_.back().resident = std::move(run);
-  }
-
-  /// Invokes `fn(key, total_count)` once per distinct key, in ascending key
-  /// order, with counts summed across tiers — identical to the `ForEach` of
-  /// the fully merged run, whether tiers are resident or spilled.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    // A branch-lean two-way merge keeps the selection scan close to
-    // single-run cost; a missing tier is an empty view. Spilled tiers
-    // stream through the same loop — mmap makes the pointer walk identical.
-    const RunView a = tiers_.size() > 0 ? tiers_[0].View() : RunView{};
-    const RunView b = tiers_.size() > 1 ? tiers_[1].View() : RunView{};
-    size_t i = 0, j = 0;
-    while (i < a.size && j < b.size) {
-      const uint64_t ka = a.keys[i];
-      const uint64_t kb = b.keys[j];
-      if (ka < kb) {
-        fn(ka, a.counts[i++]);
-      } else if (kb < ka) {
-        fn(kb, b.counts[j++]);
+    FrontierUpdates updates;
+    auto record = [this, &updates](uint64_t key, uint32_t old_total,
+                                   uint32_t new_total) {
+      Record(key, old_total, new_total, &updates);
+    };
+    if (tiers_.size() == 1) {
+      // Fold into the lone big run: its count is each key's old total.
+      tiers_[0].Materialize();
+      MergeCountRuns(tiers_[0].resident, delta, record);
+    } else {
+      // The stack is full, so the delta folds into the delta tier. A delta
+      // key's new total is then its big-run count plus its delta-tier
+      // count, and its old total is that minus its count in `delta`.
+      tiers_[1].Materialize();
+      MergeCountRuns(tiers_[1].resident, delta);
+      if (tiers_[0].size() <= kSizeRatio * tiers_[1].size()) {
+        // The delta tier folds on into the big run: that walk passes every
+        // delta key with its new total, so no lookup is needed.
+        size_t next = 0;
+        tiers_[0].Materialize();
+        MergeCountRuns(tiers_[0].resident, tiers_[1].resident,
+                       [&delta, &next, &record](uint64_t key, uint32_t,
+                                                uint32_t total) {
+                         if (next < delta.size() && delta.keys[next] == key) {
+                           record(key, total - delta.counts[next], total);
+                           ++next;
+                         }
+                       });
+        tiers_.pop_back();
       } else {
-        fn(ka, a.counts[i++] + b.counts[j++]);
+        const RunView big = tiers_[0].View();
+        const RunView small = tiers_[1].View();
+        size_t big_cursor = 0, small_cursor = 0;
+        for (size_t i = 0; i < delta.size(); ++i) {
+          const uint64_t key = delta.keys[i];
+          const uint32_t total = GallopCount(big, &big_cursor, key) +
+                                 GallopCount(small, &small_cursor, key);
+          record(key, total - delta.counts[i], total);
+        }
       }
     }
-    for (; i < a.size; ++i) fn(a.keys[i], a.counts[i]);
-    for (; j < b.size; ++j) fn(b.keys[j], b.counts[j]);
+    UpsertFrontier(updates);
   }
 
-  /// Keeps only entries with `pred(key, tier_count)`. The predicate sees the
-  /// per-tier count, so it must decide on the key alone (the matcher's
-  /// liveness sweep does); tiers emptied by the sweep are dropped. Spilled
-  /// tiers are materialized back to resident first — a filter rewrites the
-  /// run, and the budget layer re-decides placement on its next pass.
+  /// Pushes `run` as the newest tier without folding and brings the
+  /// frontier up to date by galloping each of its keys into the older tier.
+  /// This is `Append`'s no-fold path and the snapshot loader's hook: tier
+  /// boundaries decide when later folds run, so a resumed process must
+  /// replay them identically, and the frontier — never serialized — is
+  /// rebuilt from the tiers as they are pushed. The stack must hold fewer
+  /// than `kMaxTiers` tiers.
+  void AppendUnfolded(SortedCountRun&& run) {
+    RECONCILE_CHECK_LT(tiers_.size(), kMaxTiers);
+    const RunView older = tiers_.empty() ? RunView{} : tiers_[0].View();
+    FrontierUpdates updates;
+    size_t cursor = 0;
+    for (size_t i = 0; i < run.size(); ++i) {
+      const uint32_t base = GallopCount(older, &cursor, run.keys[i]);
+      Record(run.keys[i], base, base + run.counts[i], &updates);
+    }
+    tiers_.emplace_back();
+    tiers_.back().resident = std::move(run);
+    UpsertFrontier(updates);
+  }
+
+  /// Keeps only entries with `pred(key, count)`, in every tier and in the
+  /// frontier. The predicate sees a per-tier count (or a frontier total),
+  /// so it must decide on the key alone (the matcher's liveness sweep does);
+  /// that keeps every surviving key's total, so the filtered frontier is
+  /// still exact. Tiers emptied by the sweep are dropped. Spilled tiers are
+  /// materialized back to resident first — a filter rewrites the run, and
+  /// the budget layer re-decides placement on its next pass.
   template <typename Pred>
   void Filter(Pred&& pred) {
     for (Tier& tier : tiers_) {
       tier.Materialize();
       tier.resident.Filter(pred);
     }
+    frontier_.Filter(pred);
     tiers_.erase(std::remove_if(
                      tiers_.begin(), tiers_.end(),
                      [](const Tier& tier) { return tier.size() == 0; }),
@@ -153,6 +211,14 @@ class TieredCountRuns {
     for (const Tier& tier : tiers_) fn(tier.View());
   }
 
+  /// The threshold frontier: every key whose total is >= `min_score()`,
+  /// ascending, with that total.
+  RunView frontier() const {
+    return RunView{frontier_.keys.data(), frontier_.counts.data(),
+                   frontier_.size()};
+  }
+  uint32_t min_score() const { return min_score_; }
+
   bool empty() const { return tiers_.empty(); }
   size_t num_tiers() const { return tiers_.size(); }
   size_t tier_size(size_t index) const { return tiers_[index].size(); }
@@ -168,10 +234,11 @@ class TieredCountRuns {
     return total;
   }
 
-  /// Bytes of tier payload currently held in RAM (spilled tiers cost 0 —
-  /// their pages are file-backed and evictable).
+  /// Bytes of tier and frontier payload currently held in RAM (spilled
+  /// tiers cost 0 — their pages are file-backed and evictable; the frontier
+  /// is always resident).
   size_t resident_bytes() const {
-    size_t total = 0;
+    size_t total = BytesForEntries(frontier_.size());
     for (const Tier& tier : tiers_) {
       if (tier.spilled == nullptr) total += BytesForEntries(tier.size());
     }
@@ -187,6 +254,51 @@ class TieredCountRuns {
   }
 
  private:
+  // Frontier changes from one delta, ascending: the new total of every
+  // delta key that reaches the threshold, and how many of those keys are
+  // not in the frontier yet.
+  struct FrontierUpdates {
+    SortedCountRun entries;
+    size_t inserts = 0;
+  };
+
+  void Record(uint64_t key, uint32_t old_total, uint32_t new_total,
+              FrontierUpdates* updates) const {
+    if (new_total < min_score_) return;
+    updates->entries.keys.push_back(key);
+    updates->entries.counts.push_back(new_total);
+    if (old_total < min_score_) ++updates->inserts;
+  }
+
+  // Merges `updates` into the frontier in place, from the back: the run
+  // grows by the insert count, each update overwrites its key's entry or
+  // takes a fresh slot, and entries below the smallest update never move.
+  void UpsertFrontier(const FrontierUpdates& updates) {
+    const SortedCountRun& in = updates.entries;
+    if (in.empty()) return;
+    size_t read = frontier_.size();
+    size_t write = read + updates.inserts;
+    frontier_.keys.resize(write);
+    frontier_.counts.resize(write);
+    for (size_t j = in.size(); j-- > 0;) {
+      const uint64_t key = in.keys[j];
+      while (read > 0 && frontier_.keys[read - 1] > key) {
+        --read;
+        --write;
+        frontier_.keys[write] = frontier_.keys[read];
+        frontier_.counts[write] = frontier_.counts[read];
+      }
+      if (read > 0 && frontier_.keys[read - 1] == key) --read;
+      // An update that is neither a present key nor a counted insert would
+      // write below the unread entries.
+      RECONCILE_CHECK_GT(write, read);
+      --write;
+      frontier_.keys[write] = key;
+      frontier_.counts[write] = in.counts[j];
+    }
+    RECONCILE_CHECK_EQ(read, write);
+  }
+
   struct Tier {
     SortedCountRun resident;              // authoritative when not spilled
     std::unique_ptr<SpilledRun> spilled;  // non-null => resident is empty
@@ -213,17 +325,9 @@ class TieredCountRuns {
     }
   };
 
-  // Pops the newest tier and folds it into its predecessor (which is
-  // materialized first if spilled — merges rewrite the target).
-  void MergeTopIntoPredecessor() {
-    Tier top = std::move(tiers_.back());
-    tiers_.pop_back();
-    top.Materialize();
-    tiers_.back().Materialize();
-    MergeCountRuns(tiers_.back().resident, std::move(top.resident));
-  }
-
+  uint32_t min_score_;
   std::vector<Tier> tiers_;
+  SortedCountRun frontier_;
 };
 
 }  // namespace reconcile

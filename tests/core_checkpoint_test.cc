@@ -4,9 +4,12 @@
 // counts — and every corruption or mismatch (truncation, bit flips, wrong
 // graph, wrong config, wrong seeds, a snapshot of a removed scoring engine)
 // must be a clean LoadSnapshot failure that leaves the state untouched.
+// The threshold frontier is not serialized: a resumed run rebuilds it from
+// the tiers, so every later round must scan the same frontier pairs.
 #include "reconcile/core/matcher_state.h"
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -18,13 +21,13 @@
 #include "reconcile/sampling/independent.h"
 #include "reconcile/seed/seeding.h"
 #include "reconcile/util/checkpoint.h"
+#include "reconcile/util/tiered_store.h"
+#include "support/temp_path.h"
 
 namespace reconcile {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
+std::string TempPath(const std::string& name) { return TestTempPath(name); }
 
 std::vector<char> Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -106,6 +109,89 @@ TEST(MatcherStateTest, ResumeEquivalenceAcrossPausePoints) {
     SCOPED_TRACE(tag);
     CheckResumeEquivalence(w, config, pause_after, tag);
   }
+}
+
+// Round-by-round work must match too: per round, the same emissions, the
+// same frontier pairs scanned and the same links accepted.
+void ExpectSameRounds(const std::vector<PhaseStats>& actual,
+                      const std::vector<PhaseStats>& expected,
+                      size_t expected_offset) {
+  ASSERT_EQ(actual.size() + expected_offset, expected.size());
+  for (size_t i = 0; i < actual.size(); ++i) {
+    const PhaseStats& want = expected[expected_offset + i];
+    SCOPED_TRACE("round " + std::to_string(expected_offset + i));
+    EXPECT_EQ(actual[i].iteration, want.iteration);
+    EXPECT_EQ(actual[i].bucket_exponent, want.bucket_exponent);
+    EXPECT_EQ(actual[i].emissions, want.emissions);
+    EXPECT_EQ(actual[i].candidate_pairs, want.candidate_pairs);
+    EXPECT_EQ(actual[i].new_links, want.new_links);
+  }
+}
+
+TEST(MatcherStateTest, ResumeAtEveryPausePointReplaysEveryRound) {
+  Workload w = MakeWorkload(9003);
+  MatcherConfig config;
+  config.num_shards = 4;
+  const MatchResult reference = RunToCompletion(w, config);
+  const size_t rounds = reference.phases.size();
+  ASSERT_GT(rounds, 4u);
+  ASSERT_GT(reference.NumNewLinks(), 0u);
+  const std::string path = TempPath("every_pause.ckpt");
+  for (size_t pause = 0; pause < rounds; ++pause) {
+    SCOPED_TRACE("pause after " + std::to_string(pause));
+    {
+      MatcherState original(w.pair.g1, w.pair.g2, config);
+      original.SeedLinks(w.seeds);
+      for (size_t i = 0; i < pause; ++i) original.RunRound();
+      std::string error;
+      ASSERT_TRUE(original.SaveSnapshot(path, &error)) << error;
+    }
+    MatcherState resumed(w.pair.g1, w.pair.g2, config);
+    resumed.SeedLinks(w.seeds);
+    std::string error;
+    ASSERT_TRUE(resumed.LoadSnapshot(path, &error)) << error;
+    while (!resumed.Done()) resumed.RunRound();
+    const MatchResult continued = resumed.TakeResult(0.0);
+    ASSERT_EQ(continued.map_1to2, reference.map_1to2);
+    ASSERT_EQ(continued.map_2to1, reference.map_2to1);
+    ExpectSameRounds(continued.phases, reference.phases, pause);
+  }
+  std::remove(path.c_str());
+}
+
+// A budget small enough to spill every tier changes where the score state
+// lives, not what selection reads: the matching and every round's frontier
+// match the unbudgeted run. The frontier itself is never spilled, so once
+// all tiers are on disk the resident score bytes are exactly the frontier.
+TEST(MatcherStateTest, BudgetedRunMatchesUnbudgetedRoundByRound) {
+  Workload w = MakeWorkload(9009);
+  MatcherConfig config;
+  config.num_shards = 4;
+  const MatchResult unbudgeted = RunToCompletion(w, config);
+
+  const std::string dir = TempPath("budget_scores");
+  MatcherConfig budgeted_config = config;
+  budgeted_config.memory_budget_bytes = 1;
+  budgeted_config.score_dir = dir;
+  const MatchResult budgeted = RunToCompletion(w, budgeted_config);
+  std::filesystem::remove_all(dir);
+
+  ASSERT_EQ(budgeted.map_1to2, unbudgeted.map_1to2);
+  ASSERT_EQ(budgeted.map_2to1, unbudgeted.map_2to1);
+  ExpectSameRounds(budgeted.phases, unbudgeted.phases, 0);
+  size_t spilled = 0, all_levels_rounds = 0;
+  for (const PhaseStats& phase : budgeted.phases) {
+    spilled += phase.tiers_spilled;
+    // A bucket-0 round selects over every level, so it scans every
+    // frontier entry of the store.
+    if (phase.bucket_exponent == 0) {
+      ++all_levels_rounds;
+      EXPECT_EQ(phase.resident_score_bytes,
+                TieredCountRuns::BytesForEntries(phase.candidate_pairs));
+    }
+  }
+  EXPECT_GT(spilled, 0u);
+  EXPECT_GT(all_levels_rounds, 0u);
 }
 
 TEST(MatcherStateTest, ResumeEquivalenceWithSixShards) {
@@ -321,14 +407,16 @@ TEST_F(SnapshotRejectionTest, RemovedEngineSnapshotsRejected) {
   }
 }
 
-// A score cell holds at most two tiers (the big run plus one delta); only
-// a run under the retired `max-tiers` param could have written more. The
-// test rewrites a valid snapshot's first SCORES cell as three tiers.
-TEST_F(SnapshotRejectionTest, CellWithThreeTiersRejected) {
+// Rewrites the snapshot at `from` into `to` with its first SCORES cell
+// replaced by `tiers` (each a key vector and a count vector).
+void RewriteFirstScoreCell(
+    const std::string& from, const std::string& to,
+    const std::vector<std::pair<std::vector<uint64_t>,
+                                std::vector<uint32_t>>>& tiers) {
   constexpr uint32_t kMeta = 1, kLinks = 2, kScores = 4;
   SnapshotReader reader;
   std::string error;
-  ASSERT_TRUE(reader.Open(path_, &error)) << error;
+  ASSERT_TRUE(reader.Open(from, &error)) << error;
   SnapshotWriter writer;
   for (uint32_t id : {kMeta, kLinks, kScores}) {
     SnapshotReader::Section* section = reader.Find(id);
@@ -343,10 +431,10 @@ TEST_F(SnapshotRejectionTest, CellWithThreeTiersRejected) {
         ASSERT_TRUE(section->ReadVector(&keys));
         ASSERT_TRUE(section->ReadVector(&counts));
       }
-      writer.AppendU32(3);
-      for (uint64_t key : {1, 2, 3}) {
-        writer.AppendVector(std::vector<uint64_t>{key});
-        writer.AppendVector(std::vector<uint32_t>{1});
+      writer.AppendU32(static_cast<uint32_t>(tiers.size()));
+      for (const auto& [keys, counts] : tiers) {
+        writer.AppendVector(keys);
+        writer.AppendVector(counts);
       }
     }
     std::vector<uint8_t> rest(section->Remaining());
@@ -354,10 +442,32 @@ TEST_F(SnapshotRejectionTest, CellWithThreeTiersRejected) {
     writer.AppendBytes(rest.data(), rest.size());
     writer.EndSection();
   }
+  ASSERT_TRUE(writer.Commit(to, &error)) << error;
+}
+
+// A score cell holds at most two tiers (the big run plus one delta); only
+// a run under the retired `max-tiers` param could have written more.
+TEST_F(SnapshotRejectionTest, CellWithThreeTiersRejected) {
   const std::string three = TempPath("reject_three_tiers.ckpt");
-  ASSERT_TRUE(writer.Commit(three, &error)) << error;
+  RewriteFirstScoreCell(path_, three,
+                        {{{1}, {1}}, {{2}, {1}}, {{3}, {1}}});
   ExpectRejectedAndStateIntact(three, "declares 3 tiers");
   std::remove(three.c_str());
+}
+
+// The frontier is rebuilt by galloping through the loaded tiers, so a tier
+// must be a valid sorted count run: ascending keys, positive counts.
+TEST_F(SnapshotRejectionTest, TierThatIsNotASortedRunRejected) {
+  const std::string bad = TempPath("reject_unsorted_tier.ckpt");
+  for (const auto& tier :
+       {std::pair<std::vector<uint64_t>, std::vector<uint32_t>>{{5, 3},
+                                                                {1, 1}},
+        {{3, 3}, {1, 1}},
+        {{3, 5}, {1, 0}}}) {
+    RewriteFirstScoreCell(path_, bad, {tier});
+    ExpectRejectedAndStateIntact(bad, "not a sorted count run");
+  }
+  std::remove(bad.c_str());
 }
 
 TEST_F(SnapshotRejectionTest, WrongShardCountRejected) {

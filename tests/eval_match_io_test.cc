@@ -1,4 +1,5 @@
 #include "reconcile/eval/match_io.h"
+#include "support/temp_path.h"
 
 #include <cstdio>
 #include <fstream>
@@ -9,9 +10,7 @@
 namespace reconcile {
 namespace {
 
-std::string TempPath(const std::string& name) {
-  return testing::TempDir() + "/" + name;
-}
+std::string TempPath(const std::string& name) { return TestTempPath(name); }
 
 MatchResult MakeResult() {
   MatchResult result;

@@ -19,6 +19,7 @@
 #include "reconcile/util/radix_sort.h"
 #include "reconcile/util/rng.h"
 #include "reconcile/util/tiered_store.h"
+#include "support/tier_totals.h"
 
 namespace reconcile {
 namespace {
@@ -42,12 +43,10 @@ std::vector<std::vector<uint64_t>> MakeDeltaStream(uint64_t seed,
   return deltas;
 }
 
-// Byte-exact aggregate through the fold: the (key, count) sequence ForEach
-// produces, in order.
+// Byte-exact aggregate read through the tier views: every (key, total),
+// ascending.
 std::vector<std::pair<uint64_t, uint32_t>> Fold(const TieredCountRuns& s) {
-  std::vector<std::pair<uint64_t, uint32_t>> out;
-  s.ForEach([&out](uint64_t key, uint32_t count) { out.emplace_back(key, count); });
-  return out;
+  return TierTotals(s);
 }
 
 // A two-tier store: a big run plus a delta small enough (more than 4x
@@ -139,13 +138,17 @@ TEST_F(SpillStoreTest, SpillingTiersIsUnobservableInTheFold) {
 TEST_F(SpillStoreTest, ResidentBytesMoveToSpilledOnSpill) {
   TieredCountRuns store = MakeTwoTierStore(3);
   ASSERT_EQ(store.num_tiers(), 2u);
+  // The frontier is resident payload too, and it never spills.
+  const size_t frontier = store.frontier().size;
+  ASSERT_GT(frontier, 0u);
   const size_t before = store.resident_bytes();
-  ASSERT_EQ(before, TieredCountRuns::BytesForEntries(store.total_entries()));
+  ASSERT_EQ(before, TieredCountRuns::BytesForEntries(store.total_entries() +
+                                                     frontier));
   SpillStore spill(dir_);
   std::string error;
   ASSERT_TRUE(store.SpillTier(0, spill, &error)) << error;
   EXPECT_EQ(store.resident_bytes(),
-            TieredCountRuns::BytesForEntries(store.tier_size(1)));
+            TieredCountRuns::BytesForEntries(store.tier_size(1) + frontier));
   EXPECT_EQ(store.num_spilled_tiers(), 1u);
   // Spilling an already-spilled tier is a successful no-op.
   ASSERT_TRUE(store.SpillTier(0, spill, &error));

@@ -1,18 +1,25 @@
-// TieredCountRuns: the LSM tier stack must present exactly the aggregate of
-// the fully merged run — same keys, same totals, ascending order — under
-// its fixed fold policy, which keeps at most two tiers and folds a delta
-// into a predecessor at most four times its size.
+// TieredCountRuns: the LSM tier stack must hold exactly the aggregate of
+// the fully merged run — same keys, same totals — under its fixed fold
+// policy, which keeps at most two tiers and folds a delta
+// into a predecessor at most four times its size. Its threshold frontier
+// must hold exactly the keys whose total reaches the store's threshold,
+// with those totals, after every operation on every path.
 #include "reconcile/util/tiered_store.h"
 
 #include <algorithm>
 #include <cstdint>
+#include <filesystem>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "reconcile/util/rng.h"
+#include "reconcile/util/spill_store.h"
+#include "support/temp_path.h"
+#include "support/tier_totals.h"
 
 namespace reconcile {
 namespace {
@@ -45,18 +52,8 @@ std::vector<std::vector<uint64_t>> MakeDeltaStream(uint64_t seed,
 }
 
 std::map<uint64_t, uint32_t> Materialize(const TieredCountRuns& store) {
-  std::map<uint64_t, uint32_t> out;
-  uint64_t last_key = 0;
-  bool first = true;
-  store.ForEach([&out, &last_key, &first](uint64_t key, uint32_t count) {
-    if (!first) {
-      EXPECT_GT(key, last_key) << "ForEach must ascend";
-    }
-    first = false;
-    last_key = key;
-    EXPECT_TRUE(out.emplace(key, count).second) << "duplicate key surfaced";
-  });
-  return out;
+  const std::vector<std::pair<uint64_t, uint32_t>> totals = TierTotals(store);
+  return {totals.begin(), totals.end()};
 }
 
 TEST(TieredStoreTest, AggregateMatchesReferenceForDeltaShapes) {
@@ -165,6 +162,178 @@ TEST(TieredStoreTest, EmptyDeltasAreDropped) {
   store.Append(SortedCountRun{});
   EXPECT_EQ(store.num_tiers(), 1u);
   EXPECT_EQ(store.total_entries(), 1u);
+}
+
+// --- Threshold frontier ---------------------------------------------------
+
+using Entries = std::vector<std::pair<uint64_t, uint32_t>>;
+
+// The definition: every key whose total across tiers is >= max(T, 1).
+Entries ReferenceFrontier(const TieredCountRuns& store) {
+  Entries out;
+  for (const auto& [key, total] : TierTotals(store)) {
+    if (total >= store.min_score()) out.emplace_back(key, total);
+  }
+  return out;
+}
+
+Entries FrontierOf(const TieredCountRuns& store) {
+  const RunView run = store.frontier();
+  Entries out;
+  for (size_t i = 0; i < run.size; ++i) {
+    out.emplace_back(run.keys[i], run.counts[i]);
+  }
+  return out;
+}
+
+// The path an Append takes, read off the stack before the call.
+enum Path { kFirst, kFoldIntoLone, kGallop, kForcedFold, kNumPaths };
+
+Path PathOf(const TieredCountRuns& store, size_t delta_size) {
+  if (store.empty()) return kFirst;
+  if (store.num_tiers() == 2) return kForcedFold;
+  return store.tier_size(0) <= TieredCountRuns::kSizeRatio * delta_size
+             ? kFoldIntoLone
+             : kGallop;
+}
+
+class TieredStoreFrontierTest : public testing::Test {
+ protected:
+  void SetUp() override {
+    dir_ = TestTempPath("tiered_store_frontier");
+    std::filesystem::remove_all(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  std::string dir_;
+};
+
+// Random delta streams drive every Append path, interleaved with liveness
+// filters and spills of either tier; after every step the frontier must
+// equal the tier totals filtered to >= T.
+TEST_F(TieredStoreFrontierTest, RandomStreamsKeepTheFrontierExact) {
+  SpillStore spill(dir_);
+  for (uint32_t threshold : {1u, 2u, 3u}) {
+    size_t paths[kNumPaths] = {};
+    size_t filters = 0, spills = 0;
+    for (uint64_t seed = 1; seed <= 6; ++seed) {
+      SCOPED_TRACE("T=" + std::to_string(threshold) +
+                   " seed=" + std::to_string(seed));
+      Rng rng(seed * 1000 + threshold);
+      TieredCountRuns store(threshold);
+      for (int step = 0; step < 40; ++step) {
+        // Mostly small deltas against a big run, sometimes a big one: that
+        // mix reaches both the gallop path and both kinds of fold.
+        const size_t size = rng.UniformInt(4) == 0
+                                ? 500 + rng.UniformInt(2000)
+                                : 1 + rng.UniformInt(200);
+        std::vector<uint64_t> raw;
+        for (size_t i = 0; i < size; ++i) raw.push_back(rng.UniformInt(4000));
+        SortedCountRun delta = MakeRun(std::move(raw));
+        ++paths[PathOf(store, delta.size())];
+        store.Append(std::move(delta));
+        ASSERT_EQ(FrontierOf(store), ReferenceFrontier(store)) << step;
+
+        const uint64_t action = rng.UniformInt(8);
+        if (action == 0) {
+          const uint64_t modulus = 2 + rng.UniformInt(5);
+          store.Filter([modulus](uint64_t key, uint32_t) {
+            return key % modulus != 0;
+          });
+          ++filters;
+          ASSERT_EQ(FrontierOf(store), ReferenceFrontier(store)) << step;
+        } else if (action <= 2 && !store.empty()) {
+          // Later appends gallop into, or fold, a spilled tier.
+          const size_t tier = rng.UniformInt(store.num_tiers());
+          std::string error;
+          ASSERT_TRUE(store.SpillTier(tier, spill, &error)) << error;
+          ++spills;
+          ASSERT_EQ(FrontierOf(store), ReferenceFrontier(store)) << step;
+        }
+      }
+    }
+    for (int path = 0; path < kNumPaths; ++path) {
+      EXPECT_GT(paths[path], 0u) << "T=" << threshold << " path " << path;
+    }
+    EXPECT_GT(filters, 0u);
+    EXPECT_GT(spills, 0u);
+  }
+}
+
+TEST(TieredStoreTest, FrontierIsTheWholeStoreAtThresholdOneOrZero) {
+  for (uint32_t threshold : {0u, 1u}) {
+    TieredCountRuns store(threshold);
+    store.Append(MakeRun({5, 3, 3, 9}));
+    store.Append(MakeRun({1}));
+    const Entries expected = {{1, 1}, {3, 2}, {5, 1}, {9, 1}};
+    EXPECT_EQ(FrontierOf(store), expected);
+  }
+}
+
+TEST(TieredStoreTest, FrontierHoldsTotalsAcrossTiers) {
+  // Key 7 reaches T = 3 only by adding the big run's count to the delta
+  // tier's, which the gallop path must look up.
+  TieredCountRuns store(3);
+  std::vector<uint64_t> big = {7, 7};
+  for (uint64_t key = 100; key < 200; ++key) big.push_back(key);
+  store.Append(MakeRun(big));
+  EXPECT_TRUE(FrontierOf(store).empty());
+  store.Append(MakeRun({7, 150, 150}));
+  ASSERT_EQ(store.num_tiers(), 2u);
+  const Entries expected = {{7, 3}, {150, 3}};
+  EXPECT_EQ(FrontierOf(store), expected);
+  // Forced fold: key 8 is new, 150 is updated in place.
+  store.Append(MakeRun({8, 8, 8, 150}));
+  ASSERT_EQ(store.num_tiers(), 2u);
+  const Entries updated = {{7, 3}, {8, 3}, {150, 4}};
+  EXPECT_EQ(FrontierOf(store), updated);
+  EXPECT_EQ(store.resident_bytes(),
+            TieredCountRuns::BytesForEntries(store.total_entries() + 3));
+}
+
+// The snapshot loader's path: a stack rebuilt tier by tier with
+// AppendUnfolded rebuilds the same frontier, and keeps it exact as the
+// stream continues.
+TEST(TieredStoreTest, AppendUnfoldedRebuildsTheFrontier) {
+  for (uint32_t threshold : {1u, 2u, 3u}) {
+    SCOPED_TRACE("T=" + std::to_string(threshold));
+    const auto deltas = MakeDeltaStream(31 + threshold, 12, 300, 2000);
+    TieredCountRuns original(threshold);
+    for (size_t i = 0; i < deltas.size(); ++i) {
+      std::vector<uint64_t> raw = deltas[i];
+      raw.resize(i % 3 == 0 ? raw.size() : raw.size() / 8);
+      original.Append(MakeRun(std::move(raw)));
+      TieredCountRuns rebuilt(threshold);
+      original.ForEachTier([&rebuilt](RunView tier) {
+        SortedCountRun copy;
+        copy.keys.assign(tier.keys, tier.keys + tier.size);
+        copy.counts.assign(tier.counts, tier.counts + tier.size);
+        rebuilt.AppendUnfolded(std::move(copy));
+      });
+      ASSERT_EQ(rebuilt.num_tiers(), original.num_tiers());
+      ASSERT_EQ(FrontierOf(rebuilt), FrontierOf(original)) << i;
+      ASSERT_EQ(FrontierOf(rebuilt), ReferenceFrontier(rebuilt)) << i;
+      rebuilt.Append(MakeRun(deltas[(i + 5) % deltas.size()]));
+      original.Append(MakeRun(deltas[(i + 5) % deltas.size()]));
+      ASSERT_EQ(FrontierOf(rebuilt), ReferenceFrontier(rebuilt)) << i;
+      ASSERT_EQ(FrontierOf(rebuilt), FrontierOf(original)) << i;
+    }
+  }
+}
+
+TEST(TieredStoreTest, GallopCountFindsEveryKeyInOrder) {
+  const SortedCountRun run = MakeRun({2, 4, 4, 6, 8, 8, 8, 100, 1000});
+  const RunView view{run.keys.data(), run.counts.data(), run.size()};
+  size_t cursor = 0;
+  const std::vector<std::pair<uint64_t, uint32_t>> queries = {
+      {1, 0}, {2, 1}, {3, 0}, {4, 2}, {8, 3}, {99, 0}, {100, 1}, {1000, 1},
+      {5000, 0}};
+  for (const auto& [key, count] : queries) {
+    EXPECT_EQ(GallopCount(view, &cursor, key), count) << key;
+  }
+  EXPECT_EQ(cursor, run.size());
+  size_t empty_cursor = 0;
+  EXPECT_EQ(GallopCount(RunView{}, &empty_cursor, 7), 0u);
 }
 
 }  // namespace

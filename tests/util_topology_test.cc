@@ -1,6 +1,7 @@
 // Topology discovery: cpulist parsing, a faked sysfs node tree, and the
 // single-domain fallback every non-Linux / single-socket host takes.
 #include "reconcile/util/topology.h"
+#include "support/temp_path.h"
 
 #include <filesystem>
 #include <fstream>
@@ -51,7 +52,7 @@ TEST(CpuListTest, RejectsMalformedInput) {
 class FakeSysfsTree {
  public:
   explicit FakeSysfsTree(const std::string& name) {
-    root_ = fs::path(testing::TempDir()) / name;
+    root_ = fs::path(TestTempPath(name));
     fs::remove_all(root_);
     fs::create_directories(root_);
   }

@@ -165,8 +165,9 @@ Validation and comparison (eval/validation.h, eval/disagreement.h):
                   raw link agree/conflict counts               [none]
 
 Output and misc:
-  --phase-table   per-round table: emissions, candidate pairs, new links
-                  and the emit/merge/scan/select seconds
+  --phase-table   per-round table: emissions, frontier pairs (scored
+                  pairs at or above the threshold, the ones selection
+                  scans), new links and the emit/merge/scan/select seconds
   --degree-table  per-degree-band precision/recall            [false]
   --rng-seed      master RNG seed                             [42]
   --save-g1/--save-g2   write copies as text edge lists
@@ -462,8 +463,8 @@ int RunCli(const Flags& flags) {
   }
 
   if (flags.GetBool("phase-table", false)) {
-    Table table({"iter", "bucket", "links in", "emissions", "pairs", "new",
-                 "emit s", "merge s", "scan s", "select s"});
+    Table table({"iter", "bucket", "links in", "emissions", "frontier pairs",
+                 "new", "emit s", "merge s", "scan s", "select s"});
     for (const PhaseStats& phase : result.phases) {
       table.AddRow({std::to_string(phase.iteration),
                     std::to_string(phase.bucket_exponent),

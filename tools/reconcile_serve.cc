@@ -111,6 +111,7 @@ Output:
                   ends (and on graceful stop)
   --save-g1/--save-g2  write the final graphs as text edge lists
   --phase-table   after each batch, the rerun's per-round phase table
+                  (emissions, frontier pairs, new links, seconds)
 
 Per-batch telemetry goes to stdout (rounds 0: no net change, no rerun):
   batch 3: deltas 128 (120 effective) | rounds 12 | links 5023 (+12/-3) |
@@ -142,8 +143,8 @@ void PrintBatch(const ServeBatchStats& stats, bool initial) {
 
 void PrintPhaseTable(const ServeBatchStats& stats) {
   if (stats.rounds.empty()) return;
-  Table table({"iter", "bucket", "links in", "emissions", "pairs", "new",
-               "emit s", "merge s", "scan s", "select s"});
+  Table table({"iter", "bucket", "links in", "emissions", "frontier pairs",
+               "new", "emit s", "merge s", "scan s", "select s"});
   for (const PhaseStats& phase : stats.rounds) {
     table.AddRow({std::to_string(phase.iteration),
                   std::to_string(phase.bucket_exponent),
