@@ -242,7 +242,7 @@ MatchResult MatcherState::TakeResult(double total_seconds) {
 // Applies the mutual-unique-best rule over the scored pairs held in
 // `units` through the shared `SelectionEngine` (`core/selection.h`), which
 // commits accepted links directly into the maps and the link log.
-size_t MatcherState::SelectAndCommit(const std::vector<RunView>& units,
+size_t MatcherState::SelectAndCommit(const std::vector<FrontierView>& units,
                                      PhaseStats* stats) {
   SelectionContext ctx;
   ctx.pool = &pool_;
@@ -459,10 +459,10 @@ size_t MatcherState::Round(int iteration, int bucket_exponent) {
 
   // Selection reads only the eligible cells' threshold frontiers; empty
   // ones are skipped, which leaves the link-log order unchanged.
-  std::vector<RunView> units;
+  std::vector<FrontierView> units;
   for (int level = bucket_exponent; level < kNumLevels; ++level) {
     for (const TieredCountRuns& store : runs_[static_cast<size_t>(level)]) {
-      if (store.frontier().size > 0) units.push_back(store.frontier());
+      if (!store.frontier().empty()) units.push_back(store.frontier());
     }
   }
   size_t accepted = SelectAndCommit(units, &stats);

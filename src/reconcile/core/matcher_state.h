@@ -105,7 +105,7 @@ class MatcherState {
   size_t Round(int iteration, int bucket_exponent);
   void AdvanceCursor();
   void CompactScores();
-  size_t SelectAndCommit(const std::vector<RunView>& units,
+  size_t SelectAndCommit(const std::vector<FrontierView>& units,
                          PhaseStats* stats);
   void EmitPendingLinks(PhaseStats* stats);
   size_t EmitGrain(size_t num_items) const;

@@ -12,8 +12,8 @@ SelectionEngine::SelectionEngine(size_t n1, size_t n2)
     : atomic_best1_(n1), atomic_best2_(n2) {}
 
 size_t SelectionEngine::SelectAndCommit(
-    const std::vector<RunView>& units,
-    const SelectionContext& ctx, PhaseStats* stats) {
+    const std::vector<FrontierView>& units, const SelectionContext& ctx,
+    PhaseStats* stats) {
   Timer timer;
   atomic_best1_.NextEpoch();
   atomic_best2_.NextEpoch();
@@ -24,12 +24,13 @@ size_t SelectionEngine::SelectAndCommit(
   // lists, so the schedule is unobservable in the result.
   std::atomic<size_t> candidate_pairs{0};
   auto observe_unit = [this, &units, &candidate_pairs](size_t i) {
-    const RunView& run = units[i];
-    for (size_t k = 0; k < run.size; ++k) {
-      atomic_best1_.Observe(PairFirst(run.keys[k]), run.counts[k]);
-      atomic_best2_.Observe(PairSecond(run.keys[k]), run.counts[k]);
-    }
-    candidate_pairs.fetch_add(run.size, std::memory_order_relaxed);
+    size_t local_pairs = 0;
+    units[i].ForEach([this, &local_pairs](uint64_t key, uint32_t score) {
+      atomic_best1_.Observe(PairFirst(key), score);
+      atomic_best2_.Observe(PairSecond(key), score);
+      ++local_pairs;
+    });
+    candidate_pairs.fetch_add(local_pairs, std::memory_order_relaxed);
   };
   ParallelForEach(ctx.pool, units.size(), observe_unit);
   stats->candidate_pairs = candidate_pairs.load();
@@ -45,21 +46,21 @@ size_t SelectionEngine::SelectAndCommit(
   auto accept_unit = [this, &units, &map_1to2, &map_2to1,
                       &accepted_per_unit](size_t i) {
     auto& list = accepted_per_unit[i];
-    const RunView& run = units[i];
-    for (size_t k = 0; k < run.size; ++k) {
-      const NodeId u = PairFirst(run.keys[k]);
-      const NodeId v = PairSecond(run.keys[k]);
+    units[i].ForEach([this, &map_1to2, &map_2to1, &list](uint64_t key,
+                                                        uint32_t score) {
+      const NodeId u = PairFirst(key);
+      const NodeId v = PairSecond(key);
       // Already-matched nodes stay in the scored pool as *blockers* (their
       // pairs keep outcompeting impostors — this is what defeats the sybil
       // attack) but are never re-matched.
       if (map_1to2[u] != kInvalidNode || map_2to1[v] != kInvalidNode) {
-        continue;
+        return;
       }
-      if (atomic_best1_.IsUniqueBest(u, run.counts[k]) &&
-          atomic_best2_.IsUniqueBest(v, run.counts[k])) {
+      if (atomic_best1_.IsUniqueBest(u, score) &&
+          atomic_best2_.IsUniqueBest(v, score)) {
         list.emplace_back(u, v);
       }
-    }
+    });
   };
   ParallelForEach(ctx.pool, units.size(), accept_unit);
 

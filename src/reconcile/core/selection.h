@@ -48,11 +48,12 @@ class SelectionEngine {
   SelectionEngine(size_t n1, size_t n2);
 
   /// Applies the mutual-unique-best rule over `units` (the frontiers of
-  /// disjoint per-(level, shard) tier stacks: sorted `(key, total)` runs
-  /// whose union is every bucket-eligible scored pair with total >= T),
-  /// commits accepted links into `ctx`'s maps and link log, and returns
-  /// the number accepted. Fills `stats`' candidate/scan/select fields.
-  size_t SelectAndCommit(const std::vector<RunView>& units,
+  /// disjoint per-(level, shard) tier stacks, each yielding its keys in
+  /// order with their totals; their union is every bucket-eligible scored
+  /// pair with total >= T), commits accepted links into `ctx`'s maps and
+  /// link log, and returns the number accepted. Fills `stats`'
+  /// candidate/scan/select fields.
+  size_t SelectAndCommit(const std::vector<FrontierView>& units,
                          const SelectionContext& ctx, PhaseStats* stats);
 
  private:

@@ -228,18 +228,13 @@ inline void MergeCountRuns(SortedCountRun& target, SortedCountRun&& delta) {
 /// ascending order, from inside the merge walk itself — `old_count` is the
 /// key's count in `target` before the fold (0 if absent). The tier store
 /// learns which keys a fold lifts past its threshold this way, without a
-/// second pass.
+/// second pass. `target` must be non-empty: the store only folds into a
+/// tier, and tiers are never empty.
 template <typename OnDeltaKey>
 void MergeCountRuns(SortedCountRun& target, const SortedCountRun& delta,
                     OnDeltaKey&& on_delta_key) {
+  RECONCILE_CHECK(!target.empty()) << "observed fold into an empty run";
   if (delta.empty()) return;
-  if (target.empty()) {
-    delta.ForEach([&on_delta_key](uint64_t key, uint32_t count) {
-      on_delta_key(key, 0u, count);
-    });
-    target = delta;
-    return;
-  }
   internal::MergeCountRunsImpl(target, delta, on_delta_key);
 }
 

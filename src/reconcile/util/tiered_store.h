@@ -44,6 +44,42 @@ inline uint32_t GallopCount(const RunView& run, size_t* cursor, uint64_t key) {
   return lo < run.size && run.keys[lo] == key ? run.counts[lo] : 0;
 }
 
+/// The threshold frontier of one tier stack, as selection reads it: the
+/// keys of up to two sorted runs, a key found in both surfacing once with
+/// the sum of its counts. A store that keeps its frontier as a run of its
+/// own hands over that run alone; a store whose frontier is every stored
+/// key hands over its tiers (`TieredCountRuns::frontier`).
+struct FrontierView {
+  RunView first;
+  RunView second;
+
+  bool empty() const { return first.size == 0 && second.size == 0; }
+
+  /// Invokes `fn(key, total)` for every key, ascending.
+  template <typename Fn>
+  void ForEach(Fn&& fn) const {
+    // A branch-lean two-way merge keeps a two-run walk close to single-run
+    // cost, and a lone run costs one loop. Spilled runs stream through the
+    // same loop — mmap makes the pointer walk identical.
+    const RunView& a = first;
+    const RunView& b = second;
+    size_t i = 0, j = 0;
+    while (i < a.size && j < b.size) {
+      const uint64_t ka = a.keys[i];
+      const uint64_t kb = b.keys[j];
+      if (ka < kb) {
+        fn(ka, a.counts[i++]);
+      } else if (kb < ka) {
+        fn(kb, b.counts[j++]);
+      } else {
+        fn(ka, a.counts[i++] + b.counts[j++]);
+      }
+    }
+    for (; i < a.size; ++i) fn(a.keys[i], a.counts[i]);
+    for (; j < b.size; ++j) fn(b.keys[j], b.counts[j]);
+  }
+};
+
 /// LSM-style tiered aggregate of `(key, count)` pairs: at most two sorted-run
 /// tiers — the big persistent run and one delta batch — that together
 /// represent one logical count multiset. A round delta lands as a new tier
@@ -56,22 +92,25 @@ inline uint32_t GallopCount(const RunView& run, size_t* cursor, uint64_t key) {
 ///
 /// A key may appear in both tiers; its total is the sum of its counts.
 ///
-/// Beside the tiers the store keeps its *threshold frontier*: one resident
-/// sorted `(key, total)` run holding exactly the keys whose total across
-/// tiers is at least the store's `min_score`. Totals only grow under
-/// `Append`, so each delta can only lift keys into the frontier or raise the
-/// totals already there; `Append` finds both from the delta's keys alone
-/// (inside the fold's own merge walk when the delta folds, by galloping into
-/// the older tiers when it does not) and upserts them. Every stored key has
-/// a total of at least 1, so a `min_score` of 0 or 1 makes the frontier the
-/// whole store (DESIGN.md §2.2).
+/// The store serves its *threshold frontier*: exactly the keys whose total
+/// across tiers is at least the store's `min_score`, with those totals.
+/// From a `min_score` of 2 up, it keeps the frontier beside the tiers as
+/// one resident sorted `(key, total)` run. Totals only grow under `Append`,
+/// so each delta can only lift keys into the frontier or raise the totals
+/// already there; `Append` finds both from the delta's keys alone (inside
+/// the fold's own merge walk when the delta folds into the lone big run, by
+/// galloping into the older tiers otherwise) and upserts them. Every stored
+/// key has a total of at least 1, so at a `min_score` of 0 or 1 the
+/// frontier is the whole store: the store then keeps no copy and serves its
+/// tiers as the frontier (DESIGN.md §2.2).
 ///
 /// Each tier lives either resident (a `SortedCountRun`) or spilled (an
 /// mmap'd `SpilledRun`, see `util/spill_store.h`); the memory-budget
 /// enforcement layer moves cold big tiers to disk via `SpillTier` and the
 /// store transparently materializes a spilled tier back whenever an
 /// operation must mutate it (compaction merge, `Filter`). Reads never
-/// distinguish the two forms. The frontier is never spilled.
+/// distinguish the two forms. A frontier kept beside the tiers is never
+/// spilled.
 class TieredCountRuns {
  public:
   /// Resident footprint of a run of `entries` entries (flat key + count
@@ -88,13 +127,13 @@ class TieredCountRuns {
   static constexpr size_t kSizeRatio = 4;
 
   /// A store whose frontier holds the keys with total >= `min_score`.
-  explicit TieredCountRuns(uint32_t min_score = 0)
+  explicit TieredCountRuns(uint32_t min_score)
       : min_score_(std::max<uint32_t>(min_score, 1)) {}
 
   /// Appends a round delta as a new tier, then folds per the policy above,
-  /// and brings the frontier up to date. Empty deltas are dropped. A fold
-  /// whose target is spilled materializes it first (mutating a mapping is
-  /// impossible); the budget layer may re-spill the merged result
+  /// and brings a kept frontier up to date. Empty deltas are dropped. A
+  /// fold whose target is spilled materializes it first (mutating a mapping
+  /// is impossible); the budget layer may re-spill the merged result
   /// afterwards.
   void Append(SortedCountRun&& delta) {
     if (delta.empty()) return;
@@ -104,35 +143,25 @@ class TieredCountRuns {
       return;
     }
     FrontierUpdates updates;
-    auto record = [this, &updates](uint64_t key, uint32_t old_total,
-                                   uint32_t new_total) {
-      Record(key, old_total, new_total, &updates);
-    };
     if (tiers_.size() == 1) {
       // Fold into the lone big run: its count is each key's old total.
       tiers_[0].Materialize();
-      MergeCountRuns(tiers_[0].resident, delta, record);
+      if (KeepsFrontier()) {
+        MergeCountRuns(tiers_[0].resident, delta,
+                       [this, &updates](uint64_t key, uint32_t old_total,
+                                        uint32_t new_total) {
+                         Record(key, old_total, new_total, &updates);
+                       });
+      } else {
+        MergeCountRuns(tiers_[0].resident, std::move(delta));
+      }
     } else {
       // The stack is full, so the delta folds into the delta tier. A delta
       // key's new total is then its big-run count plus its delta-tier
       // count, and its old total is that minus its count in `delta`.
       tiers_[1].Materialize();
       MergeCountRuns(tiers_[1].resident, delta);
-      if (tiers_[0].size() <= kSizeRatio * tiers_[1].size()) {
-        // The delta tier folds on into the big run: that walk passes every
-        // delta key with its new total, so no lookup is needed.
-        size_t next = 0;
-        tiers_[0].Materialize();
-        MergeCountRuns(tiers_[0].resident, tiers_[1].resident,
-                       [&delta, &next, &record](uint64_t key, uint32_t,
-                                                uint32_t total) {
-                         if (next < delta.size() && delta.keys[next] == key) {
-                           record(key, total - delta.counts[next], total);
-                           ++next;
-                         }
-                       });
-        tiers_.pop_back();
-      } else {
+      if (KeepsFrontier()) {
         const RunView big = tiers_[0].View();
         const RunView small = tiers_[1].View();
         size_t big_cursor = 0, small_cursor = 0;
@@ -140,28 +169,36 @@ class TieredCountRuns {
           const uint64_t key = delta.keys[i];
           const uint32_t total = GallopCount(big, &big_cursor, key) +
                                  GallopCount(small, &small_cursor, key);
-          record(key, total - delta.counts[i], total);
+          Record(key, total - delta.counts[i], total, &updates);
         }
+      }
+      if (tiers_[0].size() <= kSizeRatio * tiers_[1].size()) {
+        tiers_[0].Materialize();
+        MergeCountRuns(tiers_[0].resident, std::move(tiers_[1].resident));
+        tiers_.pop_back();
       }
     }
     UpsertFrontier(updates);
   }
 
-  /// Pushes `run` as the newest tier without folding and brings the
+  /// Pushes `run` as the newest tier without folding and brings a kept
   /// frontier up to date by galloping each of its keys into the older tier.
   /// This is `Append`'s no-fold path and the snapshot loader's hook: tier
   /// boundaries decide when later folds run, so a resumed process must
   /// replay them identically, and the frontier — never serialized — is
   /// rebuilt from the tiers as they are pushed. The stack must hold fewer
-  /// than `kMaxTiers` tiers.
+  /// than `kMaxTiers` tiers. Empty runs are dropped, as in `Append`.
   void AppendUnfolded(SortedCountRun&& run) {
     RECONCILE_CHECK_LT(tiers_.size(), kMaxTiers);
-    const RunView older = tiers_.empty() ? RunView{} : tiers_[0].View();
+    if (run.empty()) return;
     FrontierUpdates updates;
-    size_t cursor = 0;
-    for (size_t i = 0; i < run.size(); ++i) {
-      const uint32_t base = GallopCount(older, &cursor, run.keys[i]);
-      Record(run.keys[i], base, base + run.counts[i], &updates);
+    if (KeepsFrontier()) {
+      const RunView older = tiers_.empty() ? RunView{} : tiers_[0].View();
+      size_t cursor = 0;
+      for (size_t i = 0; i < run.size(); ++i) {
+        const uint32_t base = GallopCount(older, &cursor, run.keys[i]);
+        Record(run.keys[i], base, base + run.counts[i], &updates);
+      }
     }
     tiers_.emplace_back();
     tiers_.back().resident = std::move(run);
@@ -212,10 +249,16 @@ class TieredCountRuns {
   }
 
   /// The threshold frontier: every key whose total is >= `min_score()`,
-  /// ascending, with that total.
-  RunView frontier() const {
-    return RunView{frontier_.keys.data(), frontier_.counts.data(),
-                   frontier_.size()};
+  /// ascending, with that total. Below a `min_score` of 2 that is every
+  /// key, and the view reads the tiers themselves, spilled or not.
+  FrontierView frontier() const {
+    if (!KeepsFrontier()) {
+      return FrontierView{tiers_.size() > 0 ? tiers_[0].View() : RunView{},
+                          tiers_.size() > 1 ? tiers_[1].View() : RunView{}};
+    }
+    return FrontierView{RunView{frontier_.keys.data(), frontier_.counts.data(),
+                                frontier_.size()},
+                        RunView{}};
   }
   uint32_t min_score() const { return min_score_; }
 
@@ -235,8 +278,8 @@ class TieredCountRuns {
   }
 
   /// Bytes of tier and frontier payload currently held in RAM (spilled
-  /// tiers cost 0 — their pages are file-backed and evictable; the frontier
-  /// is always resident).
+  /// tiers cost 0 — their pages are file-backed and evictable; a frontier
+  /// kept beside the tiers is always resident).
   size_t resident_bytes() const {
     size_t total = BytesForEntries(frontier_.size());
     for (const Tier& tier : tiers_) {
@@ -261,6 +304,10 @@ class TieredCountRuns {
     SortedCountRun entries;
     size_t inserts = 0;
   };
+
+  // Every stored key has a total of at least 1, so at threshold 1 the
+  // frontier is the whole store and no copy is kept.
+  bool KeepsFrontier() const { return min_score_ > 1; }
 
   void Record(uint64_t key, uint32_t old_total, uint32_t new_total,
               FrontierUpdates* updates) const {

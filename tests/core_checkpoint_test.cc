@@ -22,12 +22,13 @@
 #include "reconcile/seed/seeding.h"
 #include "reconcile/util/checkpoint.h"
 #include "reconcile/util/tiered_store.h"
-#include "support/temp_path.h"
 
 namespace reconcile {
 namespace {
 
-std::string TempPath(const std::string& name) { return TestTempPath(name); }
+std::string TempPath(const std::string& name) {
+  return testing::TempDir() + "/" + name;
+}
 
 std::vector<char> Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
@@ -161,37 +162,45 @@ TEST(MatcherStateTest, ResumeAtEveryPausePointReplaysEveryRound) {
 
 // A budget small enough to spill every tier changes where the score state
 // lives, not what selection reads: the matching and every round's frontier
-// match the unbudgeted run. The frontier itself is never spilled, so once
-// all tiers are on disk the resident score bytes are exactly the frontier.
+// match the unbudgeted run. From T = 2 up the frontier is a copy that is
+// never spilled, so once all tiers are on disk the resident score bytes are
+// exactly the frontier; at T = 1 the frontier is the tiers themselves, so
+// nothing stays resident.
 TEST(MatcherStateTest, BudgetedRunMatchesUnbudgetedRoundByRound) {
   Workload w = MakeWorkload(9009);
-  MatcherConfig config;
-  config.num_shards = 4;
-  const MatchResult unbudgeted = RunToCompletion(w, config);
+  for (uint32_t threshold : {1u, 2u}) {
+    SCOPED_TRACE("T=" + std::to_string(threshold));
+    MatcherConfig config;
+    config.num_shards = 4;
+    config.min_score = threshold;
+    const MatchResult unbudgeted = RunToCompletion(w, config);
 
-  const std::string dir = TempPath("budget_scores");
-  MatcherConfig budgeted_config = config;
-  budgeted_config.memory_budget_bytes = 1;
-  budgeted_config.score_dir = dir;
-  const MatchResult budgeted = RunToCompletion(w, budgeted_config);
-  std::filesystem::remove_all(dir);
+    const std::string dir = TempPath("budget_scores");
+    MatcherConfig budgeted_config = config;
+    budgeted_config.memory_budget_bytes = 1;
+    budgeted_config.score_dir = dir;
+    const MatchResult budgeted = RunToCompletion(w, budgeted_config);
+    std::filesystem::remove_all(dir);
 
-  ASSERT_EQ(budgeted.map_1to2, unbudgeted.map_1to2);
-  ASSERT_EQ(budgeted.map_2to1, unbudgeted.map_2to1);
-  ExpectSameRounds(budgeted.phases, unbudgeted.phases, 0);
-  size_t spilled = 0, all_levels_rounds = 0;
-  for (const PhaseStats& phase : budgeted.phases) {
-    spilled += phase.tiers_spilled;
-    // A bucket-0 round selects over every level, so it scans every
-    // frontier entry of the store.
-    if (phase.bucket_exponent == 0) {
-      ++all_levels_rounds;
-      EXPECT_EQ(phase.resident_score_bytes,
-                TieredCountRuns::BytesForEntries(phase.candidate_pairs));
+    ASSERT_EQ(budgeted.map_1to2, unbudgeted.map_1to2);
+    ASSERT_EQ(budgeted.map_2to1, unbudgeted.map_2to1);
+    ExpectSameRounds(budgeted.phases, unbudgeted.phases, 0);
+    size_t spilled = 0, all_levels_rounds = 0;
+    for (const PhaseStats& phase : budgeted.phases) {
+      spilled += phase.tiers_spilled;
+      // A bucket-0 round selects over every level, so it scans every
+      // frontier entry of the store.
+      if (phase.bucket_exponent == 0) {
+        ++all_levels_rounds;
+        EXPECT_EQ(phase.resident_score_bytes,
+                  threshold > 1 ? TieredCountRuns::BytesForEntries(
+                                      phase.candidate_pairs)
+                                : 0u);
+      }
     }
+    EXPECT_GT(spilled, 0u);
+    EXPECT_GT(all_levels_rounds, 0u);
   }
-  EXPECT_GT(spilled, 0u);
-  EXPECT_GT(all_levels_rounds, 0u);
 }
 
 TEST(MatcherStateTest, ResumeEquivalenceWithSixShards) {

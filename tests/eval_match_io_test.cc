@@ -1,5 +1,4 @@
 #include "reconcile/eval/match_io.h"
-#include "support/temp_path.h"
 
 #include <cstdio>
 #include <fstream>
@@ -10,7 +9,9 @@
 namespace reconcile {
 namespace {
 
-std::string TempPath(const std::string& name) { return TestTempPath(name); }
+std::string TempPath(const std::string& name) {
+  return testing::TempDir() + "/" + name;
+}
 
 MatchResult MakeResult() {
   MatchResult result;

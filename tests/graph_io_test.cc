@@ -7,12 +7,13 @@
 #include <gtest/gtest.h>
 
 #include "reconcile/gen/erdos_renyi.h"
-#include "support/temp_path.h"
 
 namespace reconcile {
 namespace {
 
-std::string TempPath(const std::string& name) { return TestTempPath(name); }
+std::string TempPath(const std::string& name) {
+  return testing::TempDir() + "/" + name;
+}
 
 bool SameGraph(const Graph& a, const Graph& b) {
   if (a.num_nodes() != b.num_nodes() || a.num_edges() != b.num_edges()) {

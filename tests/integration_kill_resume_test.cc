@@ -30,14 +30,15 @@
 #include "reconcile/seed/seeding.h"
 #include "reconcile/util/checkpoint.h"
 #include "reconcile/util/fault.h"
-#include "support/temp_path.h"
 
 namespace reconcile {
 namespace {
 
 constexpr uint64_t kWorkloadSeed = 4242;
 
-std::string TempPath(const std::string& name) { return TestTempPath(name); }
+std::string TempPath(const std::string& name) {
+  return testing::TempDir() + "/" + name;
+}
 
 std::vector<char> Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

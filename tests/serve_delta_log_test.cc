@@ -5,7 +5,6 @@
 // the cursor counts data records only. Malformed lines must fail with a
 // line-numbered diagnostic, never silently skip.
 #include "reconcile/serve/delta_log.h"
-#include "support/temp_path.h"
 
 #include <fstream>
 #include <string>
@@ -17,7 +16,7 @@ namespace reconcile {
 namespace {
 
 std::string WriteLog(const std::string& name, const std::string& text) {
-  const std::string path = TestTempPath(name);
+  const std::string path = testing::TempDir() + "/" + name;
   std::ofstream out(path, std::ios::trunc);
   out << text;
   return path;
@@ -304,7 +303,7 @@ TEST(DeltaLogTest, TolerantModeKeepsRecordsBeforeTearInSameBatch) {
 TEST(DeltaLogTest, MissingFileFailsToOpen) {
   DeltaReader reader;
   std::string error;
-  EXPECT_FALSE(reader.Open(TestTempPath("nope.log"), &error));
+  EXPECT_FALSE(reader.Open(testing::TempDir() + "/nope.log", &error));
   EXPECT_FALSE(error.empty());
 }
 

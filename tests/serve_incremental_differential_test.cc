@@ -26,7 +26,6 @@
 #include "reconcile/serve/incremental_matcher.h"
 #include "reconcile/util/checkpoint.h"
 #include "reconcile/util/shutdown.h"
-#include "support/temp_path.h"
 
 namespace reconcile {
 namespace {
@@ -278,8 +277,8 @@ TEST_P(ServeDifferentialTest, SnapshotRoundTripContinuesIdentically) {
   live.ApplyBatch(script[0]);
   live.ApplyBatch(script[1]);
 
-  const std::string path =
-      TestTempPath("serve_roundtrip_" + std::string(param.name) + ".ckpt");
+  const std::string path = testing::TempDir() + "/serve_roundtrip_" +
+                           std::string(param.name) + ".ckpt";
   std::string error;
   ASSERT_TRUE(live.SaveSnapshot(path, &error)) << error;
 
@@ -386,8 +385,8 @@ TEST_P(ServeDifferentialTest, RejectsVersionOneSnapshot) {
   writer.AppendU64(seeds.size());
   writer.AppendU64(0);
   writer.EndSection();
-  const std::string path =
-      TestTempPath("serve_v1_" + std::string(param.name) + ".ckpt");
+  const std::string path = testing::TempDir() + "/serve_v1_" +
+                           std::string(param.name) + ".ckpt";
   std::string error;
   ASSERT_TRUE(writer.Commit(path, &error)) << error;
 

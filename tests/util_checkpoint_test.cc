@@ -16,12 +16,13 @@
 #include <gtest/gtest.h>
 
 #include "reconcile/util/fault.h"
-#include "support/temp_path.h"
 
 namespace reconcile {
 namespace {
 
-std::string TempPath(const std::string& name) { return TestTempPath(name); }
+std::string TempPath(const std::string& name) {
+  return testing::TempDir() + "/" + name;
+}
 
 std::vector<char> Slurp(const std::string& path) {
   std::ifstream in(path, std::ios::binary);

@@ -196,8 +196,7 @@ TEST(MergeCountRunsTest, DisjointAndOverlappingTails) {
 }
 
 // The observed fold reports every delta key once, ascending, with its count
-// in the target before and after — also when the target starts empty — and
-// merges exactly like the plain fold.
+// in the target before and after, and merges exactly like the plain fold.
 TEST(MergeCountRunsTest, ObserverSeesEveryDeltaKeyWithOldAndNewCounts) {
   std::vector<uint64_t> scratch;
   struct Seen {
@@ -207,28 +206,19 @@ TEST(MergeCountRunsTest, ObserverSeesEveryDeltaKeyWithOldAndNewCounts) {
     bool operator==(const Seen&) const = default;
   };
   const SortedCountRun delta = SortAndCount({2, 5, 5, 9, 20, 21}, scratch);
-  for (bool empty_target : {false, true}) {
-    SCOPED_TRACE(empty_target ? "empty target" : "non-empty target");
-    SortedCountRun target;
-    if (!empty_target) target = SortAndCount({1, 5, 9, 9, 12}, scratch);
-    SortedCountRun plain = target;
-    MergeCountRuns(plain, delta);
-    std::vector<Seen> seen;
-    MergeCountRuns(target, delta,
-                   [&seen](uint64_t key, uint32_t old_count,
-                           uint32_t new_count) {
-                     seen.push_back({key, old_count, new_count});
-                   });
-    EXPECT_EQ(target.keys, plain.keys);
-    EXPECT_EQ(target.counts, plain.counts);
-    const std::vector<Seen> expected =
-        empty_target
-            ? std::vector<Seen>{{2, 0, 1}, {5, 0, 2}, {9, 0, 1}, {20, 0, 1},
-                                {21, 0, 1}}
-            : std::vector<Seen>{{2, 0, 1}, {5, 1, 3}, {9, 2, 3}, {20, 0, 1},
-                                {21, 0, 1}};
-    EXPECT_EQ(seen, expected);
-  }
+  SortedCountRun target = SortAndCount({1, 5, 9, 9, 12}, scratch);
+  SortedCountRun plain = target;
+  MergeCountRuns(plain, delta);
+  std::vector<Seen> seen;
+  MergeCountRuns(target, delta,
+                 [&seen](uint64_t key, uint32_t old_count, uint32_t new_count) {
+                   seen.push_back({key, old_count, new_count});
+                 });
+  EXPECT_EQ(target.keys, plain.keys);
+  EXPECT_EQ(target.counts, plain.counts);
+  const std::vector<Seen> expected = {
+      {2, 0, 1}, {5, 1, 3}, {9, 2, 3}, {20, 0, 1}, {21, 0, 1}};
+  EXPECT_EQ(seen, expected);
 }
 
 }  // namespace

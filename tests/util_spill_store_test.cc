@@ -49,10 +49,14 @@ std::vector<std::pair<uint64_t, uint32_t>> Fold(const TieredCountRuns& s) {
   return TierTotals(s);
 }
 
+// The paper's default threshold. Below 2 the frontier is the whole store
+// and the store keeps a single run, so the two-tier cases run at T = 2.
+constexpr uint32_t kThreshold = 2;
+
 // A two-tier store: a big run plus a delta small enough (more than 4x
 // smaller) to stay a separate tier.
 TieredCountRuns MakeTwoTierStore(uint64_t seed) {
-  TieredCountRuns store;
+  TieredCountRuns store(kThreshold);
   store.Append(MakeRun(MakeDeltaStream(seed, 1, 2000, 100000)[0]));
   store.Append(MakeRun(MakeDeltaStream(seed + 1, 1, 50, 100000)[0]));
   return store;
@@ -139,7 +143,8 @@ TEST_F(SpillStoreTest, ResidentBytesMoveToSpilledOnSpill) {
   TieredCountRuns store = MakeTwoTierStore(3);
   ASSERT_EQ(store.num_tiers(), 2u);
   // The frontier is resident payload too, and it never spills.
-  const size_t frontier = store.frontier().size;
+  size_t frontier = 0;
+  store.frontier().ForEach([&frontier](uint64_t, uint32_t) { ++frontier; });
   ASSERT_GT(frontier, 0u);
   const size_t before = store.resident_bytes();
   ASSERT_EQ(before, TieredCountRuns::BytesForEntries(store.total_entries() +
@@ -156,7 +161,7 @@ TEST_F(SpillStoreTest, ResidentBytesMoveToSpilledOnSpill) {
 }
 
 TEST_F(SpillStoreTest, FilterMaterializesSpilledTiers) {
-  TieredCountRuns store;
+  TieredCountRuns store(kThreshold);
   store.Append(MakeRun({10, 11, 12, 12, 14, 16, 18, 20, 22, 24}));
   store.Append(MakeRun({11, 13}));
   ASSERT_EQ(store.num_tiers(), 2u);
@@ -173,7 +178,7 @@ TEST_F(SpillStoreTest, FilterMaterializesSpilledTiers) {
 }
 
 TEST_F(SpillStoreTest, AppendFoldMaterializesSpilledTarget) {
-  TieredCountRuns store;
+  TieredCountRuns store(kThreshold);
   store.Append(MakeRun({1, 2, 3}));
   SpillStore spill(dir_);
   std::string error;

@@ -18,7 +18,6 @@
 
 #include "reconcile/util/rng.h"
 #include "reconcile/util/spill_store.h"
-#include "support/temp_path.h"
 #include "support/tier_totals.h"
 
 namespace reconcile {
@@ -51,6 +50,10 @@ std::vector<std::vector<uint64_t>> MakeDeltaStream(uint64_t seed,
   return deltas;
 }
 
+// The fold-policy cases run at the paper's default threshold; below 2 the
+// store keeps a single run (see FrontierIsTheWholeStoreAtThresholdOneOrZero).
+constexpr uint32_t kThreshold = 2;
+
 std::map<uint64_t, uint32_t> Materialize(const TieredCountRuns& store) {
   const std::vector<std::pair<uint64_t, uint32_t>> totals = TierTotals(store);
   return {totals.begin(), totals.end()};
@@ -63,7 +66,7 @@ TEST(TieredStoreTest, AggregateMatchesReferenceForDeltaShapes) {
   for (size_t shrink : {1, 2, 8}) {
     SCOPED_TRACE("shrink=" + std::to_string(shrink));
     std::map<uint64_t, uint32_t> reference;
-    TieredCountRuns store;
+    TieredCountRuns store(kThreshold);
     size_t size = 4000;
     for (uint64_t seed = 77; seed < 86; ++seed) {
       const auto delta = MakeDeltaStream(seed, 1, size, 3000)[0];
@@ -77,7 +80,7 @@ TEST(TieredStoreTest, AggregateMatchesReferenceForDeltaShapes) {
 }
 
 TEST(TieredStoreTest, EqualSizedDeltasFold) {
-  TieredCountRuns store;
+  TieredCountRuns store(kThreshold);
   for (int i = 0; i < 6; ++i) {
     store.Append(MakeDistinctRun(0, 64));
     EXPECT_EQ(store.num_tiers(), 1u);
@@ -88,7 +91,7 @@ TEST(TieredStoreTest, EqualSizedDeltasFold) {
 }
 
 TEST(TieredStoreTest, RatioAndCapDecideFolds) {
-  TieredCountRuns store;
+  TieredCountRuns store(kThreshold);
   store.Append(MakeDistinctRun(0, 4000));
   // 4000 > 4 * 100: the small delta stays a second tier.
   store.Append(MakeDistinctRun(10000, 100));
@@ -106,19 +109,19 @@ TEST(TieredStoreTest, RatioAndCapDecideFolds) {
 }
 
 TEST(TieredStoreTest, PredecessorExactlyFourTimesLargerFolds) {
-  TieredCountRuns folds;
+  TieredCountRuns folds(kThreshold);
   folds.Append(MakeDistinctRun(0, 400));
   folds.Append(MakeDistinctRun(1000, 100));
   EXPECT_EQ(folds.num_tiers(), 1u);
 
-  TieredCountRuns stays;
+  TieredCountRuns stays(kThreshold);
   stays.Append(MakeDistinctRun(0, 401));
   stays.Append(MakeDistinctRun(1000, 100));
   EXPECT_EQ(stays.num_tiers(), 2u);
 }
 
 TEST(TieredStoreTest, FilterAppliesAcrossTiersAndDropsEmpties) {
-  TieredCountRuns store;
+  TieredCountRuns store(kThreshold);
   store.Append(MakeRun({10, 12, 12, 14, 16, 18, 20, 22, 24, 26}));
   store.Append(MakeRun({11, 12}));
   ASSERT_EQ(store.num_tiers(), 2u);
@@ -139,7 +142,7 @@ TEST(TieredStoreTest, FilterAppliesAcrossTiersAndDropsEmpties) {
 TEST(TieredStoreTest, AppendUnfoldedKeepsTierBoundaries) {
   // The snapshot loader rebuilds a written stack exactly: two equal-sized
   // tiers stay two, where Append would have folded them.
-  TieredCountRuns store;
+  TieredCountRuns store(kThreshold);
   store.AppendUnfolded(MakeDistinctRun(0, 64));
   store.AppendUnfolded(MakeDistinctRun(32, 64));
   ASSERT_EQ(store.num_tiers(), 2u);
@@ -154,7 +157,7 @@ TEST(TieredStoreTest, AppendUnfoldedKeepsTierBoundaries) {
 }
 
 TEST(TieredStoreTest, EmptyDeltasAreDropped) {
-  TieredCountRuns store;
+  TieredCountRuns store(kThreshold);
   store.Append(SortedCountRun{});
   EXPECT_TRUE(store.empty());
   EXPECT_EQ(store.num_tiers(), 0u);
@@ -178,11 +181,9 @@ Entries ReferenceFrontier(const TieredCountRuns& store) {
 }
 
 Entries FrontierOf(const TieredCountRuns& store) {
-  const RunView run = store.frontier();
   Entries out;
-  for (size_t i = 0; i < run.size; ++i) {
-    out.emplace_back(run.keys[i], run.counts[i]);
-  }
+  store.frontier().ForEach(
+      [&out](uint64_t key, uint32_t total) { out.emplace_back(key, total); });
   return out;
 }
 
@@ -200,7 +201,7 @@ Path PathOf(const TieredCountRuns& store, size_t delta_size) {
 class TieredStoreFrontierTest : public testing::Test {
  protected:
   void SetUp() override {
-    dir_ = TestTempPath("tiered_store_frontier");
+    dir_ = testing::TempDir() + "/tiered_store_frontier";
     std::filesystem::remove_all(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
@@ -260,12 +261,36 @@ TEST_F(TieredStoreFrontierTest, RandomStreamsKeepTheFrontierExact) {
   }
 }
 
-TEST(TieredStoreTest, FrontierIsTheWholeStoreAtThresholdOneOrZero) {
+// Below T = 2 the frontier is every key. The store then keeps no copy: its
+// frontier reads the tiers themselves, which keep the fold policy of every
+// other threshold, so the resident bytes are the tiers' alone and spilling
+// them frees all of it.
+TEST_F(TieredStoreFrontierTest, FrontierIsTheWholeStoreAtThresholdOneOrZero) {
+  SpillStore spill(dir_);
   for (uint32_t threshold : {0u, 1u}) {
+    SCOPED_TRACE("T=" + std::to_string(threshold));
     TieredCountRuns store(threshold);
-    store.Append(MakeRun({5, 3, 3, 9}));
-    store.Append(MakeRun({1}));
-    const Entries expected = {{1, 1}, {3, 2}, {5, 1}, {9, 1}};
+    store.Append(MakeDistinctRun(100, 64));
+    store.Append(MakeRun({5, 3, 3, 9, 120}));
+    ASSERT_EQ(store.num_tiers(), 2u);
+    std::vector<const uint64_t*> tier_keys;
+    store.ForEachTier(
+        [&tier_keys](RunView tier) { tier_keys.push_back(tier.keys); });
+    EXPECT_EQ(store.frontier().first.keys, tier_keys[0]);
+    EXPECT_EQ(store.frontier().second.keys, tier_keys[1]);
+    Entries expected = {{3, 2}, {5, 1}, {9, 1}};
+    for (uint64_t key = 100; key < 164; ++key) {
+      expected.emplace_back(key, key == 120 ? 2 : 1);
+    }
+    EXPECT_EQ(FrontierOf(store), expected);
+    EXPECT_EQ(FrontierOf(store), ReferenceFrontier(store));
+    EXPECT_EQ(store.resident_bytes(),
+              TieredCountRuns::BytesForEntries(store.total_entries()));
+
+    std::string error;
+    ASSERT_TRUE(store.SpillTier(0, spill, &error)) << error;
+    ASSERT_TRUE(store.SpillTier(1, spill, &error)) << error;
+    EXPECT_EQ(store.resident_bytes(), 0u);
     EXPECT_EQ(FrontierOf(store), expected);
   }
 }

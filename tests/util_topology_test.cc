@@ -1,7 +1,6 @@
 // Topology discovery: cpulist parsing, a faked sysfs node tree, and the
 // single-domain fallback every non-Linux / single-socket host takes.
 #include "reconcile/util/topology.h"
-#include "support/temp_path.h"
 
 #include <filesystem>
 #include <fstream>
@@ -52,7 +51,7 @@ TEST(CpuListTest, RejectsMalformedInput) {
 class FakeSysfsTree {
  public:
   explicit FakeSysfsTree(const std::string& name) {
-    root_ = fs::path(TestTempPath(name));
+    root_ = fs::path(testing::TempDir()) / name;
     fs::remove_all(root_);
     fs::create_directories(root_);
   }
