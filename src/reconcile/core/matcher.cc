@@ -60,11 +60,11 @@ void TryResume(MatcherState* state, const std::string& dir, int keep) {
 // After a *successful* write, retention prunes all but the newest `keep`
 // snapshots — never after a failed one, so a bad write cannot shrink the
 // set of usable recovery points.
-void WriteCheckpoint(const MatcherState& state, const std::string& dir,
+void WriteCheckpoint(MatcherState* state, const std::string& dir,
                      int keep) {
-  const std::string path = CheckpointPath(dir, state.completed_rounds());
+  const std::string path = CheckpointPath(dir, state->completed_rounds());
   std::string error;
-  if (!state.SaveSnapshot(path, &error)) {
+  if (!state->SaveSnapshot(path, &error)) {
     RECONCILE_LOG(Warning) << "checkpoint write failed: " << error;
     return;
   }
@@ -114,7 +114,7 @@ MatchResult UserMatching(const Graph& g1, const Graph& g2,
     FaultValuePoint("after_round", state.completed_rounds());
     if (checkpointing &&
         (state.Done() || state.completed_rounds() % every == 0)) {
-      WriteCheckpoint(state, config.checkpoint_dir, config.checkpoint_keep);
+      WriteCheckpoint(&state, config.checkpoint_dir, config.checkpoint_keep);
     }
     if (GracefulStopRequested() && !state.Done()) {
       stopped_early = true;
@@ -125,7 +125,7 @@ MatchResult UserMatching(const Graph& g1, const Graph& g2,
   // the in-flight round, persists it, and returns the partial matching.
   if (stopped_early && checkpointing &&
       state.completed_rounds() % every != 0) {
-    WriteCheckpoint(state, config.checkpoint_dir, config.checkpoint_keep);
+    WriteCheckpoint(&state, config.checkpoint_dir, config.checkpoint_keep);
   }
   return state.TakeResult(timer.Seconds());
 }

@@ -49,8 +49,16 @@ constexpr uint32_t kSectionMeta = 1;
 constexpr uint32_t kSectionLinks = 2;
 constexpr uint32_t kSectionScores = 4;
 
-// Bumped whenever the META/LINKS/SCORES payloads change shape.
-constexpr uint32_t kMatcherStateVersion = 1;
+// Bumped whenever the META/LINKS/SCORES payloads change shape. Version 2
+// appends each cell's parked keys after its tiers; a version-1 snapshot is
+// a state with nothing parked and still loads.
+constexpr uint32_t kMatcherStateVersion = 2;
+constexpr uint32_t kUnparkedStateVersion = 1;
+
+// Budget accounting charges a parked key its raw size, whether it sits in
+// a producer chunk or in a snapshot's aggregate, so budget decisions do
+// not depend on whether the run resumed.
+constexpr size_t kParkedKeyBytes = sizeof(uint64_t);
 
 // META's two engine bytes. Snapshots once recorded which scoring engine
 // (incremental or recompute) and which backend (radix or hash) wrote them;
@@ -116,6 +124,8 @@ MatcherState::MatcherState(const Graph& g1, const Graph& g2,
   level1_ = DegreeLevels(g1);
   level2_ = DegreeLevels(g2);
   runs_ = MakeScoreCells();
+  parked_.resize(kNumLevels);
+  for (auto& level : parked_) level.resize(static_cast<size_t>(num_shards_));
   radix_shard1_ = RadixShardTable(g1.num_nodes(), num_shards_);
   if (config.memory_budget_bytes > 0) {
     // The budget is a resource knob, not a semantic one: without a scratch
@@ -209,8 +219,10 @@ void MatcherState::AdvanceCursor() {
 // score state and its frontiers; called between outer iterations to keep
 // merges and memory proportional to the live pairs. Emission stopped
 // adding such pairs once both endpoints were matched; this sweep removes
-// the ones that died after their keys were stored.
+// the ones that died after their keys were stored. Nothing is parked here:
+// an iteration's last round reads every level emission writes to.
 void MatcherState::CompactScores() {
+  RECONCILE_CHECK_EQ(parked_keys(), 0u);
   const size_t cells =
       static_cast<size_t>(kNumLevels) * static_cast<size_t>(num_shards_);
   // Tier stacks compact with an in-place filtering sweep per tier — no
@@ -268,20 +280,19 @@ size_t MatcherState::EmitGrain(size_t num_items) const {
   return ThreadPool::GrainSize(num_items, pool_.num_threads(), 1, 64);
 }
 
-// Folds links_[emitted_links_ ..) into the persistent score state, filling
-// `stats`' emission count plus the time split. Emission (`emit_seconds`)
-// appends packed keys into per-(level, shard) flat buffers — one array
-// store each, the shard being a precomputed per-node lookup. A pair whose
-// two endpoints are both matched is dead — it can never be accepted, and
-// its observations would only touch best-table entries of matched nodes,
-// which the accept pass never reads — and matched-ness only grows within a
-// run, so such pairs are skipped here instead of being sorted and merged
-// only for `CompactScores` to drop them; `PhaseStats::emissions` counts the
-// keys actually appended. The merge
-// (`merge_seconds`) then sorts each touched cell's delta, run-length-
-// encodes it and appends it to the cell's LSM tier stack, which folds
-// the delta into the big persistent run only when the size-ratio rule trips.
-void MatcherState::EmitPendingLinks(PhaseStats* stats) {
+// Emits the witness keys of links_[emitted_links_ ..) and parks them in
+// their (level, shard) cells, filling `stats`' emission count and
+// `emit_seconds`. Emission appends packed keys into per-(level, shard)
+// producer chunks — one array store each, the shard being a precomputed
+// per-node lookup. A pair whose two endpoints are both matched is dead —
+// it can never be accepted, and its observations would only touch
+// best-table entries of matched nodes, which the accept pass never reads —
+// and matched-ness only grows within a run, so such pairs are skipped here
+// instead of being sorted and merged only for `CompactScores` to drop
+// them; `PhaseStats::emissions` counts the keys actually appended. The
+// chunks are parked as they are; a chunk whose cell this round does not
+// read (level below `bucket_exponent`) gives back its growth slack first.
+void MatcherState::EmitPendingLinks(int bucket_exponent, PhaseStats* stats) {
   const size_t begin = emitted_links_;
   const size_t end = links_.size();
   if (begin == end) return;
@@ -289,7 +300,7 @@ void MatcherState::EmitPendingLinks(PhaseStats* stats) {
 
   const NodeId dmin = static_cast<NodeId>(1u) << config_.min_bucket_exponent;
   struct RadixDelta {
-    std::vector<std::vector<std::vector<uint64_t>>> keys;  // [level][shard]
+    std::vector<std::vector<KeyBuffer>> keys;  // [level][shard]
     uint64_t emissions = 0;
   };
   const size_t num_items = end - begin;
@@ -321,51 +332,60 @@ void MatcherState::EmitPendingLinks(PhaseStats* stats) {
   };
   std::vector<RadixDelta> deltas = ParallelProduce<RadixDelta>(
       &pool_, num_items, EmitGrain(num_items), emit_range);
-  stats->emit_seconds += emit_timer.Seconds();
 
-  // Sort-and-append: one touched (level, shard) cell at a time.
-  // Concatenate the producer chunks, radix-sort, run-length-encode, then
-  // append the round delta as a new LSM tier (folded per the size-ratio
-  // rule — late low-yield rounds usually stop here without
-  // touching the big run).
-  Timer merge_timer;
-  ParallelForEach(
-      &pool_,
-      static_cast<size_t>(kNumLevels) * static_cast<size_t>(num_shards_),
-      [this, &deltas](size_t cell) {
-        const size_t level = cell / static_cast<size_t>(num_shards_);
-        const size_t shard = cell % static_cast<size_t>(num_shards_);
-        size_t total = 0;
-        for (const RadixDelta& delta : deltas) {
-          if (delta.keys.empty()) continue;
-          const auto& level_keys = delta.keys[level];
-          if (level_keys.empty()) continue;
-          total += level_keys[shard].size();
-        }
-        if (total == 0) return;
-        std::vector<uint64_t> raw;
-        raw.reserve(total);
-        for (const RadixDelta& delta : deltas) {
-          if (delta.keys.empty()) continue;
-          const auto& level_keys = delta.keys[level];
-          if (level_keys.empty()) continue;
-          const auto& chunk = level_keys[shard];
-          raw.insert(raw.end(), chunk.begin(), chunk.end());
-        }
-        std::vector<uint64_t> scratch;
-        SortedCountRun delta_run = SortAndCount(std::move(raw), scratch);
-        runs_[level][shard].Append(std::move(delta_run));
-      });
-  stats->merge_seconds += merge_timer.Seconds();
-
-  for (const RadixDelta& delta : deltas) {
+  for (RadixDelta& delta : deltas) {
     stats->emissions += static_cast<size_t>(delta.emissions);
+    for (size_t level = 0; level < delta.keys.size(); ++level) {
+      for (size_t shard = 0; shard < delta.keys[level].size(); ++shard) {
+        KeyBuffer& chunk = delta.keys[level][shard];
+        if (chunk.empty()) continue;
+        if (static_cast<int>(level) < bucket_exponent) chunk.ShrinkToFit();
+        ParkedCell& cell = parked_[level][shard];
+        cell.keys += chunk.size();
+        cell.chunks.push_back(std::move(chunk));
+      }
+    }
   }
+  stats->emit_seconds += emit_timer.Seconds();
+}
+
+SortedCountRun MatcherState::ParkedCell::Aggregate() const {
+  std::vector<std::span<const uint64_t>> spans;
+  spans.reserve(chunks.size());
+  for (const KeyBuffer& chunk : chunks) spans.push_back(chunk.keys());
+  SortedCountRun run = BuildCountRun(spans);
+  MergeCountRuns(run, aggregated);
+  return run;
+}
+
+// One `BuildCountRun` over the cell's chunks (merged with a snapshot's
+// aggregate, if any) and one `Append` per cell; the tier stack folds that
+// run into its big run only when the size-ratio rule trips.
+void MatcherState::FoldCells(const std::vector<size_t>& cells) {
+  const size_t shards = static_cast<size_t>(num_shards_);
+  ParallelForEach(&pool_, cells.size(), [this, &cells, shards](size_t i) {
+    ParkedCell& parked = parked_[cells[i] / shards][cells[i] % shards];
+    runs_[cells[i] / shards][cells[i] % shards].Append(parked.Aggregate());
+    parked = ParkedCell{};
+  });
+}
+
+uint64_t MatcherState::parked_keys() const {
+  uint64_t total = 0;
+  for (const auto& level : parked_) {
+    for (const ParkedCell& cell : level) total += cell.keys;
+  }
+  return total;
 }
 
 // --- Memory-budget enforcement -------------------------------------------
-// Runs after a round's emission, before selection: while the resident tier
-// and frontier payload exceeds the budget, spill the largest resident
+// Runs after a round's folds, before selection. Resident payload is the
+// tiers held in RAM, the frontiers and the parked keys. Parked keys cannot
+// be spilled, only folded into a tier that can: while the parked and
+// frontier bytes alone exceed the budget, the largest parked cells fold
+// (ties break on (level, shard)), so a budget below the frontier folds
+// every cell each round — the schedule without deferral. Then, while the
+// resident payload exceeds the budget, spill the largest resident
 // tiers to the score directory (largest-first frees the most RAM per file;
 // ties break on (level, shard, tier index) so the spill schedule — and
 // thus the fault points any injected failure lands on — is deterministic).
@@ -381,6 +401,40 @@ void MatcherState::EmitPendingLinks(PhaseStats* stats) {
 void MatcherState::EnforceMemoryBudget(PhaseStats* stats) {
   if (spill_store_ == nullptr) return;
   constexpr size_t kMaxSpillFailures = 8;
+  const uint64_t budget = config_.memory_budget_bytes;
+  const size_t shards = static_cast<size_t>(num_shards_);
+
+  if (!spill_store_->disabled()) {
+    size_t unspillable = 0;
+    struct ParkedCandidate {
+      size_t bytes;
+      size_t cell;
+    };
+    std::vector<ParkedCandidate> parked;
+    for (size_t cell = 0; cell < runs_.size() * shards; ++cell) {
+      const size_t bytes =
+          parked_[cell / shards][cell % shards].keys * kParkedKeyBytes;
+      unspillable += runs_[cell / shards][cell % shards].frontier_bytes() +
+                     bytes;
+      if (bytes > 0) parked.push_back(ParkedCandidate{bytes, cell});
+    }
+    std::sort(parked.begin(), parked.end(),
+              [](const ParkedCandidate& a, const ParkedCandidate& b) {
+                if (a.bytes != b.bytes) return a.bytes > b.bytes;
+                return a.cell < b.cell;
+              });
+    std::vector<size_t> fold;
+    for (const ParkedCandidate& c : parked) {
+      if (unspillable <= budget) break;
+      fold.push_back(c.cell);
+      unspillable -= c.bytes;
+    }
+    if (!fold.empty()) {
+      Timer merge_timer;
+      FoldCells(fold);
+      stats->merge_seconds += merge_timer.Seconds();
+    }
+  }
 
   size_t resident = 0;
   size_t spilled_bytes = 0;
@@ -394,7 +448,8 @@ void MatcherState::EnforceMemoryBudget(PhaseStats* stats) {
   for (size_t level = 0; level < runs_.size(); ++level) {
     for (size_t shard = 0; shard < runs_[level].size(); ++shard) {
       const TieredCountRuns& store = runs_[level][shard];
-      resident += store.resident_bytes();
+      resident += store.resident_bytes() +
+                  parked_[level][shard].keys * kParkedKeyBytes;
       for (size_t t = 0; t < store.num_tiers(); ++t) {
         const size_t bytes =
             TieredCountRuns::BytesForEntries(store.tier_size(t));
@@ -407,7 +462,6 @@ void MatcherState::EnforceMemoryBudget(PhaseStats* stats) {
     }
   }
 
-  const uint64_t budget = config_.memory_budget_bytes;
   if (resident > budget && !spill_store_->disabled()) {
     std::sort(candidates.begin(), candidates.end(),
               [](const Candidate& a, const Candidate& b) {
@@ -454,8 +508,23 @@ size_t MatcherState::Round(int iteration, int bucket_exponent) {
   stats.links_in = links_.size();
   stats.num_threads = pool_.num_threads();
 
-  EmitPendingLinks(&stats);
+  EmitPendingLinks(bucket_exponent, &stats);
+  // Fold every parked cell this round reads — also in a round that emitted
+  // nothing — so each eligible cell's aggregate is complete.
+  std::vector<size_t> eligible;
+  for (int level = bucket_exponent; level < kNumLevels; ++level) {
+    for (int shard = 0; shard < num_shards_; ++shard) {
+      if (parked_[static_cast<size_t>(level)][static_cast<size_t>(shard)]
+              .keys > 0) {
+        eligible.push_back(static_cast<size_t>(level * num_shards_ + shard));
+      }
+    }
+  }
+  Timer merge_timer;
+  FoldCells(eligible);
+  stats.merge_seconds += merge_timer.Seconds();
   EnforceMemoryBudget(&stats);
+  stats.parked_keys = parked_keys();
 
   // Selection reads only the eligible cells' threshold frontiers; empty
   // ones are skipped, which leaves the link-log order unchanged.
@@ -476,7 +545,19 @@ size_t MatcherState::Round(int iteration, int bucket_exponent) {
 // --- Snapshot serialization ----------------------------------------------
 
 bool MatcherState::SaveSnapshot(const std::string& path,
-                                std::string* error) const {
+                                std::string* error) {
+  // Parked keys are written as each cell's aggregate. Keeping that
+  // aggregate in place of the chunks changes neither what the cell will
+  // fold nor the budget's count of its keys, and spares the next snapshot
+  // sorting the same keys again.
+  const size_t shards = static_cast<size_t>(num_shards_);
+  ParallelForEach(&pool_, runs_.size() * shards, [this, shards](size_t cell) {
+    ParkedCell& parked = parked_[cell / shards][cell % shards];
+    if (parked.chunks.empty()) return;
+    parked.aggregated = parked.Aggregate();
+    parked.chunks.clear();
+  });
+
   SnapshotWriter writer;
 
   writer.BeginSection(kSectionMeta);
@@ -519,8 +600,9 @@ bool MatcherState::SaveSnapshot(const std::string& path,
   writer.EndSection();
 
   writer.BeginSection(kSectionScores);
-  for (const auto& level : runs_) {
-    for (const TieredCountRuns& store : level) {
+  for (size_t level = 0; level < runs_.size(); ++level) {
+    for (size_t shard = 0; shard < shards; ++shard) {
+      const TieredCountRuns& store = runs_[level][shard];
       writer.AppendU32(static_cast<uint32_t>(store.num_tiers()));
       // Tier contents are serialized through views, so a spilled tier
       // streams its bytes straight from the mmap and the snapshot is
@@ -533,6 +615,9 @@ bool MatcherState::SaveSnapshot(const std::string& path,
         writer.AppendU64(tier.size);
         writer.AppendBytes(tier.counts, tier.size * sizeof(uint32_t));
       });
+      const SortedCountRun& parked = parked_[level][shard].aggregated;
+      writer.AppendVector(parked.keys);
+      writer.AppendVector(parked.counts);
     }
   }
   writer.EndSection();
@@ -581,9 +666,11 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
     *error = path + ": truncated META";
     return false;
   }
-  if (state_version != kMatcherStateVersion) {
+  if (state_version != kMatcherStateVersion &&
+      state_version != kUnparkedStateVersion) {
     *error = path + ": matcher state version " +
              std::to_string(state_version) + " (want " +
+             std::to_string(kUnparkedStateVersion) + " or " +
              std::to_string(kMatcherStateVersion) + ")";
     return false;
   }
@@ -702,9 +789,34 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
     *error = path + ": missing SCORES section";
     return false;
   }
+  // A tier or a parked aggregate must be a valid sorted count run
+  // (ascending keys, positive counts): the frontier rebuild gallops
+  // through tiers, and a fold merges the aggregate as a run.
+  auto read_run = [section](SortedCountRun* run) {
+    if (!section->ReadVector(&run->keys) ||
+        !section->ReadVector(&run->counts) ||
+        run->keys.size() != run->counts.size()) {
+      return false;
+    }
+    for (size_t i = 0; i < run->size(); ++i) {
+      if (run->counts[i] == 0 ||
+          (i > 0 && run->keys[i] <= run->keys[i - 1])) {
+        return false;
+      }
+    }
+    return true;
+  };
+  // Every round reads the levels from its bucket exponent up, so a parked
+  // key below the lowest bucket of the schedule would never be folded.
+  const int lowest_read_level = config_.use_degree_bucketing
+                                    ? bottom_exponent_
+                                    : config_.min_bucket_exponent;
   std::vector<std::vector<TieredCountRuns>> runs = MakeScoreCells();
-  for (auto& level : runs) {
-    for (TieredCountRuns& store : level) {
+  std::vector<std::vector<ParkedCell>> parked(runs.size());
+  for (size_t level = 0; level < runs.size(); ++level) {
+    parked[level].resize(runs[level].size());
+    for (size_t shard = 0; shard < runs[level].size(); ++shard) {
+      TieredCountRuns& store = runs[level][shard];
       uint32_t num_tiers = 0;
       if (!section->ReadU32(&num_tiers)) {
         *error = path + ": truncated SCORES section";
@@ -722,24 +834,25 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
       }
       for (uint32_t t = 0; t < num_tiers; ++t) {
         SortedCountRun tier;
-        if (!section->ReadVector(&tier.keys) ||
-            !section->ReadVector(&tier.counts) ||
-            tier.keys.size() != tier.counts.size() || tier.empty()) {
-          *error = path + ": malformed SCORES tier";
+        if (!read_run(&tier) || tier.empty()) {
+          *error = path + ": SCORES tier is not a sorted count run";
           return false;
-        }
-        // The frontier rebuild gallops through sorted tiers, so a tier
-        // that is not a valid run (ascending keys, positive counts) is
-        // rejected here rather than trusted.
-        for (size_t i = 0; i < tier.size(); ++i) {
-          if (tier.counts[i] == 0 ||
-              (i > 0 && tier.keys[i] <= tier.keys[i - 1])) {
-            *error = path + ": SCORES tier is not a sorted count run";
-            return false;
-          }
         }
         store.AppendUnfolded(std::move(tier));
       }
+      if (state_version == kUnparkedStateVersion) continue;
+      ParkedCell& cell = parked[level][shard];
+      if (!read_run(&cell.aggregated)) {
+        *error = path + ": SCORES parked keys are not a sorted count run";
+        return false;
+      }
+      if (!cell.aggregated.empty() &&
+          static_cast<int>(level) < lowest_read_level) {
+        *error = path + ": SCORES parks keys at level " +
+                 std::to_string(level) + ", which no round reads";
+        return false;
+      }
+      for (uint32_t count : cell.aggregated.counts) cell.keys += count;
     }
   }
   if (!section->AtEnd()) {
@@ -752,6 +865,7 @@ bool MatcherState::LoadSnapshot(const std::string& path, std::string* error) {
   map_1to2_ = std::move(map_1to2);
   map_2to1_ = std::move(map_2to1);
   runs_ = std::move(runs);
+  parked_ = std::move(parked);
   emitted_links_ = static_cast<size_t>(emitted_links);
   iteration_ = iteration;
   current_bucket_ = current_bucket;

@@ -43,12 +43,18 @@ namespace reconcile {
 /// `integration_kill_resume_test` subprocess harness across thread
 /// counts).
 ///
+/// A cell's witness keys are folded into its tier stack in the first round
+/// that reads the cell: while the round's bucket exponent is above the
+/// cell's level, emitted keys stay *parked* as raw producer chunks
+/// (DESIGN.md §2.2, "Deferred folding").
+///
 /// Snapshot format: a `SnapshotWriter` file (versioned header, per-section
 /// CRC32 — see `util/checkpoint.h`) with META (state version, graph and
 /// config fingerprints, round cursor), LINKS (the committed link log; seeds
 /// are its prefix, and the node maps are rebuilt from it on load) and one
 /// SCORES section (each cell's tier stack as written, at most
-/// `TieredCountRuns::kMaxTiers` tiers). Execution knobs that cannot affect
+/// `TieredCountRuns::kMaxTiers` tiers, then its parked keys as one sorted
+/// `(key, count)` run). Execution knobs that cannot affect
 /// the matching (threads, memory budget) are deliberately *not*
 /// fingerprinted — a snapshot taken under one may resume under another;
 /// semantic knobs (threshold, iterations, bucketing, the resolved shard
@@ -85,10 +91,17 @@ class MatcherState {
   size_t num_links() const { return links_.size(); }
   size_t num_seeds() const { return num_seeds_; }
 
+  /// Raw witness keys parked in cells no round has read since they were
+  /// emitted. Zero whenever an iteration ends.
+  uint64_t parked_keys() const;
+
   /// Serializes the full cross-round state to `path` atomically (temp file
   /// + fsync + rename). Returns false with a diagnostic on failure; the
-  /// previous file at `path`, if any, is left intact.
-  bool SaveSnapshot(const std::string& path, std::string* error) const;
+  /// previous file at `path`, if any, is left intact. Parked keys are
+  /// written, and kept from then on, as each cell's sorted `(key, count)`
+  /// aggregate, so later snapshots do not sort them again; they stay
+  /// parked — a snapshot folds nothing into the tiers.
+  bool SaveSnapshot(const std::string& path, std::string* error);
 
   /// Restores the state saved by `SaveSnapshot`. Validates the snapshot
   /// end to end first — format version, per-section checksums, state
@@ -107,12 +120,27 @@ class MatcherState {
   void CompactScores();
   size_t SelectAndCommit(const std::vector<FrontierView>& units,
                          PhaseStats* stats);
-  void EmitPendingLinks(PhaseStats* stats);
+  void EmitPendingLinks(int bucket_exponent, PhaseStats* stats);
   size_t EmitGrain(size_t num_items) const;
-  // Memory-budget enforcement: after a round's emission, spill the biggest
-  // cold tiers until resident payload fits `config_.memory_budget_bytes`.
-  // Fills the round's spill telemetry.
+  // Folds the parked keys of every cell in `cells` (flat `level *
+  // num_shards_ + shard` indices) into its tier stack, in parallel.
+  void FoldCells(const std::vector<size_t>& cells);
+  // Memory-budget enforcement: after a round's folds, fold the largest
+  // parked cells while parked and frontier bytes alone exceed
+  // `config_.memory_budget_bytes`, then spill the biggest cold tiers until
+  // resident payload fits. Fills the round's spill telemetry.
   void EnforceMemoryBudget(PhaseStats* stats);
+
+  // A cell's parked keys: the producer chunks emitted since its last fold,
+  // plus the aggregate a snapshot wrote or restored.
+  struct ParkedCell {
+    std::vector<KeyBuffer> chunks;
+    SortedCountRun aggregated;
+    uint64_t keys = 0;  // raw keys in `chunks` plus the counts in `aggregated`
+
+    // Everything parked as one sorted run (the cell is left as it is).
+    SortedCountRun Aggregate() const;
+  };
 
   // One empty tier stack per (level, shard) cell.
   std::vector<std::vector<TieredCountRuns>> MakeScoreCells() const;
@@ -138,6 +166,8 @@ class MatcherState {
   // Persistent score state: an LSM tier stack per (level, shard), each with
   // its threshold frontier at `config_.min_score`.
   std::vector<std::vector<TieredCountRuns>> runs_;  // [level][shard]
+  // Keys awaiting the first round that reads their cell.
+  std::vector<std::vector<ParkedCell>> parked_;  // [level][shard]
   // Score shard per g1 node (range partition, see `RadixShardTable` in
   // matcher_state.cc).
   std::vector<uint32_t> radix_shard1_;

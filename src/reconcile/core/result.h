@@ -24,11 +24,17 @@ struct PhaseStats {
   /// reaches the threshold — the only pairs selection scans. (Baselines
   /// that fill `PhaseStats` document their own meaning.)
   size_t candidate_pairs = 0;
+  /// Witness keys parked after the round: emitted into cells at levels
+  /// below the round's bucket exponent, which no round has read since.
+  /// They fold in the first round that reads their cell.
+  size_t parked_keys = 0;
   size_t new_links = 0;     ///< Links accepted this round.
   double seconds = 0.0;     ///< Whole-round wall clock.
   // Per-round time split (seconds): witness emission (enumerating candidate
-  // pairs — the map side), merge/compaction (folding emission deltas into
-  // the persistent score state: radix sort + LSM tier compaction), the
+  // pairs and parking their keys — the map side), merge (folding the parked
+  // keys of the cells this round reads, and of any the memory budget folds
+  // early, into the persistent score state: building each cell's sorted
+  // count run and appending it to the cell's LSM tier stack), the
   // best-table observe scan, and the
   // accept-and-commit pass. The four do not sum exactly to `seconds` (unit
   // bookkeeping sits between them).

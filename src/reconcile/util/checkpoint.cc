@@ -175,6 +175,7 @@ bool SnapshotWriter::Commit(const std::string& path,
 
 bool SnapshotReader::Section::ReadBytes(void* out, size_t size) {
   if (!ok_) return false;
+  if (size == 0) return true;  // `out` may be null (an empty vector's data)
   if (size > payload_.size() - cursor_) {
     ok_ = false;
     return false;

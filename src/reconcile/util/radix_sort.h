@@ -3,8 +3,11 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <cstdlib>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -16,66 +19,71 @@ namespace reconcile {
 ///
 /// The witness-scoring phase is a high-cardinality count aggregation over
 /// packed 64-bit `(u, v)` keys. Instead of a random-access hash probe per
-/// emission, the structures here append + sort + run-length-encode, keeping
-/// every pass over the data sequential:
-///  * `RadixSortU64` — LSD radix sort with 8-bit digits that skips byte
-///    positions whose digit is constant across the input (packed pair keys
-///    on realistic graphs occupy well under 64 bits, so most passes drop),
+/// emission, producers append raw keys to flat buffers and the structures
+/// here turn them into sorted runs, keeping every pass over the data
+/// sequential or cache-resident:
+///  * `KeyBuffer` — a growable raw-key array whose unused capacity can be
+///    released without copying the keys,
+///  * `BuildCountRun` — sorts and run-length-encodes the keys of any number
+///    of chunks into one run without concatenating them first,
 ///  * `SortedCountRun` — the aggregated result: a flat, strictly-increasing
 ///    `(key, count)` array that scans linearly,
 ///  * `MergeCountRuns` — linear two-way merge folding a sorted delta into a
 ///    persistent run.
 
-/// Below this size introsort beats setting up histogram passes.
-inline constexpr size_t kRadixSortCutoff = 256;
-
-/// Sorts `keys` ascending. `scratch` is the ping-pong buffer; it is resized
-/// as needed and its contents are unspecified afterwards. Reusing one
-/// scratch vector across calls avoids repeated allocation in hot loops.
-inline void RadixSortU64(std::vector<uint64_t>& keys,
-                         std::vector<uint64_t>& scratch) {
-  const size_t n = keys.size();
-  if (n < kRadixSortCutoff) {
-    std::sort(keys.begin(), keys.end());
-    return;
+/// Growable array of raw keys on `malloc`/`realloc`. `ShrinkToFit` gives
+/// the growth slack back with a shrinking `realloc`, which trims the block
+/// in place instead of copying the keys, so buffers held for several
+/// rounds cost their size, not their capacity.
+class KeyBuffer {
+ public:
+  KeyBuffer() = default;
+  KeyBuffer(const KeyBuffer&) = delete;
+  KeyBuffer& operator=(const KeyBuffer&) = delete;
+  KeyBuffer(KeyBuffer&& other) noexcept
+      : data_(std::exchange(other.data_, nullptr)),
+        size_(std::exchange(other.size_, 0)),
+        capacity_(std::exchange(other.capacity_, 0)) {}
+  KeyBuffer& operator=(KeyBuffer&& other) noexcept {
+    std::swap(data_, other.data_);
+    std::swap(size_, other.size_);
+    std::swap(capacity_, other.capacity_);
+    return *this;
   }
-  scratch.resize(n);
+  ~KeyBuffer() { std::free(data_); }
 
-  // One histogram pass covering all 8 digit positions at once.
-  std::array<std::array<size_t, 256>, 8> hist{};
-  for (uint64_t key : keys) {
-    for (int d = 0; d < 8; ++d) {
-      ++hist[static_cast<size_t>(d)][(key >> (8 * d)) & 0xff];
-    }
+  void push_back(uint64_t key) {
+    if (size_ == capacity_) [[unlikely]]
+      Reallocate(std::max<size_t>(64, 2 * capacity_));
+    data_[size_++] = key;
+  }
+  void ShrinkToFit() {
+    if (capacity_ > size_) Reallocate(size_);
   }
 
-  uint64_t* src = keys.data();
-  uint64_t* dst = scratch.data();
-  bool in_keys = true;
-  for (int d = 0; d < 8; ++d) {
-    const std::array<size_t, 256>& counts = hist[static_cast<size_t>(d)];
-    // A pass whose digit is constant over the input is the identity.
-    bool trivial = false;
-    for (size_t bucket = 0; bucket < 256; ++bucket) {
-      if (counts[bucket] == n) trivial = true;
-    }
-    if (trivial) continue;
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  std::span<const uint64_t> keys() const { return {data_, size_}; }
 
-    std::array<size_t, 256> offsets;
-    size_t sum = 0;
-    for (size_t bucket = 0; bucket < 256; ++bucket) {
-      offsets[bucket] = sum;
-      sum += counts[bucket];
+ private:
+  void Reallocate(size_t capacity) {
+    if (capacity == 0) {
+      std::free(data_);
+      data_ = nullptr;
+      capacity_ = 0;
+      return;
     }
-    const int shift = 8 * d;
-    for (size_t i = 0; i < n; ++i) {
-      dst[offsets[(src[i] >> shift) & 0xff]++] = src[i];
-    }
-    std::swap(src, dst);
-    in_keys = !in_keys;
+    void* grown = std::realloc(data_, capacity * sizeof(uint64_t));
+    RECONCILE_CHECK(grown != nullptr) << "out of memory for " << capacity
+                                      << " keys";
+    data_ = static_cast<uint64_t*>(grown);
+    capacity_ = capacity;
   }
-  if (!in_keys) keys.swap(scratch);
-}
+
+  uint64_t* data_ = nullptr;
+  size_t size_ = 0;
+  size_t capacity_ = 0;
+};
 
 /// Flat, sorted `(key, count)` aggregate. Keys are strictly increasing; `counts[i]` is the
 /// multiplicity of `keys[i]`. Scans are pure linear array walks.
@@ -121,29 +129,137 @@ struct SortedCountRun {
   }
 };
 
-/// Sorts `raw` (consumed) and run-length-encodes it into a `SortedCountRun`.
-/// Equal keys collapse into one entry whose count is their multiplicity —
-/// the same aggregate `CountByKey` produces, in sorted order.
-inline SortedCountRun SortAndCount(std::vector<uint64_t>&& raw,
-                                   std::vector<uint64_t>& scratch) {
-  SortedCountRun run;
-  if (raw.empty()) return run;
-  RadixSortU64(raw, scratch);
-  run.keys.reserve(raw.size());
-  run.counts.reserve(raw.size());
-  uint64_t current = raw[0];
-  uint32_t count = 0;
-  for (uint64_t key : raw) {
-    if (key != current) {
-      run.keys.push_back(current);
-      run.counts.push_back(count);
-      current = key;
-      count = 0;
-    }
-    ++count;
+/// Keys in one cache-resident block of `BuildCountRun`: a larger input is
+/// first scattered on its top eight varying bits, so that every later pass
+/// sorts a block that, with its scratch, stays in a core's L2.
+inline constexpr size_t kCountRunBlockKeys = size_t{1} << 15;
+/// Blocks of at most this many keys are sorted by comparison.
+inline constexpr size_t kCountRunSmallSort = 64;
+
+namespace internal {
+
+// Sorts `keys[0, n)` ascending, where the keys agree on every bit outside
+// `mask`: one LSD pass per byte that has a `mask` bit and is not constant
+// across the block, ping-ponging with `scratch` (room for `n` keys).
+// Returns whichever of the two buffers holds the result.
+inline uint64_t* SortBlock(uint64_t* keys, uint64_t* scratch, size_t n,
+                           uint64_t mask) {
+  if (n <= kCountRunSmallSort) {
+    std::sort(keys, keys + n);
+    return keys;
   }
-  run.keys.push_back(current);
-  run.counts.push_back(count);
+  std::array<int, 8> digits;
+  size_t num_digits = 0;
+  for (int d = 0; d < 8; ++d) {
+    if ((mask >> (8 * d)) & 0xff) digits[num_digits++] = 8 * d;
+  }
+  std::array<std::array<size_t, 256>, 8> hist;
+  for (size_t k = 0; k < num_digits; ++k) hist[k].fill(0);
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t k = 0; k < num_digits; ++k) {
+      ++hist[k][(keys[i] >> digits[k]) & 0xff];
+    }
+  }
+  uint64_t* src = keys;
+  uint64_t* dst = scratch;
+  for (size_t k = 0; k < num_digits; ++k) {
+    std::array<size_t, 256>& offsets = hist[k];
+    const int shift = digits[k];
+    // A digit constant across the block leaves the order as it is.
+    if (offsets[(src[0] >> shift) & 0xff] == n) continue;
+    size_t sum = 0;
+    for (size_t& slot : offsets) sum += std::exchange(slot, sum);
+    for (size_t i = 0; i < n; ++i) {
+      dst[offsets[(src[i] >> shift) & 0xff]++] = src[i];
+    }
+    std::swap(src, dst);
+  }
+  return src;
+}
+
+}  // namespace internal
+
+/// Sorts the keys of every chunk together and run-length-encodes them into
+/// one `SortedCountRun`: equal keys, within a chunk or across chunks,
+/// collapse into one entry whose count is their multiplicity. Empty chunks
+/// are fine. The chunks are read in place, never concatenated: an input of
+/// at most `kCountRunBlockKeys` keys is gathered and sorted as one block;
+/// a larger one is scattered once on its top eight varying bits (an MSD
+/// digit, so the buckets come out in key order) and each bucket is sorted
+/// on its own. Either way the digit passes skip the bytes on which all keys
+/// agree, and the run is encoded in place in the gathered buffer, which
+/// becomes the run's key array.
+inline SortedCountRun BuildCountRun(
+    std::span<const std::span<const uint64_t>> chunks) {
+  SortedCountRun run;
+  size_t n = 0;
+  uint64_t first = 0;
+  for (std::span<const uint64_t> chunk : chunks) {
+    if (n == 0 && !chunk.empty()) first = chunk[0];
+    n += chunk.size();
+  }
+  if (n == 0) return run;
+  // The bits on which some key differs from the first.
+  uint64_t mask = 0;
+  for (std::span<const uint64_t> chunk : chunks) {
+    for (uint64_t key : chunk) mask |= key ^ first;
+  }
+
+  run.keys.resize(n);
+  run.counts.reserve(n);
+  uint64_t* const out = run.keys.data();
+  size_t distinct = 0;
+  // Appends a sorted block. The block may sit in `out` itself, at or after
+  // the write position: a block never holds fewer keys than distinct ones.
+  auto encode = [&run, out, &distinct](const uint64_t* sorted, size_t size) {
+    for (size_t i = 0; i < size; ++i) {
+      if (distinct > 0 && out[distinct - 1] == sorted[i]) {
+        ++run.counts.back();
+      } else {
+        out[distinct++] = sorted[i];
+        run.counts.push_back(1);
+      }
+    }
+  };
+
+  std::vector<uint64_t> scratch;
+  if (n <= kCountRunBlockKeys) {
+    size_t at = 0;
+    for (std::span<const uint64_t> chunk : chunks) {
+      std::copy(chunk.begin(), chunk.end(), out + at);
+      at += chunk.size();
+    }
+    scratch.resize(n);
+    encode(internal::SortBlock(out, scratch.data(), n, mask), n);
+  } else {
+    const int top = mask == 0 ? 0 : 63 - std::countl_zero(mask);
+    const int shift = std::max(0, top - 7);
+    std::array<size_t, 257> starts{};
+    for (std::span<const uint64_t> chunk : chunks) {
+      for (uint64_t key : chunk) ++starts[((key >> shift) & 0xff) + 1];
+    }
+    size_t largest = 0;
+    for (size_t b = 0; b < 256; ++b) {
+      largest = std::max(largest, starts[b + 1]);
+      starts[b + 1] += starts[b];
+    }
+    std::array<size_t, 256> next;
+    std::copy(starts.begin(), starts.end() - 1, next.begin());
+    for (std::span<const uint64_t> chunk : chunks) {
+      for (uint64_t key : chunk) out[next[(key >> shift) & 0xff]++] = key;
+    }
+    scratch.resize(largest);
+    // Within a bucket the keys agree on every bit from `shift` up.
+    const uint64_t low_mask = mask & ((uint64_t{1} << shift) - 1);
+    for (size_t b = 0; b < 256; ++b) {
+      const size_t size = starts[b + 1] - starts[b];
+      if (size == 0) continue;
+      encode(internal::SortBlock(out + starts[b], scratch.data(), size,
+                                 low_mask),
+             size);
+    }
+  }
+  run.keys.resize(distinct);
   return run;
 }
 

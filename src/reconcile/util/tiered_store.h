@@ -281,12 +281,16 @@ class TieredCountRuns {
   /// tiers cost 0 — their pages are file-backed and evictable; a frontier
   /// kept beside the tiers is always resident).
   size_t resident_bytes() const {
-    size_t total = BytesForEntries(frontier_.size());
+    size_t total = frontier_bytes();
     for (const Tier& tier : tiers_) {
       if (tier.spilled == nullptr) total += BytesForEntries(tier.size());
     }
     return total;
   }
+
+  /// Bytes of the frontier kept beside the tiers (0 at T <= 1, where the
+  /// frontier is the tiers themselves).
+  size_t frontier_bytes() const { return BytesForEntries(frontier_.size()); }
 
   size_t num_spilled_tiers() const {
     size_t total = 0;

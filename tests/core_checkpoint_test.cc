@@ -5,10 +5,14 @@
 // graph, wrong config, wrong seeds, a snapshot of a removed scoring engine)
 // must be a clean LoadSnapshot failure that leaves the state untouched.
 // The threshold frontier is not serialized: a resumed run rebuilds it from
-// the tiers, so every later round must scan the same frontier pairs.
+// the tiers, so every later round must scan the same frontier pairs. Keys
+// parked for a cell no round has read yet are serialized, as each cell's
+// aggregate, and must fold in the same round as they would have unpaused.
 #include "reconcile/core/matcher_state.h"
 
+#include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -138,6 +142,8 @@ TEST(MatcherStateTest, ResumeAtEveryPausePointReplaysEveryRound) {
   ASSERT_GT(rounds, 4u);
   ASSERT_GT(reference.NumNewLinks(), 0u);
   const std::string path = TempPath("every_pause.ckpt");
+  const std::string resaved = TempPath("every_pause_resaved.ckpt");
+  size_t parked_pauses = 0;
   for (size_t pause = 0; pause < rounds; ++pause) {
     SCOPED_TRACE("pause after " + std::to_string(pause));
     {
@@ -146,18 +152,35 @@ TEST(MatcherStateTest, ResumeAtEveryPausePointReplaysEveryRound) {
       for (size_t i = 0; i < pause; ++i) original.RunRound();
       std::string error;
       ASSERT_TRUE(original.SaveSnapshot(path, &error)) << error;
+      ASSERT_EQ(original.parked_keys(),
+                pause == 0 ? 0u : reference.phases[pause - 1].parked_keys);
     }
     MatcherState resumed(w.pair.g1, w.pair.g2, config);
     resumed.SeedLinks(w.seeds);
     std::string error;
     ASSERT_TRUE(resumed.LoadSnapshot(path, &error)) << error;
+    if (resumed.parked_keys() > 0) {
+      // Parked keys reload in the canonical form they were written in.
+      ++parked_pauses;
+      ASSERT_TRUE(resumed.SaveSnapshot(resaved, &error)) << error;
+      ASSERT_EQ(Slurp(resaved), Slurp(path));
+    }
     while (!resumed.Done()) resumed.RunRound();
     const MatchResult continued = resumed.TakeResult(0.0);
     ASSERT_EQ(continued.map_1to2, reference.map_1to2);
     ASSERT_EQ(continued.map_2to1, reference.map_2to1);
     ExpectSameRounds(continued.phases, reference.phases, pause);
+    for (size_t i = 0; i < continued.phases.size(); ++i) {
+      EXPECT_EQ(continued.phases[i].parked_keys,
+                reference.phases[pause + i].parked_keys)
+          << "round " << pause + i;
+    }
   }
+  // Some pause points must hold parked keys, or the grid would not cover
+  // their serialization.
+  EXPECT_GT(parked_pauses, 0u);
   std::remove(path.c_str());
+  std::remove(resaved.c_str());
 }
 
 // A budget small enough to spill every tier changes where the score state
@@ -201,6 +224,42 @@ TEST(MatcherStateTest, BudgetedRunMatchesUnbudgetedRoundByRound) {
     EXPECT_GT(spilled, 0u);
     EXPECT_GT(all_levels_rounds, 0u);
   }
+}
+
+// A budget that the parked keys alone exceed in some rounds folds the
+// largest parked cells early and leaves the others parked. Early folds
+// change when a cell's keys reach its tiers, not what its first reader
+// sees: the matching and every round's work match the unbudgeted run.
+TEST(MatcherStateTest, BudgetFoldingSomeParkedCellsEarlyMatchesUnbudgeted) {
+  Workload w = MakeWorkload(9010);
+  MatcherConfig config;
+  config.num_shards = 4;
+  const MatchResult unbudgeted = RunToCompletion(w, config);
+  size_t most_parked = 0;
+  for (const PhaseStats& phase : unbudgeted.phases) {
+    most_parked = std::max(most_parked, phase.parked_keys);
+  }
+  ASSERT_GT(most_parked, 0u);
+
+  const std::string dir = TempPath("partial_fold_scores");
+  MatcherConfig budgeted_config = config;
+  budgeted_config.memory_budget_bytes = most_parked * sizeof(uint64_t) / 2;
+  budgeted_config.score_dir = dir;
+  const MatchResult budgeted = RunToCompletion(w, budgeted_config);
+  std::filesystem::remove_all(dir);
+
+  ASSERT_EQ(budgeted.map_1to2, unbudgeted.map_1to2);
+  ASSERT_EQ(budgeted.map_2to1, unbudgeted.map_2to1);
+  ExpectSameRounds(budgeted.phases, unbudgeted.phases, 0);
+  size_t partly_folded = 0;
+  for (size_t i = 0; i < budgeted.phases.size(); ++i) {
+    const size_t parked = budgeted.phases[i].parked_keys;
+    EXPECT_LE(parked, unbudgeted.phases[i].parked_keys);
+    if (parked > 0 && parked < unbudgeted.phases[i].parked_keys) {
+      ++partly_folded;
+    }
+  }
+  EXPECT_GT(partly_folded, 0u);
 }
 
 TEST(MatcherStateTest, ResumeEquivalenceWithSixShards) {
@@ -270,6 +329,82 @@ TEST(MatcherStateTest, SnapshotRoundTripsByteIdentically) {
   EXPECT_EQ(Slurp(first), Slurp(second));
   std::remove(first.c_str());
   std::remove(second.c_str());
+}
+
+// Version 1 wrote each cell's tiers and nothing else: every key was folded
+// in the round that emitted it, so such a snapshot is a complete state
+// with nothing parked. One is made by rewriting a snapshot taken where
+// nothing is parked (an iteration boundary) without the parked runs.
+TEST(MatcherStateTest, VersionOneSnapshotResumes) {
+  Workload w = MakeWorkload(9011);
+  MatcherConfig config;
+  config.num_shards = 4;
+  const MatchResult reference = RunToCompletion(w, config);
+  size_t first_iteration = 0;
+  while (reference.phases[first_iteration].iteration == 1) ++first_iteration;
+  ASSERT_LT(first_iteration, reference.phases.size());
+
+  const std::string path = TempPath("v2_boundary.ckpt");
+  const std::string v1 = TempPath("v1_boundary.ckpt");
+  {
+    MatcherState original(w.pair.g1, w.pair.g2, config);
+    original.SeedLinks(w.seeds);
+    for (size_t i = 0; i < first_iteration; ++i) original.RunRound();
+    ASSERT_EQ(original.parked_keys(), 0u);
+    std::string error;
+    ASSERT_TRUE(original.SaveSnapshot(path, &error)) << error;
+  }
+  constexpr uint32_t kMeta = 1, kLinks = 2, kScores = 4;
+  SnapshotReader reader;
+  std::string error;
+  ASSERT_TRUE(reader.Open(path, &error)) << error;
+  SnapshotWriter writer;
+  for (uint32_t id : {kMeta, kLinks, kScores}) {
+    SnapshotReader::Section* section = reader.Find(id);
+    ASSERT_NE(section, nullptr);
+    writer.BeginSection(id);
+    if (id == kScores) {
+      while (!section->AtEnd()) {
+        uint32_t num_tiers = 0;
+        ASSERT_TRUE(section->ReadU32(&num_tiers));
+        writer.AppendU32(num_tiers);
+        for (uint32_t t = 0; t < num_tiers; ++t) {
+          std::vector<uint64_t> keys;
+          std::vector<uint32_t> counts;
+          ASSERT_TRUE(section->ReadVector(&keys));
+          ASSERT_TRUE(section->ReadVector(&counts));
+          writer.AppendVector(keys);
+          writer.AppendVector(counts);
+        }
+        std::vector<uint64_t> parked_keys;
+        std::vector<uint32_t> parked_counts;
+        ASSERT_TRUE(section->ReadVector(&parked_keys));
+        ASSERT_TRUE(section->ReadVector(&parked_counts));
+        ASSERT_TRUE(parked_keys.empty());
+      }
+    } else {
+      std::vector<uint8_t> payload(section->Remaining());
+      ASSERT_TRUE(section->ReadBytes(payload.data(), payload.size()));
+      if (id == kMeta) {  // META opens with the state version
+        const uint32_t version = 1;
+        std::memcpy(payload.data(), &version, sizeof(version));
+      }
+      writer.AppendBytes(payload.data(), payload.size());
+    }
+    writer.EndSection();
+  }
+  ASSERT_TRUE(writer.Commit(v1, &error)) << error;
+
+  MatcherState resumed(w.pair.g1, w.pair.g2, config);
+  resumed.SeedLinks(w.seeds);
+  ASSERT_TRUE(resumed.LoadSnapshot(v1, &error)) << error;
+  while (!resumed.Done()) resumed.RunRound();
+  const MatchResult continued = resumed.TakeResult(0.0);
+  EXPECT_EQ(continued.map_1to2, reference.map_1to2);
+  EXPECT_EQ(continued.map_2to1, reference.map_2to1);
+  ExpectSameRounds(continued.phases, reference.phases, first_iteration);
+  std::remove(path.c_str());
+  std::remove(v1.c_str());
 }
 
 TEST(MatcherStateTest, CursorAccessorsSurviveTheRoundTrip) {
@@ -416,12 +551,14 @@ TEST_F(SnapshotRejectionTest, RemovedEngineSnapshotsRejected) {
   }
 }
 
+using RawRun = std::pair<std::vector<uint64_t>, std::vector<uint32_t>>;
+
 // Rewrites the snapshot at `from` into `to` with its first SCORES cell
-// replaced by `tiers` (each a key vector and a count vector).
-void RewriteFirstScoreCell(
-    const std::string& from, const std::string& to,
-    const std::vector<std::pair<std::vector<uint64_t>,
-                                std::vector<uint32_t>>>& tiers) {
+// replaced by `tiers` (each a key vector and a count vector) and, when
+// given, that cell's parked run replaced by `*parked`.
+void RewriteFirstScoreCell(const std::string& from, const std::string& to,
+                           const std::vector<RawRun>& tiers,
+                           const RawRun* parked = nullptr) {
   constexpr uint32_t kMeta = 1, kLinks = 2, kScores = 4;
   SnapshotReader reader;
   std::string error;
@@ -444,6 +581,14 @@ void RewriteFirstScoreCell(
       for (const auto& [keys, counts] : tiers) {
         writer.AppendVector(keys);
         writer.AppendVector(counts);
+      }
+      if (parked != nullptr) {
+        std::vector<uint64_t> keys;
+        std::vector<uint32_t> counts;
+        ASSERT_TRUE(section->ReadVector(&keys));
+        ASSERT_TRUE(section->ReadVector(&counts));
+        writer.AppendVector(parked->first);
+        writer.AppendVector(parked->second);
       }
     }
     std::vector<uint8_t> rest(section->Remaining());
@@ -469,13 +614,49 @@ TEST_F(SnapshotRejectionTest, CellWithThreeTiersRejected) {
 TEST_F(SnapshotRejectionTest, TierThatIsNotASortedRunRejected) {
   const std::string bad = TempPath("reject_unsorted_tier.ckpt");
   for (const auto& tier :
-       {std::pair<std::vector<uint64_t>, std::vector<uint32_t>>{{5, 3},
-                                                                {1, 1}},
-        {{3, 3}, {1, 1}},
-        {{3, 5}, {1, 0}}}) {
+       {RawRun{{5, 3}, {1, 1}}, RawRun{{3, 3}, {1, 1}},
+        RawRun{{3, 5}, {1, 0}}}) {
     RewriteFirstScoreCell(path_, bad, {tier});
     ExpectRejectedAndStateIntact(bad, "not a sorted count run");
   }
+  std::remove(bad.c_str());
+}
+
+// Parked keys fold as a run, so they must be one too.
+TEST_F(SnapshotRejectionTest, ParkedKeysThatAreNotASortedRunRejected) {
+  const std::string bad = TempPath("reject_unsorted_parked.ckpt");
+  for (const RawRun& parked :
+       {RawRun{{5, 3}, {1, 1}}, RawRun{{3, 5}, {1, 0}}, RawRun{{3}, {1, 1}}}) {
+    RewriteFirstScoreCell(path_, bad, {}, &parked);
+    ExpectRejectedAndStateIntact(bad, "parked keys are not a sorted count run");
+  }
+  std::remove(bad.c_str());
+}
+
+// A key parked below the schedule's lowest bucket would never be folded.
+TEST(SnapshotParkedLevelTest, KeysParkedWhereNoRoundReadsRejected) {
+  Workload w = MakeWorkload(9012);
+  MatcherConfig config;
+  config.num_shards = 4;
+  config.min_bucket_exponent = 1;
+  const std::string path = TempPath("parked_level.ckpt");
+  const std::string bad = TempPath("parked_level_bad.ckpt");
+  {
+    MatcherState state(w.pair.g1, w.pair.g2, config);
+    state.SeedLinks(w.seeds);
+    std::string error;
+    ASSERT_TRUE(state.SaveSnapshot(path, &error)) << error;
+  }
+  const RawRun parked{{PackPair(1, 2)}, {1}};
+  RewriteFirstScoreCell(path, bad, {}, &parked);
+  MatcherState state(w.pair.g1, w.pair.g2, config);
+  state.SeedLinks(w.seeds);
+  std::string error;
+  ASSERT_FALSE(state.LoadSnapshot(bad, &error));
+  EXPECT_NE(error.find("parks keys at level 0, which no round reads"),
+            std::string::npos)
+      << error;
+  std::remove(path.c_str());
   std::remove(bad.c_str());
 }
 

@@ -24,6 +24,7 @@
 #include <gtest/gtest.h>
 
 #include "reconcile/core/matcher.h"
+#include "reconcile/core/matcher_state.h"
 #include "reconcile/eval/match_io.h"
 #include "reconcile/gen/chung_lu.h"
 #include "reconcile/sampling/independent.h"
@@ -86,7 +87,12 @@ size_t CountDirEntries(const std::string& dir) {
 struct ChildSpec {
   MatcherConfig config;
   std::string matching_out;  // empty: the child writes no matching
+  // Non-empty: instead of matching, the child loads this snapshot and exits
+  // 0 if it holds parked keys, kNothingParkedExitCode if it holds none.
+  std::string inspect_snapshot;
 };
+
+constexpr int kNothingParkedExitCode = 5;
 
 // CHILD-ONLY code path: regenerates the workload and runs the matcher.
 void ChildMain(const ChildSpec& spec) {
@@ -99,6 +105,13 @@ void ChildMain(const ChildSpec& spec) {
   seeding.fraction = 0.08;
   auto seeds = GenerateSeeds(pair, seeding, kWorkloadSeed + 2);
 
+  if (!spec.inspect_snapshot.empty()) {
+    MatcherState state(pair.g1, pair.g2, spec.config);
+    state.SeedLinks(seeds);
+    std::string error;
+    if (!state.LoadSnapshot(spec.inspect_snapshot, &error)) _exit(4);
+    _exit(state.parked_keys() > 0 ? 0 : kNothingParkedExitCode);
+  }
   MatchResult result = UserMatching(pair.g1, pair.g2, seeds, spec.config);
   if (!spec.matching_out.empty() &&
       !WriteMatchingText(result, spec.matching_out)) {
@@ -130,7 +143,9 @@ MatcherConfig GridConfig() {
 
 // One crash/resume cycle: clean 1-thread run -> file A; crash run (must die
 // with the fault exit code, leaving checkpoints); resume run -> file B;
-// A == B.
+// A == B. The snapshot the resume starts from must hold parked keys (keys
+// emitted into cells no round had read yet), so the cycle covers their
+// serialization too.
 void CheckKillResume(const MatcherConfig& base, const std::string& tag) {
   const std::string dir = TempPath("kr_" + tag);
   const std::string clean_out = TempPath("kr_" + tag + "_clean.txt");
@@ -148,6 +163,13 @@ void CheckKillResume(const MatcherConfig& base, const std::string& tag) {
   crash.config.fault_spec = "crash:after_round=5";
   ASSERT_EQ(RunChild(crash), kFaultCrashExitCode) << tag;
   ASSERT_FALSE(ListCheckpoints(dir).empty()) << tag;
+
+  ChildSpec inspect;
+  inspect.config = base;
+  inspect.inspect_snapshot = ListCheckpoints(dir).back().path;
+  ASSERT_EQ(RunChild(inspect), 0)
+      << tag << ": " << inspect.inspect_snapshot
+      << " does not load or holds no parked keys";
 
   ChildSpec resume;
   resume.config = base;

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "reconcile/util/rng.h"
+#include "support/count_run.h"
 
 namespace reconcile {
 namespace {
@@ -19,91 +22,147 @@ std::vector<uint64_t> RandomKeys(size_t n, uint64_t seed, uint64_t mask) {
   return keys;
 }
 
-void ExpectSortsLike(std::vector<uint64_t> keys) {
-  std::vector<uint64_t> expected = keys;
-  std::sort(expected.begin(), expected.end());
-  std::vector<uint64_t> scratch;
-  RadixSortU64(keys, scratch);
-  EXPECT_EQ(keys, expected);
-}
-
-TEST(RadixSortTest, EmptyAndSingleton) {
-  ExpectSortsLike({});
-  ExpectSortsLike({42});
-}
-
-TEST(RadixSortTest, SmallArraysUseCutoffPath) {
-  ExpectSortsLike({5, 3, 9, 1, 1, 0, 7});
-  ExpectSortsLike(RandomKeys(kRadixSortCutoff - 1, 11, ~0ULL));
-}
-
-TEST(RadixSortTest, FullWidthRandomKeys) {
-  ExpectSortsLike(RandomKeys(50000, 1, ~0ULL));
-}
-
-TEST(RadixSortTest, NarrowKeysSkipTrivialPasses) {
-  // All high bytes zero: only the low passes should run, result still sorted.
-  ExpectSortsLike(RandomKeys(20000, 2, 0xffffULL));
-  ExpectSortsLike(RandomKeys(20000, 3, 0xffULL));
-}
-
-TEST(RadixSortTest, HighBitsOnly) {
-  ExpectSortsLike(RandomKeys(20000, 4, 0xffff000000000000ULL));
-}
-
-TEST(RadixSortTest, DuplicateHeavyInput) {
-  ExpectSortsLike(RandomKeys(30000, 5, 0x1fULL));  // 32 distinct values
-}
-
-TEST(RadixSortTest, AlreadySortedAndReversed) {
-  std::vector<uint64_t> keys(10000);
-  for (size_t i = 0; i < keys.size(); ++i) keys[i] = i * 3;
-  ExpectSortsLike(keys);
-  std::reverse(keys.begin(), keys.end());
-  ExpectSortsLike(keys);
-}
-
-TEST(RadixSortTest, ScratchReuseAcrossCalls) {
-  std::vector<uint64_t> scratch;
-  for (uint64_t round = 0; round < 4; ++round) {
-    std::vector<uint64_t> keys = RandomKeys(5000 + 1000 * round, round, ~0ULL);
-    std::vector<uint64_t> expected = keys;
-    std::sort(expected.begin(), expected.end());
-    RadixSortU64(keys, scratch);
-    EXPECT_EQ(keys, expected);
-  }
-}
-
-TEST(SortedCountRunTest, SortAndCountAggregatesLikeAMap) {
-  std::vector<uint64_t> raw = RandomKeys(40000, 6, 0x3ffULL);
+// Builds the run from `chunks` and checks it against a `std::map`
+// aggregate of every key in every chunk.
+void ExpectBuildsLikeAMap(const std::vector<std::vector<uint64_t>>& chunks) {
   std::map<uint64_t, uint32_t> expected;
-  for (uint64_t key : raw) ++expected[key];
-
-  std::vector<uint64_t> scratch;
-  SortedCountRun run = SortAndCount(std::move(raw), scratch);
+  std::vector<std::span<const uint64_t>> spans;
+  for (const std::vector<uint64_t>& chunk : chunks) {
+    for (uint64_t key : chunk) ++expected[key];
+    spans.emplace_back(chunk);
+  }
+  const SortedCountRun run = BuildCountRun(spans);
+  ASSERT_EQ(run.keys.size(), run.counts.size());
   ASSERT_EQ(run.size(), expected.size());
   size_t i = 0;
   for (const auto& [key, count] : expected) {
-    EXPECT_EQ(run.keys[i], key);
-    EXPECT_EQ(run.counts[i], count);
+    ASSERT_EQ(run.keys[i], key) << "entry " << i;
+    ASSERT_EQ(run.counts[i], count) << "entry " << i;
     ++i;
-  }
-  // Keys strictly increasing.
-  for (size_t k = 1; k < run.size(); ++k) {
-    EXPECT_LT(run.keys[k - 1], run.keys[k]);
   }
 }
 
-TEST(SortedCountRunTest, SortAndCountEmpty) {
-  std::vector<uint64_t> scratch;
-  SortedCountRun run = SortAndCount({}, scratch);
-  EXPECT_TRUE(run.empty());
-  EXPECT_EQ(run.size(), 0u);
+// `n` keys split into chunks of the given sizes, cycling, with an empty
+// chunk between every two.
+std::vector<std::vector<uint64_t>> Split(const std::vector<uint64_t>& keys,
+                                         std::vector<size_t> sizes) {
+  std::vector<std::vector<uint64_t>> chunks;
+  size_t at = 0;
+  for (size_t c = 0; at < keys.size(); ++c) {
+    const size_t size = std::min(sizes[c % sizes.size()], keys.size() - at);
+    chunks.emplace_back(keys.begin() + static_cast<ptrdiff_t>(at),
+                        keys.begin() + static_cast<ptrdiff_t>(at + size));
+    chunks.emplace_back();
+    at += size;
+  }
+  return chunks;
+}
+
+TEST(BuildCountRunTest, EmptyInputs) {
+  EXPECT_TRUE(MakeRun({}).empty());
+  ExpectBuildsLikeAMap({});
+  ExpectBuildsLikeAMap({{}, {}, {}});
+}
+
+TEST(BuildCountRunTest, SingleKeyAndAllEqualKeys) {
+  ExpectBuildsLikeAMap({{42}});
+  ExpectBuildsLikeAMap({std::vector<uint64_t>(10, 7), {}, {7, 7}});
+  ExpectBuildsLikeAMap(
+      {std::vector<uint64_t>(kCountRunBlockKeys + 5, 0xdeadbeefULL)});
+}
+
+TEST(BuildCountRunTest, AggregatesLikeAMap) {
+  ExpectBuildsLikeAMap({RandomKeys(40000, 6, 0x3ffULL)});
+  ExpectBuildsLikeAMap({{5, 3, 9, 1, 1, 0, 7}});
+}
+
+// Chunks are read in place: duplicates that meet only across chunks, and
+// empty chunks anywhere, still aggregate into one entry per key.
+TEST(BuildCountRunTest, MultiChunkWithEmptyChunksAndCrossChunkDuplicates) {
+  const std::vector<uint64_t> shared = RandomKeys(3000, 12, 0xffffffULL);
+  std::vector<std::vector<uint64_t>> chunks = {{}, shared, {}, {}, shared};
+  chunks.push_back(RandomKeys(500, 13, 0xffffffULL));
+  chunks.emplace_back();
+  ExpectBuildsLikeAMap(chunks);
+  // Large enough to take the scatter path, in uneven chunks.
+  const std::vector<uint64_t> big =
+      RandomKeys(3 * kCountRunBlockKeys, 14, 0xfffffffffULL);
+  std::vector<std::vector<uint64_t>> split = Split(big, {1, 7000, 333, 40000});
+  split.push_back(std::vector<uint64_t>(big.begin(), big.begin() + 9000));
+  ExpectBuildsLikeAMap(split);
+}
+
+// The sizes where the builder changes strategy: comparison sort up to the
+// small-sort cutoff, one gathered block up to the block size, one scatter
+// on the top varying bits beyond it.
+TEST(BuildCountRunTest, SizesAroundTheCutoffs) {
+  for (size_t n : {kCountRunSmallSort - 1, kCountRunSmallSort,
+                   kCountRunSmallSort + 1, kCountRunBlockKeys - 1,
+                   kCountRunBlockKeys, kCountRunBlockKeys + 1}) {
+    SCOPED_TRACE("n=" + std::to_string(n));
+    const std::vector<uint64_t> keys = RandomKeys(n, 15 + n, 0xfffffULL);
+    ExpectBuildsLikeAMap({keys});
+    ExpectBuildsLikeAMap(Split(keys, {n / 3 + 1, 17}));
+  }
+}
+
+// Keys that differ in one byte only (the rest constant, so every other
+// digit pass is skipped), in the lowest, a middle or the top byte; and
+// keys that differ in all eight.
+TEST(BuildCountRunTest, KeysVaryingInOneByteOrInAllEight) {
+  for (int byte : {0, 3, 7}) {
+    SCOPED_TRACE("byte " + std::to_string(byte));
+    const uint64_t base = 0x0123456789abcdefULL & ~(0xffULL << (8 * byte));
+    for (size_t n : {size_t{1000}, 2 * kCountRunBlockKeys}) {
+      std::vector<uint64_t> keys = RandomKeys(n, 20 + n, 0xffULL);
+      for (uint64_t& key : keys) key = base | (key << (8 * byte));
+      ExpectBuildsLikeAMap(Split(keys, {n / 2 + 3}));
+    }
+  }
+  for (size_t n : {size_t{5000}, 4 * kCountRunBlockKeys}) {
+    std::vector<uint64_t> keys = RandomKeys(n, 30 + n, ~0ULL);
+    // Repeat a tenth of the keys so full-width input has duplicates too.
+    keys.insert(keys.end(), keys.begin(),
+                keys.begin() + static_cast<ptrdiff_t>(n / 10));
+    ExpectBuildsLikeAMap(Split(keys, {n / 4 + 1, 3}));
+  }
+}
+
+// Skewed input: nearly every key in one bucket of the scatter digit, so
+// that bucket is far larger than a block.
+TEST(BuildCountRunTest, SkewedScatterBuckets) {
+  std::vector<uint64_t> keys = RandomKeys(3 * kCountRunBlockKeys, 40, 0xffffULL);
+  keys.push_back(uint64_t{1} << 40);
+  keys.push_back((uint64_t{1} << 40) + 1);
+  ExpectBuildsLikeAMap({keys});
+}
+
+TEST(BuildCountRunTest, AlreadySortedAndReversed) {
+  std::vector<uint64_t> keys(3 * kCountRunBlockKeys);
+  for (size_t i = 0; i < keys.size(); ++i) keys[i] = (i / 2) * 3;
+  ExpectBuildsLikeAMap({keys});
+  std::reverse(keys.begin(), keys.end());
+  ExpectBuildsLikeAMap({keys});
+}
+
+TEST(KeyBufferTest, ShrinkToFitKeepsTheKeys) {
+  KeyBuffer buffer;
+  EXPECT_TRUE(buffer.empty());
+  buffer.ShrinkToFit();
+  for (uint64_t key = 0; key < 1000; ++key) buffer.push_back(key * 7);
+  buffer.ShrinkToFit();
+  ASSERT_EQ(buffer.size(), 1000u);
+  for (uint64_t key = 0; key < 1000; ++key) {
+    EXPECT_EQ(buffer.keys()[key], key * 7);
+  }
+  buffer.push_back(1);  // grows again after a shrink
+  KeyBuffer moved = std::move(buffer);
+  EXPECT_EQ(moved.size(), 1001u);
+  EXPECT_EQ(moved.keys().back(), 1u);
 }
 
 TEST(SortedCountRunTest, CountLookup) {
-  std::vector<uint64_t> scratch;
-  SortedCountRun run = SortAndCount({5, 5, 9, 2, 5}, scratch);
+  SortedCountRun run = MakeRun({5, 5, 9, 2, 5});
   EXPECT_EQ(run.Count(5), 3u);
   EXPECT_EQ(run.Count(2), 1u);
   EXPECT_EQ(run.Count(9), 1u);
@@ -113,8 +172,7 @@ TEST(SortedCountRunTest, CountLookup) {
 }
 
 TEST(SortedCountRunTest, ForEachVisitsInAscendingOrder) {
-  std::vector<uint64_t> scratch;
-  SortedCountRun run = SortAndCount(RandomKeys(1000, 7, 0xffULL), scratch);
+  SortedCountRun run = MakeRun(RandomKeys(1000, 7, 0xffULL));
   uint64_t last = 0;
   bool first = true;
   size_t visited = 0;
@@ -131,8 +189,7 @@ TEST(SortedCountRunTest, ForEachVisitsInAscendingOrder) {
 }
 
 TEST(SortedCountRunTest, FilterKeepsOrderAndDropsEntries) {
-  std::vector<uint64_t> scratch;
-  SortedCountRun run = SortAndCount(RandomKeys(5000, 8, 0x1ffULL), scratch);
+  SortedCountRun run = MakeRun(RandomKeys(5000, 8, 0x1ffULL));
   const size_t before = run.size();
   run.Filter([](uint64_t key, uint32_t) { return key % 2 == 0; });
   EXPECT_LT(run.size(), before);
@@ -146,15 +203,14 @@ TEST(SortedCountRunTest, FilterKeepsOrderAndDropsEntries) {
 }
 
 TEST(MergeCountRunsTest, MatchesMapReference) {
-  std::vector<uint64_t> scratch;
   std::vector<uint64_t> a_raw = RandomKeys(10000, 9, 0xfffULL);
   std::vector<uint64_t> b_raw = RandomKeys(3000, 10, 0xfffULL);
   std::map<uint64_t, uint32_t> expected;
   for (uint64_t key : a_raw) ++expected[key];
   for (uint64_t key : b_raw) ++expected[key];
 
-  SortedCountRun a = SortAndCount(std::move(a_raw), scratch);
-  SortedCountRun b = SortAndCount(std::move(b_raw), scratch);
+  SortedCountRun a = MakeRun(a_raw);
+  SortedCountRun b = MakeRun(b_raw);
   MergeCountRuns(a, b);
   ASSERT_EQ(a.size(), expected.size());
   size_t i = 0;
@@ -166,9 +222,8 @@ TEST(MergeCountRunsTest, MatchesMapReference) {
 }
 
 TEST(MergeCountRunsTest, EmptyCases) {
-  std::vector<uint64_t> scratch;
   SortedCountRun empty;
-  SortedCountRun run = SortAndCount({1, 2, 2}, scratch);
+  SortedCountRun run = MakeRun({1, 2, 2});
 
   SortedCountRun target = run;
   MergeCountRuns(target, empty);  // no-op
@@ -182,14 +237,13 @@ TEST(MergeCountRunsTest, EmptyCases) {
 }
 
 TEST(MergeCountRunsTest, DisjointAndOverlappingTails) {
-  std::vector<uint64_t> scratch;
-  SortedCountRun low = SortAndCount({1, 2, 3}, scratch);
-  SortedCountRun high = SortAndCount({10, 11}, scratch);
+  SortedCountRun low = MakeRun({1, 2, 3});
+  SortedCountRun high = MakeRun({10, 11});
   MergeCountRuns(low, high);
   EXPECT_EQ(low.keys, (std::vector<uint64_t>{1, 2, 3, 10, 11}));
 
-  SortedCountRun a = SortAndCount({1, 5, 9}, scratch);
-  SortedCountRun b = SortAndCount({5, 9, 12}, scratch);
+  SortedCountRun a = MakeRun({1, 5, 9});
+  SortedCountRun b = MakeRun({5, 9, 12});
   MergeCountRuns(a, b);
   EXPECT_EQ(a.keys, (std::vector<uint64_t>{1, 5, 9, 12}));
   EXPECT_EQ(a.counts, (std::vector<uint32_t>{1, 2, 2, 1}));
@@ -198,15 +252,14 @@ TEST(MergeCountRunsTest, DisjointAndOverlappingTails) {
 // The observed fold reports every delta key once, ascending, with its count
 // in the target before and after, and merges exactly like the plain fold.
 TEST(MergeCountRunsTest, ObserverSeesEveryDeltaKeyWithOldAndNewCounts) {
-  std::vector<uint64_t> scratch;
   struct Seen {
     uint64_t key;
     uint32_t old_count;
     uint32_t new_count;
     bool operator==(const Seen&) const = default;
   };
-  const SortedCountRun delta = SortAndCount({2, 5, 5, 9, 20, 21}, scratch);
-  SortedCountRun target = SortAndCount({1, 5, 9, 9, 12}, scratch);
+  const SortedCountRun delta = MakeRun({2, 5, 5, 9, 20, 21});
+  SortedCountRun target = MakeRun({1, 5, 9, 9, 12});
   SortedCountRun plain = target;
   MergeCountRuns(plain, delta);
   std::vector<Seen> seen;

@@ -19,15 +19,11 @@
 #include "reconcile/util/radix_sort.h"
 #include "reconcile/util/rng.h"
 #include "reconcile/util/tiered_store.h"
+#include "support/count_run.h"
 #include "support/tier_totals.h"
 
 namespace reconcile {
 namespace {
-
-SortedCountRun MakeRun(std::vector<uint64_t> raw) {
-  std::vector<uint64_t> scratch;
-  return SortAndCount(std::move(raw), scratch);
-}
 
 std::vector<std::vector<uint64_t>> MakeDeltaStream(uint64_t seed,
                                                    size_t num_deltas,

@@ -18,21 +18,17 @@
 
 #include "reconcile/util/rng.h"
 #include "reconcile/util/spill_store.h"
+#include "support/count_run.h"
 #include "support/tier_totals.h"
 
 namespace reconcile {
 namespace {
 
-SortedCountRun MakeRun(std::vector<uint64_t> raw) {
-  std::vector<uint64_t> scratch;
-  return SortAndCount(std::move(raw), scratch);
-}
-
 // A run of `size` distinct keys starting at `first`.
 SortedCountRun MakeDistinctRun(uint64_t first, size_t size) {
   std::vector<uint64_t> raw;
   for (size_t i = 0; i < size; ++i) raw.push_back(first + i);
-  return MakeRun(std::move(raw));
+  return MakeRun(raw);
 }
 
 // Random delta stream with overlapping keys across deltas.
@@ -230,7 +226,7 @@ TEST_F(TieredStoreFrontierTest, RandomStreamsKeepTheFrontierExact) {
                                 : 1 + rng.UniformInt(200);
         std::vector<uint64_t> raw;
         for (size_t i = 0; i < size; ++i) raw.push_back(rng.UniformInt(4000));
-        SortedCountRun delta = MakeRun(std::move(raw));
+        SortedCountRun delta = MakeRun(raw);
         ++paths[PathOf(store, delta.size())];
         store.Append(std::move(delta));
         ASSERT_EQ(FrontierOf(store), ReferenceFrontier(store)) << step;
@@ -327,7 +323,7 @@ TEST(TieredStoreTest, AppendUnfoldedRebuildsTheFrontier) {
     for (size_t i = 0; i < deltas.size(); ++i) {
       std::vector<uint64_t> raw = deltas[i];
       raw.resize(i % 3 == 0 ? raw.size() : raw.size() / 8);
-      original.Append(MakeRun(std::move(raw)));
+      original.Append(MakeRun(raw));
       TieredCountRuns rebuilt(threshold);
       original.ForEachTier([&rebuilt](RunView tier) {
         SortedCountRun copy;

@@ -165,7 +165,9 @@ Validation and comparison (eval/validation.h, eval/disagreement.h):
                   raw link agree/conflict counts               [none]
 
 Output and misc:
-  --phase-table   per-round table: emissions, frontier pairs (scored
+  --phase-table   per-round table: emissions, parked keys (emitted into
+                  cells at levels below the round's bucket, folded when
+                  a round first reads them), frontier pairs (scored
                   pairs at or above the threshold, the ones selection
                   scans), new links and the emit/merge/scan/select seconds
   --degree-table  per-degree-band precision/recall            [false]
@@ -463,13 +465,15 @@ int RunCli(const Flags& flags) {
   }
 
   if (flags.GetBool("phase-table", false)) {
-    Table table({"iter", "bucket", "links in", "emissions", "frontier pairs",
-                 "new", "emit s", "merge s", "scan s", "select s"});
+    Table table({"iter", "bucket", "links in", "emissions", "parked",
+                 "frontier pairs", "new", "emit s", "merge s", "scan s",
+                 "select s"});
     for (const PhaseStats& phase : result.phases) {
       table.AddRow({std::to_string(phase.iteration),
                     std::to_string(phase.bucket_exponent),
                     std::to_string(phase.links_in),
                     std::to_string(phase.emissions),
+                    std::to_string(phase.parked_keys),
                     std::to_string(phase.candidate_pairs),
                     std::to_string(phase.new_links),
                     FormatDouble(phase.emit_seconds, 3),

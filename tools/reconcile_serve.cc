@@ -111,7 +111,8 @@ Output:
                   ends (and on graceful stop)
   --save-g1/--save-g2  write the final graphs as text edge lists
   --phase-table   after each batch, the rerun's per-round phase table
-                  (emissions, frontier pairs, new links, seconds)
+                  (emissions, parked keys awaiting the first round that
+                  reads their cell, frontier pairs, new links, seconds)
 
 Per-batch telemetry goes to stdout (rounds 0: no net change, no rerun):
   batch 3: deltas 128 (120 effective) | rounds 12 | links 5023 (+12/-3) |
@@ -143,13 +144,15 @@ void PrintBatch(const ServeBatchStats& stats, bool initial) {
 
 void PrintPhaseTable(const ServeBatchStats& stats) {
   if (stats.rounds.empty()) return;
-  Table table({"iter", "bucket", "links in", "emissions", "frontier pairs",
-               "new", "emit s", "merge s", "scan s", "select s"});
+  Table table({"iter", "bucket", "links in", "emissions", "parked",
+               "frontier pairs", "new", "emit s", "merge s", "scan s",
+               "select s"});
   for (const PhaseStats& phase : stats.rounds) {
     table.AddRow({std::to_string(phase.iteration),
                   std::to_string(phase.bucket_exponent),
                   std::to_string(phase.links_in),
                   std::to_string(phase.emissions),
+                  std::to_string(phase.parked_keys),
                   std::to_string(phase.candidate_pairs),
                   std::to_string(phase.new_links),
                   FormatDouble(phase.emit_seconds, 3),
