@@ -463,6 +463,7 @@ void MatcherState::EnforceMemoryBudget(PhaseStats* stats) {
   }
 
   if (resident > budget && !spill_store_->disabled()) {
+    Timer spill_timer;
     std::sort(candidates.begin(), candidates.end(),
               [](const Candidate& a, const Candidate& b) {
                 if (a.bytes != b.bytes) return a.bytes > b.bytes;
@@ -470,19 +471,42 @@ void MatcherState::EnforceMemoryBudget(PhaseStats* stats) {
                 if (a.shard != b.shard) return a.shard < b.shard;
                 return a.tier < b.tier;
               });
-    for (const Candidate& c : candidates) {
-      if (resident <= budget) break;
-      std::string spill_error;
-      if (runs_[c.level][c.shard].SpillTier(c.tier, *spill_store_,
-                                            &spill_error)) {
-        resident -= c.bytes;
-        spilled_bytes += c.bytes;
-        ++stats->tiers_spilled;
-      } else {
+    size_t next = 0;
+    while (resident > budget && next < candidates.size() &&
+           !spill_store_->disabled()) {
+      // Plan, in candidate order, the prefix that reaches the budget if
+      // every spill succeeds.
+      const size_t first = next;
+      std::vector<SpillPlan> plans;
+      for (size_t planned = resident;
+           planned > budget && next < candidates.size(); ++next) {
+        plans.push_back(spill_store_->Plan());
+        planned -= candidates[next].bytes;
+      }
+      std::vector<std::unique_ptr<SpilledRun>> written(plans.size());
+      std::vector<std::string> errors(plans.size());
+      ParallelForEach(&pool_, plans.size(), [&](size_t i) {
+        const Candidate& c = candidates[first + i];
+        written[i] = SpillStore::Write(
+            plans[i], runs_[c.level][c.shard].resident_tier(c.tier),
+            &errors[i]);
+      });
+      // Commit in candidate order. Runs written past the failure that
+      // disables the store are dropped, which unlinks their files.
+      for (size_t i = 0; i < plans.size(); ++i) {
+        const Candidate& c = candidates[first + i];
+        spill_store_->Commit(written[i].get());
+        if (written[i] != nullptr) {
+          runs_[c.level][c.shard].AdoptSpill(c.tier, std::move(written[i]));
+          resident -= c.bytes;
+          spilled_bytes += c.bytes;
+          ++stats->tiers_spilled;
+          continue;
+        }
         std::fprintf(stderr,
                      "warning: spill of score tier (level %zu, shard %zu) "
                      "failed, keeping it resident: %s\n",
-                     c.level, c.shard, spill_error.c_str());
+                     c.level, c.shard, errors[i].c_str());
         if (spill_store_->stats().spill_failures >= kMaxSpillFailures) {
           std::fprintf(stderr,
                        "warning: %zu spill failures; disabling the score "
@@ -493,6 +517,7 @@ void MatcherState::EnforceMemoryBudget(PhaseStats* stats) {
         }
       }
     }
+    stats->spill_seconds = spill_timer.Seconds();
   }
   stats->resident_score_bytes = resident;
   stats->spilled_score_bytes = spilled_bytes;

@@ -35,13 +35,15 @@ struct PhaseStats {
   // keys of the cells this round reads, and of any the memory budget folds
   // early, into the persistent score state: building each cell's sorted
   // count run and appending it to the cell's LSM tier stack), the
-  // best-table observe scan, and the
-  // accept-and-commit pass. The four do not sum exactly to `seconds` (unit
-  // bookkeeping sits between them).
+  // best-table observe scan, the accept-and-commit pass, and the memory
+  // budget's spill pass (planning, the concurrent tier writes and their
+  // commits; 0 when nothing spilled). The five do not sum exactly to
+  // `seconds` (unit bookkeeping sits between them).
   double emit_seconds = 0.0;
   double merge_seconds = 0.0;
   double scan_seconds = 0.0;
   double select_seconds = 0.0;
+  double spill_seconds = 0.0;
   int num_threads = 0;      ///< Worker threads the round ran with.
   // Out-of-core score store (under a memory budget): tiers
   // moved to disk by this round's budget-enforcement pass, and the

@@ -49,7 +49,6 @@
 #include "reconcile/theory/predictions.h"    // IWYU pragma: export
 
 #include "reconcile/core/best_table.h"       // IWYU pragma: export
-#include "reconcile/core/confidence.h"       // IWYU pragma: export
 #include "reconcile/core/matcher.h"          // IWYU pragma: export
 #include "reconcile/core/result.h"           // IWYU pragma: export
 #include "reconcile/core/witness.h"          // IWYU pragma: export

@@ -42,20 +42,23 @@ namespace reconcile {
 ///                          commit writes only half the file but reports
 ///                          success (simulates a torn write on a
 ///                          non-atomic filesystem)
-///   spill_write_fail       io point in `SpillStore::Spill` — writing a
+///   spill_write_fail       io point in `SpillStore::Plan` (drawn per
+///                          spill in the budget pass's candidate order,
+///                          before the concurrent writes) — writing a
 ///                          tier's backing file fails outright
-///   spill_truncate         io point in `SpillStore::Spill` — the backing
+///   spill_truncate         io point in `SpillStore::Plan` — the backing
 ///                          file is written half-length but the write
 ///                          reports success (torn spill; caught by the
 ///                          post-write size validation)
-///   mmap_fail              io point in `SpillStore::Spill` — the write
+///   mmap_fail              io point in `SpillStore::Plan` — the write
 ///                          succeeds but mapping the file back fails
-///   enospc_after           threshold io point in `SpillStore::Spill` —
-///                          after N successful spill writes every later
-///                          one fails as if the disk ran out of space
-///   spill_commit           value point fired after each successful spill
-///                          (value = spills completed so far this
-///                          process) — `crash:spill_commit=k` kills the
+///   enospc_after           threshold io point in `SpillStore::Plan` —
+///                          after N planned spills every later one fails
+///                          as if the disk ran out of space
+///   spill_commit           value point in `SpillStore::Commit`, fired
+///                          after each successful spill in candidate
+///                          order (value = spills committed so far by this
+///                          store) — `crash:spill_commit=k` kills the
 ///                          process in the middle of a budget-enforcement
 ///                          pass
 ///   serve_apply            value point in `IncrementalMatcher::ApplyBatch`

@@ -7,7 +7,8 @@
 
 #include <cerrno>
 #include <cstdio>
-#include <cstring>
+#include <string>
+#include <system_error>
 
 #include "reconcile/util/fault.h"
 #include "reconcile/util/radix_sort.h"
@@ -38,8 +39,9 @@ bool WriteAll(int fd, const void* data, size_t length) {
   return true;
 }
 
+// Thread-safe, unlike strerror: concurrent `Write`s format their errors.
 std::string ErrnoString() {
-  return std::strerror(errno);
+  return std::generic_category().message(errno);
 }
 
 }  // namespace
@@ -62,13 +64,17 @@ std::unique_ptr<SpilledRun> SpillStore::Spill(const SortedCountRun& run,
     if (error != nullptr) *error = "spilling disabled for this store";
     return nullptr;
   }
+  std::unique_ptr<SpilledRun> spilled = Write(Plan(), run, error);
+  Commit(spilled.get());
+  return spilled;
+}
+
+SpillPlan SpillStore::Plan() {
+  SpillPlan plan;
   if (!dir_ready_) {
     if (::mkdir(dir_.c_str(), 0777) != 0 && errno != EEXIST) {
-      ++stats_.spill_failures;
-      if (error != nullptr) {
-        *error = "mkdir " + dir_ + ": " + ErrnoString();
-      }
-      return nullptr;
+      plan.error = "mkdir " + dir_ + ": " + ErrnoString();
+      return plan;
     }
     dir_ready_ = true;
   }
@@ -77,41 +83,62 @@ std::unique_ptr<SpilledRun> SpillStore::Spill(const SortedCountRun& run,
   std::snprintf(name, sizeof(name), "spill-%ld-%llu.spill",
                 static_cast<long>(::getpid()),
                 static_cast<unsigned long long>(next_id_++));
-  std::string path = dir_ + "/" + name;
+  plan.path = dir_ + "/" + name;
 
+  const bool inject_write_fail = FaultPointHit("spill_write_fail");
+  plan.truncate = FaultPointHit("spill_truncate");
+  plan.mmap_fail = FaultPointHit("mmap_fail");
+  const bool inject_enospc = FaultPointExhausted("enospc_after");
+  if (inject_write_fail) {
+    plan.error = "injected fault: spill_write_fail";
+  } else if (inject_enospc) {
+    plan.error = "injected fault: enospc_after (" +
+                 std::generic_category().message(ENOSPC) + ")";
+  }
+  return plan;
+}
+
+std::unique_ptr<SpilledRun> SpillStore::Write(const SpillPlan& plan,
+                                              const SortedCountRun& run,
+                                              std::string* error) {
+  if (!plan.error.empty()) {
+    if (error != nullptr) *error = plan.error;
+    return nullptr;
+  }
+  const std::string& path = plan.path;
   const size_t n = run.keys.size();
   const size_t expect_bytes = SpillFileBytes(n);
 
-  // A lambda so every failure exit shares the unlink-and-count epilogue.
+  // A lambda so every failure exit shares the unlink epilogue.
   auto fail = [&](int fd, const std::string& what) -> std::unique_ptr<SpilledRun> {
     if (fd >= 0) ::close(fd);
     ::unlink(path.c_str());
-    ++stats_.spill_failures;
     if (error != nullptr) *error = what;
     return nullptr;
   };
-
-  const bool inject_write_fail = FaultPointHit("spill_write_fail");
-  const bool inject_truncate = FaultPointHit("spill_truncate");
-  const bool inject_mmap_fail = FaultPointHit("mmap_fail");
-  const bool inject_enospc = FaultPointExhausted("enospc_after");
-
-  if (inject_write_fail) {
-    return fail(-1, "injected fault: spill_write_fail");
-  }
-  if (inject_enospc) {
-    errno = ENOSPC;
-    return fail(-1, "injected fault: enospc_after (" + ErrnoString() + ")");
-  }
 
   const int fd = ::open(path.c_str(), O_CREAT | O_EXCL | O_RDWR, 0644);
   if (fd < 0) {
     return fail(-1, "open " + path + ": " + ErrnoString());
   }
 
+  // Reserve every block before writing, without growing the file, so a
+  // full disk fails here rather than at writeback and a torn write still
+  // leaves the file short. A filesystem that cannot reserve gets the write
+  // fsync'd instead.
+  int reserved;
+  do {
+    reserved = ::fallocate(fd, FALLOC_FL_KEEP_SIZE, 0,
+                           static_cast<off_t>(expect_bytes));
+  } while (reserved != 0 && errno == EINTR);
+  const bool sync_after_write = reserved != 0 && errno == EOPNOTSUPP;
+  if (reserved != 0 && !sync_after_write) {
+    return fail(fd, "fallocate " + path + ": " + ErrnoString());
+  }
+
   const uint64_t header[2] = {kSpillMagic, static_cast<uint64_t>(n)};
   bool ok = WriteAll(fd, header, sizeof(header));
-  if (ok && inject_truncate) {
+  if (ok && plan.truncate) {
     // Torn spill: write only half of the key payload, then pretend the
     // write completed. The size validation below must catch this.
     ok = WriteAll(fd, run.keys.data(), n * sizeof(uint64_t) / 2);
@@ -119,10 +146,10 @@ std::unique_ptr<SpilledRun> SpillStore::Spill(const SortedCountRun& run,
     ok = WriteAll(fd, run.keys.data(), n * sizeof(uint64_t)) &&
          WriteAll(fd, run.counts.data(), n * sizeof(uint32_t));
   }
-  if (!ok && !inject_truncate) {
+  if (!ok && !plan.truncate) {
     return fail(fd, "write " + path + ": " + ErrnoString());
   }
-  if (::fsync(fd) != 0) {
+  if (sync_after_write && ::fsync(fd) != 0) {
     return fail(fd, "fsync " + path + ": " + ErrnoString());
   }
 
@@ -140,13 +167,13 @@ std::unique_ptr<SpilledRun> SpillStore::Spill(const SortedCountRun& run,
   }
 
   void* base = nullptr;
-  if (inject_mmap_fail) {
+  if (plan.mmap_fail) {
     errno = ENOMEM;
   } else if (expect_bytes > 0) {
     base = ::mmap(nullptr, expect_bytes, PROT_READ, MAP_PRIVATE, fd, 0);
     if (base == MAP_FAILED) base = nullptr;
   }
-  if (base == nullptr && (inject_mmap_fail || expect_bytes > 0)) {
+  if (base == nullptr && (plan.mmap_fail || expect_bytes > 0)) {
     return fail(fd, "mmap " + path + ": " + ErrnoString());
   }
   ::close(fd);
@@ -156,28 +183,33 @@ std::unique_ptr<SpilledRun> SpillStore::Spill(const SortedCountRun& run,
   spilled->map_length_ = expect_bytes;
   spilled->size_ = n;
   spilled->file_bytes_ = expect_bytes;
-  spilled->path_ = std::move(path);
+  spilled->path_ = path;
   if (base != nullptr) {
     const char* bytes = static_cast<const char*>(base);
     const uint64_t* hdr = reinterpret_cast<const uint64_t*>(bytes);
     if (hdr[0] != kSpillMagic || hdr[1] != n) {
       // Can only happen if the filesystem lied end to end; treat as torn.
-      ++stats_.spill_failures;
-      if (error != nullptr) *error = "corrupt spill header in " + spilled->path();
+      if (error != nullptr) *error = "corrupt spill header in " + path;
       return nullptr;  // SpilledRun dtor unmaps + unlinks
     }
     spilled->keys_ = reinterpret_cast<const uint64_t*>(bytes + kHeaderBytes);
     spilled->counts_ = reinterpret_cast<const uint32_t*>(
         bytes + kHeaderBytes + n * sizeof(uint64_t));
   }
+  return spilled;
+}
 
+void SpillStore::Commit(const SpilledRun* spilled) {
+  if (spilled == nullptr) {
+    ++stats_.spill_failures;
+    return;
+  }
   ++stats_.tiers_spilled;
-  stats_.bytes_spilled += expect_bytes;
+  stats_.bytes_spilled += spilled->file_bytes();
   // Value point for crash-mid-enforcement tests: crash:spill_commit=k kills
   // the process right after the k-th successful spill of this process.
   FaultValuePoint("spill_commit",
                   static_cast<int64_t>(stats_.tiers_spilled));
-  return spilled;
 }
 
 }  // namespace reconcile

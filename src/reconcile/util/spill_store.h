@@ -28,13 +28,24 @@ struct SortedCountRun;
 ///
 ///   [magic u64][entry count u64][keys u64 × n][counts u32 × n]
 ///
-/// The writer fsyncs and validates the on-disk length before mapping; a torn
-/// or short file is a clean spill failure, never a wrong view. Every failure
-/// mode — create/write failure, ENOSPC, a torn write, a failed mmap — makes
-/// `Spill` return null with a diagnostic and leaves no file behind; the
-/// caller keeps the resident copy (graceful degradation: losing the spill
-/// only costs memory headroom, never correctness). Injectable faults (see
-/// `util/fault.h`): `io:spill_write_fail`, `io:spill_truncate`,
+/// A spill takes three steps. `Plan` is serial: it names the file and draws
+/// the injected faults, so a caller that plans its spills in a fixed order puts
+/// every injected fault on the same tier whatever the thread count. `Write`
+/// is thread-safe and does the I/O: it reserves the file's blocks with
+/// `fallocate(FALLOC_FL_KEEP_SIZE)`, so a full disk fails the reservation
+/// (ENOSPC) instead of a later writeback, writes the run, validates the
+/// on-disk length and maps the file back. It does not fsync: spill files
+/// are scratch that no recovery reads. Only where the filesystem cannot
+/// reserve blocks (EOPNOTSUPP) does it fsync after the write, so ENOSPC
+/// still surfaces before the mapping. The reservation leaves the file size
+/// alone, so a torn or short file is still caught by the size check and is
+/// a clean spill failure, never a wrong view. `Commit`, serial again,
+/// counts the outcome and fires the `spill_commit` value point. Every
+/// failure mode — create/write failure, ENOSPC, a torn write, a failed
+/// mmap — makes `Write` return null with a diagnostic and leaves no file
+/// behind; the caller keeps the resident copy (graceful degradation: losing
+/// the spill only costs memory headroom, never correctness). Injectable
+/// faults (see `util/fault.h`): `io:spill_write_fail`, `io:spill_truncate`,
 /// `io:mmap_fail`, `io:enospc_after=N`, and the `spill_commit` value point
 /// for `crash:` kills mid-enforcement.
 ///
@@ -81,10 +92,22 @@ struct SpillStats {
   size_t spill_failures = 0;  ///< Spills that fell back to resident.
 };
 
+/// The serial half of one spill: the file it writes and the injected faults
+/// drawn for it.
+struct SpillPlan {
+  std::string path;
+  /// Set when the spill fails before any I/O: the directory could not be
+  /// created, or an injected write failure or ENOSPC was drawn.
+  std::string error;
+  bool truncate = false;   ///< io:spill_truncate: write half the keys.
+  bool mmap_fail = false;  ///< io:mmap_fail: mapping the file back fails.
+};
+
 /// Creates, tracks and cleans up the spill files of one matcher run.
-/// Not thread-safe: the budget-enforcement pass that calls `Spill` runs on
-/// one thread (readers of the returned `SpilledRun` views are lock-free and
-/// may be many).
+/// `Plan`, `Commit`, `Spill` and `Disable` are for one thread at a time;
+/// `Write` may run on many threads at once, each with its own plan (and
+/// readers of the returned `SpilledRun` views are lock-free and may be
+/// many).
 class SpillStore {
  public:
   /// Does not touch the filesystem; the directory is created lazily on the
@@ -95,15 +118,34 @@ class SpillStore {
   SpillStore(const SpillStore&) = delete;
   SpillStore& operator=(const SpillStore&) = delete;
 
-  /// Writes `run` to a fresh backing file and maps it read-only. Returns
-  /// null with `*error` set on any failure (injected or real); no file is
-  /// left behind on failure. After `Disable()` (or once `disabled()` trips
-  /// internally), returns null immediately without touching the disk.
+  /// `Plan`, `Write` and `Commit` in one call: writes `run` to a fresh
+  /// backing file and maps it read-only. Returns null with `*error` set on
+  /// any failure (injected or real); no file is left behind on failure.
+  /// After `Disable()`, returns null immediately without touching the disk
+  /// and without counting a failure.
   std::unique_ptr<SpilledRun> Spill(const SortedCountRun& run,
                                     std::string* error);
 
+  /// Names the next spill file (creating the directory on first use) and
+  /// draws its injected faults.
+  SpillPlan Plan();
+
+  /// Carries out `plan` for `run`: reserves, writes, validates and maps the
+  /// file. Returns null with `*error` set on any failure, leaving no file
+  /// behind. Touches no store state, so concurrent calls with distinct
+  /// plans are safe.
+  static std::unique_ptr<SpilledRun> Write(const SpillPlan& plan,
+                                           const SortedCountRun& run,
+                                           std::string* error);
+
+  /// Counts the outcome of one `Write` (`spilled` null on failure) and,
+  /// on success, fires the `spill_commit` value point. A caller that drops
+  /// a written run without committing it leaves the stats untouched.
+  void Commit(const SpilledRun* spilled);
+
   /// Permanently stops spilling for this store (graceful degradation after
-  /// repeated failures — the run continues all-resident).
+  /// repeated failures — the run continues all-resident). The caller
+  /// checks `disabled()` before planning.
   void Disable() { disabled_ = true; }
   bool disabled() const { return disabled_; }
 

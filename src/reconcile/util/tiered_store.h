@@ -106,7 +106,8 @@ struct FrontierView {
 ///
 /// Each tier lives either resident (a `SortedCountRun`) or spilled (an
 /// mmap'd `SpilledRun`, see `util/spill_store.h`); the memory-budget
-/// enforcement layer moves cold big tiers to disk via `SpillTier` and the
+/// enforcement layer moves cold big tiers to disk (`SpillTier`, or
+/// `SpillStore::Write` on `resident_tier` then `AdoptSpill`) and the
 /// store transparently materializes a spilled tier back whenever an
 /// operation must mutate it (compaction merge, `Filter`). Reads never
 /// distinguish the two forms. A frontier kept beside the tiers is never
@@ -234,9 +235,24 @@ class TieredCountRuns {
     if (tier.spilled != nullptr || tier.size() == 0) return true;
     std::unique_ptr<SpilledRun> spilled = store.Spill(tier.resident, error);
     if (spilled == nullptr) return false;
+    AdoptSpill(index, std::move(spilled));
+    return true;
+  }
+
+  /// The resident run of tier `index` (empty once spilled): what a spill
+  /// of the tier writes.
+  const SortedCountRun& resident_tier(size_t index) const {
+    return tiers_[index].resident;
+  }
+
+  /// Replaces resident tier `index` by `spilled`, a spill of
+  /// `resident_tier(index)`.
+  void AdoptSpill(size_t index, std::unique_ptr<SpilledRun> spilled) {
+    Tier& tier = tiers_[index];
+    RECONCILE_CHECK(tier.spilled == nullptr);
+    RECONCILE_CHECK_EQ(spilled->size(), tier.resident.size());
     tier.spilled = std::move(spilled);
     tier.resident = SortedCountRun{};
-    return true;
   }
 
   /// Invokes `fn(RunView)` once per tier, oldest first — the snapshot

@@ -23,8 +23,18 @@ TEST(ApiUmbrellaTest, EndToEndPipelineThroughOneInclude) {
   MatchQuality quality = Evaluate(pair, result);
   EXPECT_GE(quality.precision, 0.95);
 
-  auto supports = ComputeLinkSupport(pair.g1, pair.g2, result);
-  EXPECT_EQ(supports.size(), result.NumLinks());
+  // Links are never withdrawn, so every discovered link keeps at least the
+  // witnesses it was accepted with under the final mapping.
+  size_t discovered = 0;
+  for (NodeId u = 0; u < pair.g1.num_nodes(); ++u) {
+    const NodeId v = result.map_1to2[u];
+    if (v == kInvalidNode || result.IsSeed1(u)) continue;
+    ++discovered;
+    EXPECT_GE(CountSimilarityWitnesses(pair.g1, pair.g2, result.map_1to2, u,
+                                       v),
+              config.min_score);
+  }
+  EXPECT_EQ(discovered, result.NumNewLinks());
 
   GraphStatistics stats = ComputeStatistics(truth);
   EXPECT_EQ(stats.num_nodes, truth.num_nodes());

@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "reconcile/gen/preferential_attachment.h"
 #include "reconcile/sampling/independent.h"
 #include "reconcile/seed/seeding.h"
+#include "reconcile/util/fault.h"
 
 namespace reconcile {
 namespace {
@@ -173,6 +175,67 @@ TEST(MemoryBudgetDeterminismTest, BudgetsAreUnobservableAcrossGrid) {
         EXPECT_EQ(scratch.NumEntries(), 0u)
             << "clean run must leave no spill scratch";
       }
+    }
+  }
+}
+
+// The spill pass writes its tiers concurrently, but draws the injected
+// faults in candidate order before any write, so each fault lands on the
+// same tier at every thread count: the per-round spill schedule repeats
+// exactly, and the matching still equals the unbudgeted one.
+TEST(MemoryBudgetDeterminismTest, InjectedSpillFaultsLandAlikeAtEveryThreadCount) {
+  DisarmFaults();
+  Workload w = MakeWorkload(7401);
+  MatcherConfig reference_config;
+  reference_config.num_threads = 1;
+  const MatchResult reference =
+      UserMatching(w.pair.g1, w.pair.g2, w.seeds, reference_config);
+
+  using Schedule = std::vector<std::pair<size_t, size_t>>;
+  auto schedule_of = [](const MatchResult& result) {
+    Schedule schedule;
+    for (const PhaseStats& phase : result.phases) {
+      schedule.emplace_back(phase.tiers_spilled, phase.spilled_score_bytes);
+    }
+    return schedule;
+  };
+  Schedule unfaulted;
+  for (const std::string fault :
+       {"", "io:spill_write_fail=3", "io:enospc_after=5"}) {
+    SCOPED_TRACE("fault=" + fault);
+    Schedule first;
+    for (int threads : {1, 2, 5}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads));
+      ScratchDir scratch;
+      ASSERT_FALSE(scratch.path().empty());
+      MatcherConfig config;
+      config.memory_budget_bytes = 1;  // every tier is a candidate
+      config.score_dir = scratch.path();
+      config.num_threads = threads;
+      config.num_shards = 4;  // the default follows the thread count
+      config.fault_spec = fault;
+      const MatchResult result =
+          UserMatching(w.pair.g1, w.pair.g2, w.seeds, config);
+      DisarmFaults();
+      ExpectSameMatching(result, reference);
+      EXPECT_EQ(scratch.NumEntries(), 0u);
+      if (threads == 1) {
+        first = schedule_of(result);
+      } else {
+        EXPECT_EQ(schedule_of(result), first);
+      }
+    }
+    size_t spilled = 0;
+    for (const auto& [tiers, bytes] : first) spilled += tiers;
+    if (fault.empty()) {
+      ASSERT_GT(spilled, 5u);
+      unfaulted = first;
+    } else {
+      EXPECT_NE(first, unfaulted) << "the fault never landed";
+    }
+    if (fault == "io:enospc_after=5") {
+      // Five writes pass; the next eight fail and disable the store.
+      EXPECT_EQ(spilled, 5u);
     }
   }
 }

@@ -81,8 +81,10 @@ TEST(SelectionDeterminismTest, PhaseTimeSplitIsPopulated) {
     EXPECT_GE(phase.merge_seconds, 0.0);
     EXPECT_GE(phase.scan_seconds, 0.0);
     EXPECT_GE(phase.select_seconds, 0.0);
+    EXPECT_EQ(phase.spill_seconds, 0.0) << "unbudgeted runs never spill";
     EXPECT_LE(phase.emit_seconds + phase.merge_seconds +
-                  phase.scan_seconds + phase.select_seconds,
+                  phase.scan_seconds + phase.select_seconds +
+                  phase.spill_seconds,
               phase.seconds + 1e-6);
   }
 }

@@ -7,10 +7,13 @@
 #include <dirent.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <map>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -247,6 +250,92 @@ TEST_F(SpillStoreTest, InjectedFaultsAtEveryBoundaryDegradeGracefully) {
       }
     }
   }
+}
+
+// Plans are drawn serially, then four threads write at once, then the
+// results commit serially (the budget pass's shape). Every file name is
+// distinct, every view reads back its own run, the stats add up to the
+// per-call results (injected failures included), and nothing is left once
+// the runs and the store are gone.
+TEST_F(SpillStoreTest, ConcurrentWritesReadBackTheirOwnRuns) {
+  constexpr size_t kRuns = 24;
+  constexpr size_t kThreads = 4;
+  std::vector<SortedCountRun> runs;
+  for (size_t i = 0; i < kRuns; ++i) {
+    runs.push_back(MakeRun(MakeDeltaStream(100 + i, 1, 300 + 97 * i, 50000)[0]));
+  }
+  std::string error;
+  ASSERT_TRUE(ArmFaults("io:spill_truncate=5;io:mmap_fail=9", &error))
+      << error;
+  {
+    SpillStore store(dir_);
+    std::vector<SpillPlan> plans;
+    std::set<std::string> paths;
+    for (size_t i = 0; i < kRuns; ++i) {
+      plans.push_back(store.Plan());
+      paths.insert(plans.back().path);
+    }
+    DisarmFaults();
+    EXPECT_EQ(paths.size(), kRuns);
+
+    std::vector<std::unique_ptr<SpilledRun>> spilled(kRuns);
+    std::vector<std::string> errors(kRuns);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> writers;
+    for (size_t t = 0; t < kThreads; ++t) {
+      writers.emplace_back([&, t] {
+        while (!go.load()) std::this_thread::yield();
+        for (size_t i = t; i < kRuns; i += kThreads) {
+          spilled[i] = SpillStore::Write(plans[i], runs[i], &errors[i]);
+        }
+      });
+    }
+    go.store(true);
+    for (std::thread& writer : writers) writer.join();
+
+    size_t ok = 0, failed = 0, bytes = 0;
+    for (size_t i = 0; i < kRuns; ++i) {
+      store.Commit(spilled[i].get());
+      if (spilled[i] == nullptr) {
+        ++failed;
+        EXPECT_FALSE(errors[i].empty());
+        continue;
+      }
+      ++ok;
+      bytes += spilled[i]->file_bytes();
+      EXPECT_EQ(spilled[i]->path(), plans[i].path);
+      ASSERT_EQ(spilled[i]->size(), runs[i].size());
+      for (size_t j = 0; j < runs[i].size(); ++j) {
+        ASSERT_EQ(spilled[i]->keys()[j], runs[i].keys[j]) << "run " << i;
+        ASSERT_EQ(spilled[i]->counts()[j], runs[i].counts[j]) << "run " << i;
+      }
+    }
+    EXPECT_EQ(failed, 2u);
+    EXPECT_EQ(spilled[4], nullptr);
+    EXPECT_EQ(spilled[8], nullptr);
+    EXPECT_EQ(store.stats().tiers_spilled, ok);
+    EXPECT_EQ(store.stats().spill_failures, failed);
+    EXPECT_EQ(store.stats().bytes_spilled, bytes);
+    EXPECT_EQ(CountDirEntries(dir_), ok);
+  }
+  EXPECT_EQ(CountDirEntries(dir_), 0u);
+}
+
+// The file's blocks are reserved before the write without growing it, so a
+// torn write still leaves a short file, and the size check rejects it.
+TEST_F(SpillStoreTest, TornWriteIsRejectedAfterTheReservation) {
+  std::string error;
+  ASSERT_TRUE(ArmFaults("io:spill_truncate", &error)) << error;
+  SpillStore store(dir_);
+  const SortedCountRun run = MakeRun(MakeDeltaStream(5, 1, 4000, 100000)[0]);
+  EXPECT_EQ(store.Spill(run, &error), nullptr);
+  EXPECT_NE(error.find("short spill file"), std::string::npos) << error;
+  EXPECT_EQ(CountDirEntries(dir_), 0u);
+  EXPECT_EQ(store.stats().spill_failures, 1u);
+  // The fault fired once; the next spill of the same run goes through.
+  std::unique_ptr<SpilledRun> spilled = store.Spill(run, &error);
+  ASSERT_NE(spilled, nullptr) << error;
+  EXPECT_EQ(spilled->size(), run.size());
 }
 
 TEST_F(SpillStoreTest, EnospcThresholdFailsEverySpillPastTheCliff) {

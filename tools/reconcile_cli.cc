@@ -169,7 +169,9 @@ Output and misc:
                   cells at levels below the round's bucket, folded when
                   a round first reads them), frontier pairs (scored
                   pairs at or above the threshold, the ones selection
-                  scans), new links and the emit/merge/scan/select seconds
+                  scans), new links, the emit/merge/scan/select seconds
+                  and the spill seconds (the memory budget's pass that
+                  writes tiers to --score-dir; 0 when nothing spills)
   --degree-table  per-degree-band precision/recall            [false]
   --rng-seed      master RNG seed                             [42]
   --save-g1/--save-g2   write copies as text edge lists
@@ -467,7 +469,7 @@ int RunCli(const Flags& flags) {
   if (flags.GetBool("phase-table", false)) {
     Table table({"iter", "bucket", "links in", "emissions", "parked",
                  "frontier pairs", "new", "emit s", "merge s", "scan s",
-                 "select s"});
+                 "select s", "spill s"});
     for (const PhaseStats& phase : result.phases) {
       table.AddRow({std::to_string(phase.iteration),
                     std::to_string(phase.bucket_exponent),
@@ -479,7 +481,8 @@ int RunCli(const Flags& flags) {
                     FormatDouble(phase.emit_seconds, 3),
                     FormatDouble(phase.merge_seconds, 3),
                     FormatDouble(phase.scan_seconds, 3),
-                    FormatDouble(phase.select_seconds, 3)});
+                    FormatDouble(phase.select_seconds, 3),
+                    FormatDouble(phase.spill_seconds, 3)});
     }
     table.Print(std::cout);
   }

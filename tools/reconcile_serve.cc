@@ -112,7 +112,10 @@ Output:
   --save-g1/--save-g2  write the final graphs as text edge lists
   --phase-table   after each batch, the rerun's per-round phase table
                   (emissions, parked keys awaiting the first round that
-                  reads their cell, frontier pairs, new links, seconds)
+                  reads their cell, frontier pairs, new links, and the
+                  emit/merge/scan/select/spill seconds; spill, the
+                  memory budget's pass, reads 0 here: serve runs
+                  unbudgeted)
 
 Per-batch telemetry goes to stdout (rounds 0: no net change, no rerun):
   batch 3: deltas 128 (120 effective) | rounds 12 | links 5023 (+12/-3) |
@@ -146,7 +149,7 @@ void PrintPhaseTable(const ServeBatchStats& stats) {
   if (stats.rounds.empty()) return;
   Table table({"iter", "bucket", "links in", "emissions", "parked",
                "frontier pairs", "new", "emit s", "merge s", "scan s",
-               "select s"});
+               "select s", "spill s"});
   for (const PhaseStats& phase : stats.rounds) {
     table.AddRow({std::to_string(phase.iteration),
                   std::to_string(phase.bucket_exponent),
@@ -158,7 +161,8 @@ void PrintPhaseTable(const ServeBatchStats& stats) {
                   FormatDouble(phase.emit_seconds, 3),
                   FormatDouble(phase.merge_seconds, 3),
                   FormatDouble(phase.scan_seconds, 3),
-                  FormatDouble(phase.select_seconds, 3)});
+                  FormatDouble(phase.select_seconds, 3),
+                  FormatDouble(phase.spill_seconds, 3)});
   }
   table.Print(std::cout);
 }
