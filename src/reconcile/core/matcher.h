@@ -13,6 +13,11 @@
 
 namespace reconcile {
 
+/// Checkpoint filename prefix of the batch matcher ("state-round-NNNNNN.ckpt",
+/// counted in completed rounds; see the checkpoint series in
+/// util/checkpoint.h).
+inline constexpr char kMatcherCheckpointPrefix[] = "state-round-";
+
 /// Tuning knobs for the User-Matching algorithm (paper §3.2).
 struct MatcherConfig {
   /// Number of outer iterations `k`. The paper notes k = 1 or 2 suffices.

@@ -2,8 +2,11 @@
 #define RECONCILE_EVAL_TABLE_H_
 
 #include <ostream>
+#include <span>
 #include <string>
 #include <vector>
+
+#include "reconcile/core/result.h"
 
 namespace reconcile {
 
@@ -25,6 +28,10 @@ class Table {
   std::vector<std::string> headers_;
   std::vector<std::vector<std::string>> rows_;
 };
+
+/// The `--phase-table` of both tools: one row per round of `phases`, its
+/// counters and its emit / merge / scan / select / spill wall times.
+Table PhaseTable(std::span<const PhaseStats> phases);
 
 /// Formats a double with `digits` decimal places.
 std::string FormatDouble(double value, int digits);

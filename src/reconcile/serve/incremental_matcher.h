@@ -18,7 +18,8 @@
 namespace reconcile {
 
 /// Checkpoint filename prefix for serve sessions ("serve-batch-NNNNNN.ckpt",
-/// via the prefix-parameterized helpers in util/checkpoint.h).
+/// counted in applied batches; see the checkpoint series in
+/// util/checkpoint.h).
 inline constexpr char kServeCheckpointPrefix[] = "serve-batch-";
 
 struct ServeConfig {

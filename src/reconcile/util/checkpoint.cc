@@ -60,7 +60,6 @@ bool FsyncDirOf(const std::string& path) {
   return ok;
 }
 
-constexpr char kCheckpointPrefix[] = "state-round-";
 constexpr char kCheckpointSuffix[] = ".ckpt";
 
 }  // namespace
@@ -129,11 +128,7 @@ bool SnapshotWriter::Commit(const std::string& path,
   // the normal rename path, then report success — what a crash on a
   // non-atomic filesystem would leave behind.
   size_t write_size = blob.size();
-  bool truncate_fault = false;
-  if (FaultPointHit("checkpoint_truncate")) {
-    write_size = blob.size() / 2;
-    truncate_fault = true;
-  }
+  if (FaultPointHit("checkpoint_truncate")) write_size = blob.size() / 2;
 
   const std::string tmp = path + ".tmp";
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
@@ -169,7 +164,6 @@ bool SnapshotWriter::Commit(const std::string& path,
     RECONCILE_LOG(Warning) << "directory fsync after committing " << path
                            << " failed: " << ErrnoString();
   }
-  (void)truncate_fault;
   return true;
 }
 
@@ -283,19 +277,15 @@ SnapshotReader::Section* SnapshotReader::Find(uint32_t id) {
   return nullptr;
 }
 
-std::string CheckpointPathWithPrefix(const std::string& dir,
-                                     const std::string& prefix, int round) {
+std::string CheckpointPath(const std::string& dir, const std::string& prefix,
+                           int n) {
   char digits[32];
-  std::snprintf(digits, sizeof(digits), "%06d", round);
+  std::snprintf(digits, sizeof(digits), "%06d", n);
   return dir + "/" + prefix + digits + kCheckpointSuffix;
 }
 
-std::string CheckpointPath(const std::string& dir, int round) {
-  return CheckpointPathWithPrefix(dir, kCheckpointPrefix, round);
-}
-
-std::vector<CheckpointFile> ListCheckpointsWithPrefix(
-    const std::string& dir, const std::string& prefix) {
+std::vector<CheckpointFile> ListCheckpoints(const std::string& dir,
+                                            const std::string& prefix) {
   std::vector<CheckpointFile> found;
   DIR* handle = ::opendir(dir.c_str());
   if (handle == nullptr) return found;
@@ -328,16 +318,10 @@ std::vector<CheckpointFile> ListCheckpointsWithPrefix(
   return found;
 }
 
-std::vector<CheckpointFile> ListCheckpoints(const std::string& dir) {
-  return ListCheckpointsWithPrefix(dir, kCheckpointPrefix);
-}
-
-size_t PruneCheckpointsWithPrefix(const std::string& dir,
-                                  const std::string& prefix, int keep,
-                                  std::string* error) {
+size_t PruneCheckpoints(const std::string& dir, const std::string& prefix,
+                        int keep, std::string* error) {
   if (keep <= 0) return 0;
-  std::vector<CheckpointFile> checkpoints =
-      ListCheckpointsWithPrefix(dir, prefix);
+  std::vector<CheckpointFile> checkpoints = ListCheckpoints(dir, prefix);
   if (checkpoints.size() <= static_cast<size_t>(keep)) return 0;
   size_t removed = 0;
   const size_t excess = checkpoints.size() - static_cast<size_t>(keep);
@@ -351,8 +335,48 @@ size_t PruneCheckpointsWithPrefix(const std::string& dir,
   return removed;
 }
 
-size_t PruneCheckpoints(const std::string& dir, int keep, std::string* error) {
-  return PruneCheckpointsWithPrefix(dir, kCheckpointPrefix, keep, error);
+std::string ResumeCheckpoint(const std::string& dir, const std::string& prefix,
+                             int keep, const CheckpointIo& load) {
+  const std::vector<CheckpointFile> checkpoints = ListCheckpoints(dir, prefix);
+  int newer = 0;
+  for (auto it = checkpoints.rbegin(); it != checkpoints.rend();
+       ++it, ++newer) {
+    std::string error;
+    if (!load(it->path, &error)) {
+      RECONCILE_LOG(Warning) << "skipping checkpoint " << it->path << ": "
+                             << error;
+      continue;
+    }
+    if (keep > 0) {
+      std::string prune_error;
+      PruneCheckpoints(dir, prefix, std::max(keep, newer + 1), &prune_error);
+      if (!prune_error.empty()) {
+        RECONCILE_LOG(Warning)
+            << "checkpoint prune on resume failed (non-fatal): "
+            << prune_error;
+      }
+    }
+    return it->path;
+  }
+  RECONCILE_LOG(Warning) << "no usable checkpoint in " << dir
+                         << "; starting fresh";
+  return "";
+}
+
+bool WriteCheckpoint(const std::string& dir, const std::string& prefix, int n,
+                     int keep, const CheckpointIo& save) {
+  std::string error;
+  if (!save(CheckpointPath(dir, prefix, n), &error)) {
+    RECONCILE_LOG(Warning) << "checkpoint write failed: " << error;
+    return false;
+  }
+  std::string prune_error;
+  PruneCheckpoints(dir, prefix, keep, &prune_error);
+  if (!prune_error.empty()) {
+    RECONCILE_LOG(Warning) << "checkpoint prune failed (non-fatal): "
+                           << prune_error;
+  }
+  return true;
 }
 
 bool EnsureDir(const std::string& dir, std::string* error) {

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -128,38 +129,56 @@ class SnapshotReader {
   std::vector<Section> sections_;
 };
 
-/// `dir`/state-round-NNNNNN.ckpt — the canonical checkpoint name for the
-/// state after `round` completed rounds.
-std::string CheckpointPath(const std::string& dir, int round);
+/// Checkpoint series: a family of snapshots in one directory, named
+/// `dir`/<prefix>NNNNNN.ckpt by a six-digit zero-padded counter (the batch
+/// matcher counts completed rounds under "state-round-", `reconcile_serve`
+/// applied batches under "serve-batch-"). Families with different prefixes
+/// share a directory without touching each other's files.
+std::string CheckpointPath(const std::string& dir, const std::string& prefix,
+                           int n);
 
 struct CheckpointFile {
   int round = 0;
   std::string path;
 };
 
-/// Checkpoint files in `dir`, ascending by round. Unparseable names are
-/// skipped; a missing/unreadable dir yields an empty list.
-std::vector<CheckpointFile> ListCheckpoints(const std::string& dir);
+/// The `prefix` checkpoints in `dir`, ascending by counter. Unparseable
+/// names are skipped; a missing/unreadable dir yields an empty list.
+std::vector<CheckpointFile> ListCheckpoints(const std::string& dir,
+                                            const std::string& prefix);
 
-/// Retention: deletes all but the newest `keep` checkpoints in `dir`
-/// (`keep` <= 0 is a no-op — keep everything). Returns the number of files
-/// removed; an unlink failure skips that file and fills `*error` with the
-/// first diagnostic (callers treat prune failures as non-fatal — the extra
-/// snapshot costs disk, not correctness).
-size_t PruneCheckpoints(const std::string& dir, int keep, std::string* error);
+/// Retention: deletes all but the newest `keep` `prefix` checkpoints in
+/// `dir` (`keep` <= 0 is a no-op — keep everything). Returns the number of
+/// files removed; an unlink failure skips that file and fills `*error` with
+/// the first diagnostic (callers treat prune failures as non-fatal — the
+/// extra snapshot costs disk, not correctness).
+size_t PruneCheckpoints(const std::string& dir, const std::string& prefix,
+                        int keep, std::string* error);
 
-/// Prefix-parameterized variants of the three helpers above, for
-/// subsystems that keep their own checkpoint families in a directory
-/// (`reconcile_serve` uses prefix "serve-batch-"; the batch matcher's
-/// "state-round-" functions delegate here). The `.ckpt` suffix and the
-/// six-digit zero-padded counter are shared.
-std::string CheckpointPathWithPrefix(const std::string& dir,
-                                     const std::string& prefix, int round);
-std::vector<CheckpointFile> ListCheckpointsWithPrefix(
-    const std::string& dir, const std::string& prefix);
-size_t PruneCheckpointsWithPrefix(const std::string& dir,
-                                  const std::string& prefix, int keep,
-                                  std::string* error);
+/// Loads or saves one snapshot at `path`; false with a diagnostic in
+/// `*error` on failure.
+using CheckpointIo =
+    std::function<bool(const std::string& path, std::string* error)>;
+
+/// Resume: tries the `prefix` checkpoints in `dir` newest first and returns
+/// the path of the first one `load` accepts, or "" if none does. Each
+/// rejected file is one warning and recovery falls back to the previous
+/// file; no surviving file is one more warning, and then nothing is pruned.
+/// With retention (`keep` > 0), a successful resume prunes to
+/// max(keep, newer + 1), where `newer` counts the rejected files above the
+/// restored one: a killed run can leave more than `keep` files (prunes run
+/// only after successful writes), and the restored file must survive even
+/// when newer, rejected files hold the newest slots.
+std::string ResumeCheckpoint(const std::string& dir, const std::string& prefix,
+                             int keep, const CheckpointIo& load);
+
+/// Writes checkpoint `n` of the `prefix` series in `dir` through `save`,
+/// then prunes to the newest `keep`. Prunes only after a successful save,
+/// so a bad write cannot shrink the set of usable recovery points. A failed
+/// save or prune is one warning, never fatal: the caller keeps running and
+/// loses only this recovery point. Returns whether the save succeeded.
+bool WriteCheckpoint(const std::string& dir, const std::string& prefix, int n,
+                     int keep, const CheckpointIo& save);
 
 /// mkdir -p. Returns false with a diagnostic if a component cannot be
 /// created.

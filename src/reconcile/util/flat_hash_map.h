@@ -11,25 +11,28 @@
 
 namespace reconcile {
 
-/// Compact open-addressing hash map from `uint64_t` keys to `uint32_t`
-/// counters, specialized for the witness-scoring inner loop of the matcher.
+/// Open-addressing hash map from `uint64_t` keys to `uint32_t` counters:
+/// the mark counts of the percolation baseline (`baseline/percolation.cc`).
 ///
-/// Design notes (this is the hottest structure in the library):
-///  * linear probing over a power-of-two table; 12-byte slots laid out as
-///    parallel key/value arrays for cache-friendly probing,
-///  * one reserved key (`kEmptyKey` = 2^64-1) marks empty slots — candidate
-///    pair keys pack two 32-bit node ids, and node id 0xFFFFFFFF is reserved
-///    as the invalid node, so real keys never collide with the sentinel,
-///  * no deletion (scoring maps are built, scanned once, then dropped),
-///  * `AddCount` fuses find-or-insert with the counter increment.
+/// Percolation matches a pair the instant its count reaches the threshold,
+/// so it needs each count as it is incremented; batched counting (a sort
+/// then a count, as the matcher does with `BuildCountRun`) would change the
+/// matching. `std::unordered_map` gives the same matching about 3x slower:
+/// `reconcile_cli --algorithm=percolation --model=pa --nodes=50000
+/// --seed-fraction=0.05` took 2.6-3.0 s with this map and 7.7-8.3 s with
+/// it (4-vCPU x86-64 host, two runs each).
+///
+///  * linear probing over a power-of-two table, keys and counters in
+///    parallel arrays, max load 7/8,
+///  * one reserved key (`kEmptyKey` = 2^64-1) marks empty slots — pair keys
+///    pack two 32-bit node ids, and node id 0xFFFFFFFF is the invalid node,
+///    so real keys never collide with the sentinel,
+///  * no deletion; `AddCount` fuses find-or-insert with the increment.
 class FlatCountMap {
  public:
   static constexpr uint64_t kEmptyKey = ~0ULL;
 
   FlatCountMap() { Rehash(kInitialCapacity); }
-
-  /// Creates a map pre-sized so that `expected` entries fit without rehash.
-  explicit FlatCountMap(size_t expected) { Rehash(CapacityFor(expected)); }
 
   FlatCountMap(const FlatCountMap&) = delete;
   FlatCountMap& operator=(const FlatCountMap&) = delete;
@@ -59,48 +62,15 @@ class FlatCountMap {
     return keys_[slot] == kEmptyKey ? 0 : values_[slot];
   }
 
-  bool Contains(uint64_t key) const {
-    return keys_[FindSlot(key)] != kEmptyKey;
-  }
-
-  /// Grows the table so `expected` total entries fit without rehashing.
-  /// Existing entries are preserved; never shrinks. Call before bulk merges
-  /// whose result size is known (or bounded) up front.
-  void Reserve(size_t expected) {
-    size_t cap = CapacityFor(expected);
-    if (cap > capacity()) Rehash(cap);
-  }
-
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   size_t capacity() const { return keys_.size(); }
-
-  /// Invokes `fn(key, count)` for every entry, in unspecified order.
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (size_t i = 0; i < keys_.size(); ++i) {
-      if (keys_[i] != kEmptyKey) fn(keys_[i], values_[i]);
-    }
-  }
-
-  void Clear() {
-    std::fill(keys_.begin(), keys_.end(), kEmptyKey);
-    size_ = 0;
-  }
 
  private:
   static constexpr size_t kInitialCapacity = 64;
   // Max load factor 7/8.
   static constexpr size_t kMaxLoadNum = 7;
   static constexpr size_t kMaxLoadDen = 8;
-
-  /// Smallest power-of-two capacity holding `expected` entries within the
-  /// max load factor.
-  static size_t CapacityFor(size_t expected) {
-    size_t cap = kInitialCapacity;
-    while (cap * kMaxLoadNum < expected * kMaxLoadDen) cap <<= 1;
-    return cap;
-  }
 
   size_t FindSlot(uint64_t key) const {
     size_t mask = keys_.size() - 1;

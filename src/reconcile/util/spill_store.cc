@@ -58,17 +58,6 @@ SpillStore::~SpillStore() {
   // The directory itself is user-provided and is left in place.
 }
 
-std::unique_ptr<SpilledRun> SpillStore::Spill(const SortedCountRun& run,
-                                              std::string* error) {
-  if (disabled_) {
-    if (error != nullptr) *error = "spilling disabled for this store";
-    return nullptr;
-  }
-  std::unique_ptr<SpilledRun> spilled = Write(Plan(), run, error);
-  Commit(spilled.get());
-  return spilled;
-}
-
 SpillPlan SpillStore::Plan() {
   SpillPlan plan;
   if (!dir_ready_) {

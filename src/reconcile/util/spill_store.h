@@ -104,7 +104,7 @@ struct SpillPlan {
 };
 
 /// Creates, tracks and cleans up the spill files of one matcher run.
-/// `Plan`, `Commit`, `Spill` and `Disable` are for one thread at a time;
+/// `Plan`, `Commit` and `Disable` are for one thread at a time;
 /// `Write` may run on many threads at once, each with its own plan (and
 /// readers of the returned `SpilledRun` views are lock-free and may be
 /// many).
@@ -117,14 +117,6 @@ class SpillStore {
 
   SpillStore(const SpillStore&) = delete;
   SpillStore& operator=(const SpillStore&) = delete;
-
-  /// `Plan`, `Write` and `Commit` in one call: writes `run` to a fresh
-  /// backing file and maps it read-only. Returns null with `*error` set on
-  /// any failure (injected or real); no file is left behind on failure.
-  /// After `Disable()`, returns null immediately without touching the disk
-  /// and without counting a failure.
-  std::unique_ptr<SpilledRun> Spill(const SortedCountRun& run,
-                                    std::string* error);
 
   /// Names the next spill file (creating the directory on first use) and
   /// draws its injected faults.

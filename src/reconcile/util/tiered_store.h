@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -106,12 +105,11 @@ struct FrontierView {
 ///
 /// Each tier lives either resident (a `SortedCountRun`) or spilled (an
 /// mmap'd `SpilledRun`, see `util/spill_store.h`); the memory-budget
-/// enforcement layer moves cold big tiers to disk (`SpillTier`, or
-/// `SpillStore::Write` on `resident_tier` then `AdoptSpill`) and the
-/// store transparently materializes a spilled tier back whenever an
-/// operation must mutate it (compaction merge, `Filter`). Reads never
-/// distinguish the two forms. A frontier kept beside the tiers is never
-/// spilled.
+/// enforcement layer moves cold big tiers to disk (`SpillStore::Write` on
+/// `resident_tier`, then `AdoptSpill`) and the store transparently
+/// materializes a spilled tier back whenever an operation must mutate it
+/// (compaction merge, `Filter`). Reads never distinguish the two forms. A
+/// frontier kept beside the tiers is never spilled.
 class TieredCountRuns {
  public:
   /// Resident footprint of a run of `entries` entries (flat key + count
@@ -224,19 +222,6 @@ class TieredCountRuns {
                      tiers_.begin(), tiers_.end(),
                      [](const Tier& tier) { return tier.size() == 0; }),
                  tiers_.end());
-  }
-
-  /// Moves tier `index` to disk via `store`. Returns true on success; on
-  /// failure (including an injected fault) the tier stays resident and
-  /// `*error` describes why. Spilling an already-spilled or empty tier is a
-  /// successful no-op.
-  bool SpillTier(size_t index, SpillStore& store, std::string* error) {
-    Tier& tier = tiers_[index];
-    if (tier.spilled != nullptr || tier.size() == 0) return true;
-    std::unique_ptr<SpilledRun> spilled = store.Spill(tier.resident, error);
-    if (spilled == nullptr) return false;
-    AdoptSpill(index, std::move(spilled));
-    return true;
   }
 
   /// The resident run of tier `index` (empty once spilled): what a spill

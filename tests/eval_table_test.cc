@@ -1,6 +1,8 @@
 #include "reconcile/eval/table.h"
 
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -48,6 +50,49 @@ TEST(TableTest, EmptyTableJustHeader) {
 TEST(TableDeathTest, WrongArityRejected) {
   Table table({"A", "B"});
   EXPECT_DEATH(table.AddRow({"only-one"}), "Check failed");
+}
+
+// The tools' --phase-table: fixed headers, then one row per round with its
+// counters and its five wall times at millisecond resolution.
+TEST(TableTest, PhaseTableHasOneRowPerRound) {
+  PhaseStats first;
+  first.iteration = 1;
+  first.bucket_exponent = 4;
+  first.links_in = 120;
+  first.emissions = 98765;
+  first.parked_keys = 4321;
+  first.candidate_pairs = 77;
+  first.new_links = 12;
+  first.emit_seconds = 0.0124;
+  first.merge_seconds = 1.5;
+  first.scan_seconds = 0.25;
+  first.select_seconds = 0.001;
+  first.spill_seconds = 0.0;
+  PhaseStats second;
+  second.iteration = 2;
+  const std::vector<PhaseStats> phases = {first, second};
+
+  std::ostringstream out;
+  PhaseTable(phases).Print(out);
+  std::istringstream lines(out.str());
+  std::string header, underline, row1, row2, extra;
+  std::getline(lines, header);
+  std::getline(lines, underline);
+  std::getline(lines, row1);
+  std::getline(lines, row2);
+  EXPECT_FALSE(std::getline(lines, extra));
+  EXPECT_EQ(header,
+            "iter  bucket  links in  emissions  parked  frontier pairs  new  "
+            "emit s  merge s  scan s  select s  spill s");
+  EXPECT_EQ(underline, std::string(header.size(), '-'));
+  EXPECT_EQ(row1,
+            "1     4       120       98765      4321    77              12   "
+            "0.012   1.500    0.250   0.001     0.000  ");
+  EXPECT_EQ(row2.substr(0, 6), "2     ");
+
+  std::ostringstream empty;
+  PhaseTable({}).Print(empty);
+  EXPECT_EQ(empty.str(), header + "\n" + underline + "\n");
 }
 
 TEST(FormatTest, FormatDouble) {

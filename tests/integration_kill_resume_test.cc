@@ -48,7 +48,8 @@ std::vector<char> Slurp(const std::string& path) {
 }
 
 void RemoveTree(const std::string& dir) {
-  for (const CheckpointFile& file : ListCheckpoints(dir)) {
+  for (const CheckpointFile& file :
+       ListCheckpoints(dir, kMatcherCheckpointPrefix)) {
     std::remove(file.path.c_str());
   }
   ::rmdir(dir.c_str());
@@ -162,11 +163,12 @@ void CheckKillResume(const MatcherConfig& base, const std::string& tag) {
   crash.config.checkpoint_dir = dir;
   crash.config.fault_spec = "crash:after_round=5";
   ASSERT_EQ(RunChild(crash), kFaultCrashExitCode) << tag;
-  ASSERT_FALSE(ListCheckpoints(dir).empty()) << tag;
+  ASSERT_FALSE(ListCheckpoints(dir, kMatcherCheckpointPrefix).empty()) << tag;
 
   ChildSpec inspect;
   inspect.config = base;
-  inspect.inspect_snapshot = ListCheckpoints(dir).back().path;
+  inspect.inspect_snapshot =
+      ListCheckpoints(dir, kMatcherCheckpointPrefix).back().path;
   ASSERT_EQ(RunChild(inspect), 0)
       << tag << ": " << inspect.inspect_snapshot
       << " does not load or holds no parked keys";
@@ -212,7 +214,8 @@ TEST(KillResumeTest, CheckpointWriteFailureOnlyCostsARecoveryPoint) {
   crash.config.fault_spec =
       "io:checkpoint_write_fail=3;crash:after_round=5";
   ASSERT_EQ(RunChild(crash), kFaultCrashExitCode);
-  const std::vector<CheckpointFile> left = ListCheckpoints(dir);
+  const std::vector<CheckpointFile> left =
+      ListCheckpoints(dir, kMatcherCheckpointPrefix);
   ASSERT_FALSE(left.empty());
   EXPECT_LT(left.back().round, 5) << "round 3's write was injected to fail";
 
@@ -245,7 +248,8 @@ TEST(KillResumeTest, CorruptNewestCheckpointFallsBackToOlder) {
   crash.config.checkpoint_dir = dir;
   crash.config.fault_spec = "crash:after_round=5";
   ASSERT_EQ(RunChild(crash), kFaultCrashExitCode);
-  std::vector<CheckpointFile> files = ListCheckpoints(dir);
+  std::vector<CheckpointFile> files =
+      ListCheckpoints(dir, kMatcherCheckpointPrefix);
   ASSERT_GE(files.size(), 2u);
 
   // Truncate the newest snapshot to half — a torn write survived a crash.
@@ -289,7 +293,8 @@ TEST(KillResumeTest, AllCheckpointsCorruptFallsBackToFreshStart) {
 
   // Garbage in every snapshot: resume must warn, fall back to the seeds,
   // and still finish — determinism makes even the fresh start identical.
-  for (const CheckpointFile& file : ListCheckpoints(dir)) {
+  for (const CheckpointFile& file :
+       ListCheckpoints(dir, kMatcherCheckpointPrefix)) {
     std::ofstream(file.path, std::ios::binary | std::ios::trunc)
         << "not a snapshot";
   }
@@ -329,7 +334,8 @@ TEST(KillResumeTest, GracefulStopCheckpointsAndResumes) {
   stop.config.fault_spec = "stop:after_round=2";
   stop.matching_out = partial_out;
   ASSERT_EQ(RunChild(stop), 0) << "graceful stop must exit cleanly";
-  const std::vector<CheckpointFile> files = ListCheckpoints(dir);
+  const std::vector<CheckpointFile> files =
+      ListCheckpoints(dir, kMatcherCheckpointPrefix);
   ASSERT_EQ(files.size(), 1u) << "the stop must flush a final checkpoint";
   EXPECT_EQ(files[0].round, 2);
   // The partial matching exists but is shorter than the full one.
@@ -382,7 +388,7 @@ TEST(KillResumeTest, CrashMidSpillResumesFromSpilledCheckpoint) {
   crash.config = budgeted;
   crash.config.fault_spec = "crash:spill_commit=40";
   ASSERT_EQ(RunChild(crash), kFaultCrashExitCode);
-  ASSERT_FALSE(ListCheckpoints(dir).empty())
+  ASSERT_FALSE(ListCheckpoints(dir, kMatcherCheckpointPrefix).empty())
       << "the crash must land after at least one checkpoint";
   // A hard crash is the one case that leaves spill scratch behind (the
   // mapped runs were alive when the process died).
@@ -418,7 +424,8 @@ TEST(KillResumeTest, CheckpointRetentionKeepsNewestAndStillResumes) {
   clean.config.checkpoint_dir = dir;
   clean.matching_out = clean_out;
   ASSERT_EQ(RunChild(clean), 0);
-  std::vector<CheckpointFile> files = ListCheckpoints(dir);
+  std::vector<CheckpointFile> files =
+      ListCheckpoints(dir, kMatcherCheckpointPrefix);
   ASSERT_EQ(files.size(), 2u) << "retention must prune to the newest 2";
   EXPECT_EQ(files[1].round, files[0].round + 1)
       << "the survivors must be the newest consecutive snapshots";

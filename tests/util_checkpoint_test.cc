@@ -9,7 +9,9 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -276,37 +278,196 @@ TEST(SnapshotTest, InjectedTornWriteIsDetectedOnOpen) {
   std::remove(path.c_str());
 }
 
+// The batch matcher's and serve's prefixes, which may share a directory.
+constexpr char kRounds[] = "state-round-";
+constexpr char kBatches[] = "serve-batch-";
+
+// Commits a valid one-section snapshot holding `n` to `path`.
+bool SaveNumbered(const std::string& path, uint64_t n, std::string* error) {
+  SnapshotWriter writer;
+  writer.BeginSection(1);
+  writer.AppendU64(n);
+  writer.EndSection();
+  return writer.Commit(path, error);
+}
+
 TEST(CheckpointDirTest, PathsListAndOrder) {
   const std::string dir = TempPath("ckpt_dir");
   std::string error;
   ASSERT_TRUE(EnsureDir(dir, &error)) << error;
   ASSERT_TRUE(EnsureDir(dir, &error)) << "EnsureDir must be idempotent";
 
-  EXPECT_TRUE(ListCheckpoints(dir).empty());
-  EXPECT_TRUE(ListCheckpoints(dir + "/missing").empty());
+  EXPECT_TRUE(ListCheckpoints(dir, kRounds).empty());
+  EXPECT_TRUE(ListCheckpoints(dir + "/missing", kRounds).empty());
 
   // Write rounds out of order plus decoys that must be skipped.
   for (int round : {12, 3, 7}) {
-    SnapshotWriter writer;
-    writer.BeginSection(1);
-    writer.AppendU64(static_cast<uint64_t>(round));
-    writer.EndSection();
-    ASSERT_TRUE(writer.Commit(CheckpointPath(dir, round), &error)) << error;
+    ASSERT_TRUE(SaveNumbered(CheckpointPath(dir, kRounds, round), round,
+                             &error))
+        << error;
   }
   { std::ofstream(dir + "/state-round-xyz.ckpt") << "decoy"; }
   { std::ofstream(dir + "/notes.txt") << "decoy"; }
 
-  std::vector<CheckpointFile> found = ListCheckpoints(dir);
+  std::vector<CheckpointFile> found = ListCheckpoints(dir, kRounds);
   ASSERT_EQ(found.size(), 3u);
   EXPECT_EQ(found[0].round, 3);
   EXPECT_EQ(found[1].round, 7);
   EXPECT_EQ(found[2].round, 12);
-  EXPECT_EQ(found[2].path, CheckpointPath(dir, 12));
+  EXPECT_EQ(found[2].path, CheckpointPath(dir, kRounds, 12));
 
   for (const CheckpointFile& file : found) std::remove(file.path.c_str());
   std::remove((dir + "/state-round-xyz.ckpt").c_str());
   std::remove((dir + "/notes.txt").c_str());
   ::rmdir(dir.c_str());
+}
+
+CheckpointIo SaverOf(uint64_t n) {
+  return [n](const std::string& path, std::string* error) {
+    return SaveNumbered(path, n, error);
+  };
+}
+
+// Writes checkpoints `numbers` of the `prefix` series without retention.
+void WriteSeries(const std::string& dir, const std::string& prefix,
+                 std::initializer_list<int> numbers) {
+  for (int n : numbers) {
+    ASSERT_TRUE(WriteCheckpoint(dir, prefix, n, /*keep=*/0, SaverOf(n)));
+  }
+}
+
+std::vector<int> Numbers(const std::string& dir, const std::string& prefix) {
+  std::vector<int> numbers;
+  for (const CheckpointFile& file : ListCheckpoints(dir, prefix)) {
+    numbers.push_back(file.round);
+  }
+  return numbers;
+}
+
+// A loader that validates the file, rejects the numbers in `rejected` as a
+// state mismatch, and records every path it was offered and what it kept.
+struct Loader {
+  std::vector<uint64_t> rejected;
+  std::vector<std::string> tried;
+  uint64_t loaded = 0;
+
+  CheckpointIo io() {
+    return [this](const std::string& path, std::string* error) {
+      tried.push_back(path);
+      SnapshotReader reader;
+      if (!reader.Open(path, error)) return false;
+      uint64_t n = 0;
+      SnapshotReader::Section* section = reader.Find(1);
+      if (section == nullptr || !section->ReadU64(&n)) {
+        *error = "missing section";
+        return false;
+      }
+      for (uint64_t bad : rejected) {
+        if (n == bad) {
+          *error = "state mismatch";
+          return false;
+        }
+      }
+      loaded = n;
+      return true;
+    };
+  }
+};
+
+std::string FreshDir(const std::string& name) {
+  const std::string dir = TempPath(name);
+  std::filesystem::remove_all(dir);
+  std::string error;
+  EXPECT_TRUE(EnsureDir(dir, &error)) << error;
+  return dir;
+}
+
+void HalveFile(const std::string& path) {
+  std::vector<char> bytes = Slurp(path);
+  bytes.resize(bytes.size() / 2);
+  Spit(path, bytes);
+}
+
+TEST(CheckpointSeriesTest, ResumeFallsBackPastCorruptAndRejectedFiles) {
+  const std::string dir = FreshDir("series_fallback");
+  WriteSeries(dir, kRounds, {1, 2, 3, 4});
+  HalveFile(CheckpointPath(dir, kRounds, 4));  // torn
+  Loader loader;
+  loader.rejected = {3};  // valid file, wrong state
+
+  EXPECT_EQ(ResumeCheckpoint(dir, kRounds, /*keep=*/0, loader.io()),
+            CheckpointPath(dir, kRounds, 2));
+  EXPECT_EQ(loader.loaded, 2u);
+  EXPECT_EQ(loader.tried,
+            (std::vector<std::string>{CheckpointPath(dir, kRounds, 4),
+                                      CheckpointPath(dir, kRounds, 3),
+                                      CheckpointPath(dir, kRounds, 2)}));
+  EXPECT_EQ(Numbers(dir, kRounds), (std::vector<int>{1, 2, 3, 4}))
+      << "keep=0 prunes nothing";
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointSeriesTest, ResumeKeepsTheResumedFileBehindNewerRejectedOnes) {
+  const std::string dir = FreshDir("series_keep_resumed");
+  WriteSeries(dir, kRounds, {1, 2, 3, 4});
+  HalveFile(CheckpointPath(dir, kRounds, 4));
+  Loader loader;
+  loader.rejected = {3};
+
+  // keep=1 would leave only file 4; the two rejected files above the
+  // restored one raise it to 3.
+  EXPECT_EQ(ResumeCheckpoint(dir, kRounds, /*keep=*/1, loader.io()),
+            CheckpointPath(dir, kRounds, 2));
+  EXPECT_EQ(Numbers(dir, kRounds), (std::vector<int>{2, 3, 4}));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointSeriesTest, ResumeWithNoSurvivorReturnsEmptyAndDeletesNothing) {
+  const std::string dir = FreshDir("series_no_survivor");
+  Loader loader;
+  EXPECT_EQ(ResumeCheckpoint(dir, kRounds, /*keep=*/1, loader.io()), "");
+  EXPECT_TRUE(loader.tried.empty());
+
+  WriteSeries(dir, kRounds, {1, 2, 3});
+  HalveFile(CheckpointPath(dir, kRounds, 1));
+  loader.rejected = {2, 3};
+  EXPECT_EQ(ResumeCheckpoint(dir, kRounds, /*keep=*/1, loader.io()), "");
+  EXPECT_EQ(loader.tried.size(), 3u);
+  EXPECT_EQ(Numbers(dir, kRounds), (std::vector<int>{1, 2, 3}));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointSeriesTest, FailedWriteDoesNotPrune) {
+  const std::string dir = FreshDir("series_write_fail");
+  WriteSeries(dir, kRounds, {1, 2, 3});
+  std::string error;
+  ASSERT_TRUE(ArmFaults("io:checkpoint_write_fail", &error)) << error;
+  EXPECT_FALSE(WriteCheckpoint(dir, kRounds, 4, /*keep=*/1, SaverOf(4)));
+  DisarmFaults();
+  EXPECT_EQ(Numbers(dir, kRounds), (std::vector<int>{1, 2, 3}));
+
+  // The next successful write prunes to the newest `keep`.
+  EXPECT_TRUE(WriteCheckpoint(dir, kRounds, 4, /*keep=*/2, SaverOf(4)));
+  EXPECT_EQ(Numbers(dir, kRounds), (std::vector<int>{3, 4}));
+  std::filesystem::remove_all(dir);
+}
+
+TEST(CheckpointSeriesTest, PrefixesInOneDirectoryNeverPruneEachOther) {
+  const std::string dir = FreshDir("series_two_prefixes");
+  WriteSeries(dir, kRounds, {1, 2, 3});
+  WriteSeries(dir, kBatches, {1, 2, 3});
+
+  EXPECT_TRUE(WriteCheckpoint(dir, kRounds, 4, /*keep=*/1, SaverOf(4)));
+  EXPECT_EQ(Numbers(dir, kRounds), (std::vector<int>{4}));
+  EXPECT_EQ(Numbers(dir, kBatches), (std::vector<int>{1, 2, 3}));
+
+  Loader loader;
+  EXPECT_EQ(ResumeCheckpoint(dir, kBatches, /*keep=*/1, loader.io()),
+            CheckpointPath(dir, kBatches, 3));
+  EXPECT_EQ(loader.tried.size(), 1u);
+  EXPECT_EQ(Numbers(dir, kBatches), (std::vector<int>{3}));
+  EXPECT_EQ(Numbers(dir, kRounds), (std::vector<int>{4}));
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "reconcile/util/rng.h"
 #include "reconcile/util/tiered_store.h"
 #include "support/count_run.h"
+#include "support/spill.h"
 #include "support/tier_totals.h"
 
 namespace reconcile {
@@ -102,7 +103,7 @@ TEST_F(SpillStoreTest, SpilledRunRoundTripsExactBytes) {
   SortedCountRun run = MakeRun(MakeDeltaStream(1, 1, 5000, 1200)[0]);
   SpillStore store(dir_);
   std::string error;
-  std::unique_ptr<SpilledRun> spilled = store.Spill(run, &error);
+  std::unique_ptr<SpilledRun> spilled = SpillRun(store, run, &error);
   ASSERT_NE(spilled, nullptr) << error;
   ASSERT_EQ(spilled->size(), run.size());
   for (size_t i = 0; i < run.size(); ++i) {
@@ -129,7 +130,7 @@ TEST_F(SpillStoreTest, SpillingTiersIsUnobservableInTheFold) {
     std::string error;
     for (size_t t = 0; t < tiers; ++t) {
       if (mask & (1u << t)) {
-        ASSERT_TRUE(mixed.SpillTier(t, store, &error)) << error;
+        ASSERT_TRUE(MoveTierToDisk(mixed, t, store, &error)) << error;
         ASSERT_TRUE(mixed.tier_spilled(t));
       }
     }
@@ -150,12 +151,12 @@ TEST_F(SpillStoreTest, ResidentBytesMoveToSpilledOnSpill) {
                                                      frontier));
   SpillStore spill(dir_);
   std::string error;
-  ASSERT_TRUE(store.SpillTier(0, spill, &error)) << error;
+  ASSERT_TRUE(MoveTierToDisk(store, 0, spill, &error)) << error;
   EXPECT_EQ(store.resident_bytes(),
             TieredCountRuns::BytesForEntries(store.tier_size(1) + frontier));
   EXPECT_EQ(store.num_spilled_tiers(), 1u);
   // Spilling an already-spilled tier is a successful no-op.
-  ASSERT_TRUE(store.SpillTier(0, spill, &error));
+  ASSERT_TRUE(MoveTierToDisk(store, 0, spill, &error));
   EXPECT_EQ(spill.stats().tiers_spilled, 1u);
 }
 
@@ -166,8 +167,8 @@ TEST_F(SpillStoreTest, FilterMaterializesSpilledTiers) {
   ASSERT_EQ(store.num_tiers(), 2u);
   SpillStore spill(dir_);
   std::string error;
-  ASSERT_TRUE(store.SpillTier(0, spill, &error)) << error;
-  ASSERT_TRUE(store.SpillTier(1, spill, &error)) << error;
+  ASSERT_TRUE(MoveTierToDisk(store, 0, spill, &error)) << error;
+  ASSERT_TRUE(MoveTierToDisk(store, 1, spill, &error)) << error;
   store.Filter([](uint64_t key, uint32_t) { return key % 2 == 0; });
   EXPECT_EQ(store.num_spilled_tiers(), 0u);
   EXPECT_EQ(CountDirEntries(dir_), 0u) << "materialize must drop the files";
@@ -181,7 +182,7 @@ TEST_F(SpillStoreTest, AppendFoldMaterializesSpilledTarget) {
   store.Append(MakeRun({1, 2, 3}));
   SpillStore spill(dir_);
   std::string error;
-  ASSERT_TRUE(store.SpillTier(0, spill, &error)) << error;
+  ASSERT_TRUE(MoveTierToDisk(store, 0, spill, &error)) << error;
   // 3 entries are within 4x of the 2-entry delta: the append folds into
   // the spilled run, which must come back resident first.
   store.Append(MakeRun({2, 4}));
@@ -233,7 +234,7 @@ TEST_F(SpillStoreTest, InjectedFaultsAtEveryBoundaryDegradeGracefully) {
       for (TieredCountRuns& cell : cells) {
         for (size_t t = 0; t < cell.num_tiers(); ++t) {
           std::string error;
-          if (!cell.SpillTier(t, spill, &error)) {
+          if (!MoveTierToDisk(cell, t, spill, &error)) {
             ++failures;
             EXPECT_FALSE(cell.tier_spilled(t)) << error;
             EXPECT_FALSE(error.empty());
@@ -328,12 +329,12 @@ TEST_F(SpillStoreTest, TornWriteIsRejectedAfterTheReservation) {
   ASSERT_TRUE(ArmFaults("io:spill_truncate", &error)) << error;
   SpillStore store(dir_);
   const SortedCountRun run = MakeRun(MakeDeltaStream(5, 1, 4000, 100000)[0]);
-  EXPECT_EQ(store.Spill(run, &error), nullptr);
+  EXPECT_EQ(SpillRun(store, run, &error), nullptr);
   EXPECT_NE(error.find("short spill file"), std::string::npos) << error;
   EXPECT_EQ(CountDirEntries(dir_), 0u);
   EXPECT_EQ(store.stats().spill_failures, 1u);
   // The fault fired once; the next spill of the same run goes through.
-  std::unique_ptr<SpilledRun> spilled = store.Spill(run, &error);
+  std::unique_ptr<SpilledRun> spilled = SpillRun(store, run, &error);
   ASSERT_NE(spilled, nullptr) << error;
   EXPECT_EQ(spilled->size(), run.size());
 }
@@ -343,29 +344,20 @@ TEST_F(SpillStoreTest, EnospcThresholdFailsEverySpillPastTheCliff) {
   ASSERT_TRUE(ArmFaults("io:enospc_after=2", &error)) << error;
   SpillStore store(dir_);
   SortedCountRun run = MakeRun({1, 2, 3});
-  EXPECT_NE(store.Spill(run, &error), nullptr);
-  EXPECT_NE(store.Spill(run, &error), nullptr);
+  EXPECT_NE(SpillRun(store, run, &error), nullptr);
+  EXPECT_NE(SpillRun(store, run, &error), nullptr);
   // The disk is now "full": every later spill fails, not just one.
-  EXPECT_EQ(store.Spill(run, &error), nullptr);
-  EXPECT_EQ(store.Spill(run, &error), nullptr);
+  EXPECT_EQ(SpillRun(store, run, &error), nullptr);
+  EXPECT_EQ(SpillRun(store, run, &error), nullptr);
   EXPECT_EQ(store.stats().tiers_spilled, 2u);
   EXPECT_EQ(store.stats().spill_failures, 2u);
-}
-
-TEST_F(SpillStoreTest, DisableStopsSpillingWithoutTouchingDisk) {
-  SpillStore store(dir_);
-  store.Disable();
-  SortedCountRun run = MakeRun({5, 6});
-  std::string error;
-  EXPECT_EQ(store.Spill(run, &error), nullptr);
-  EXPECT_EQ(CountDirEntries(dir_), 0u);
 }
 
 TEST_F(SpillStoreTest, UnwritableDirectoryIsACleanFailure) {
   SpillStore store("/proc/definitely-not-writable/spill");
   SortedCountRun run = MakeRun({1});
   std::string error;
-  EXPECT_EQ(store.Spill(run, &error), nullptr);
+  EXPECT_EQ(SpillRun(store, run, &error), nullptr);
   EXPECT_FALSE(error.empty());
   EXPECT_EQ(store.stats().spill_failures, 1u);
 }

@@ -17,8 +17,8 @@
 #include <gtest/gtest.h>
 
 #include "reconcile/util/rng.h"
-#include "reconcile/util/spill_store.h"
 #include "support/count_run.h"
+#include "support/spill.h"
 #include "support/tier_totals.h"
 
 namespace reconcile {
@@ -243,7 +243,7 @@ TEST_F(TieredStoreFrontierTest, RandomStreamsKeepTheFrontierExact) {
           // Later appends gallop into, or fold, a spilled tier.
           const size_t tier = rng.UniformInt(store.num_tiers());
           std::string error;
-          ASSERT_TRUE(store.SpillTier(tier, spill, &error)) << error;
+          ASSERT_TRUE(MoveTierToDisk(store, tier, spill, &error)) << error;
           ++spills;
           ASSERT_EQ(FrontierOf(store), ReferenceFrontier(store)) << step;
         }
@@ -284,8 +284,8 @@ TEST_F(TieredStoreFrontierTest, FrontierIsTheWholeStoreAtThresholdOneOrZero) {
               TieredCountRuns::BytesForEntries(store.total_entries()));
 
     std::string error;
-    ASSERT_TRUE(store.SpillTier(0, spill, &error)) << error;
-    ASSERT_TRUE(store.SpillTier(1, spill, &error)) << error;
+    ASSERT_TRUE(MoveTierToDisk(store, 0, spill, &error)) << error;
+    ASSERT_TRUE(MoveTierToDisk(store, 1, spill, &error)) << error;
     EXPECT_EQ(store.resident_bytes(), 0u);
     EXPECT_EQ(FrontierOf(store), expected);
   }

@@ -467,24 +467,7 @@ int RunCli(const Flags& flags) {
   }
 
   if (flags.GetBool("phase-table", false)) {
-    Table table({"iter", "bucket", "links in", "emissions", "parked",
-                 "frontier pairs", "new", "emit s", "merge s", "scan s",
-                 "select s", "spill s"});
-    for (const PhaseStats& phase : result.phases) {
-      table.AddRow({std::to_string(phase.iteration),
-                    std::to_string(phase.bucket_exponent),
-                    std::to_string(phase.links_in),
-                    std::to_string(phase.emissions),
-                    std::to_string(phase.parked_keys),
-                    std::to_string(phase.candidate_pairs),
-                    std::to_string(phase.new_links),
-                    FormatDouble(phase.emit_seconds, 3),
-                    FormatDouble(phase.merge_seconds, 3),
-                    FormatDouble(phase.scan_seconds, 3),
-                    FormatDouble(phase.select_seconds, 3),
-                    FormatDouble(phase.spill_seconds, 3)});
-    }
-    table.Print(std::cout);
+    PhaseTable(result.phases).Print(std::cout);
   }
 
   if (flags.GetBool("degree-table", false)) {
