@@ -1,18 +1,119 @@
 #include "reconcile/api/adapters.h"
 
 #include <limits>
-#include <memory>
+#include <span>
 #include <sstream>
+#include <string>
+#include <string_view>
+#include <utility>
 
 #include "reconcile/api/registry.h"
 #include "reconcile/api/spec.h"
+#include "reconcile/baseline/bp_matcher.h"
+#include "reconcile/baseline/common_neighbors.h"
+#include "reconcile/baseline/feature_matching.h"
+#include "reconcile/baseline/percolation.h"
+#include "reconcile/baseline/propagation.h"
 #include "reconcile/util/fault.h"
 
 namespace reconcile {
 
 namespace {
 
+// The one `Reconciler` implementation: an algorithm's entry point bound to
+// its typed config. `Run` forwards verbatim.
+template <typename Config>
+class BoundReconciler final : public Reconciler {
+ public:
+  using EntryPoint = MatchResult (*)(
+      const Graph&, const Graph&, std::span<const std::pair<NodeId, NodeId>>,
+      const Config&);
+  using DescribeFn = std::string (*)(const Config&);
+
+  BoundReconciler(std::string_view name, EntryPoint run, DescribeFn describe,
+                  bool exposes_phase_stats, Config config)
+      : name_(name),
+        run_(run),
+        describe_(describe),
+        exposes_phase_stats_(exposes_phase_stats),
+        config_(std::move(config)) {}
+
+  MatchResult Run(
+      const Graph& g1, const Graph& g2,
+      std::span<const std::pair<NodeId, NodeId>> seeds) const override {
+    return run_(g1, g2, seeds, config_);
+  }
+  std::string_view name() const override { return name_; }
+  std::string Describe() const override { return describe_(config_); }
+  bool ExposesPhaseStats() const override { return exposes_phase_stats_; }
+
+ private:
+  std::string_view name_;  // a registry key literal
+  EntryPoint run_;
+  DescribeFn describe_;
+  bool exposes_phase_stats_;
+  Config config_;
+};
+
+template <typename Config>
+std::unique_ptr<Reconciler> Bind(
+    std::string_view name, typename BoundReconciler<Config>::EntryPoint run,
+    typename BoundReconciler<Config>::DescribeFn describe,
+    bool exposes_phase_stats, Config config) {
+  return std::make_unique<BoundReconciler<Config>>(
+      name, run, describe, exposes_phase_stats, std::move(config));
+}
+
 const char* OnOff(bool value) { return value ? "on" : "off"; }
+
+std::string DescribeCore(const MatcherConfig& config) {
+  std::ostringstream out;
+  out << "core(threshold=" << config.min_score
+      << ", iterations=" << config.num_iterations
+      << ", bucketing=" << OnOff(config.use_degree_bucketing) << ")";
+  return out.str();
+}
+
+std::string DescribeSimple(const SimpleMatcherConfig& config) {
+  std::ostringstream out;
+  out << "simple(threshold=" << config.min_score
+      << ", iterations=" << config.num_iterations << ")";
+  return out.str();
+}
+
+std::string DescribePropagation(const PropagationConfig& config) {
+  std::ostringstream out;
+  out << "ns09(theta=" << config.theta << ", max-sweeps=" << config.max_sweeps
+      << ", reverse-check=" << OnOff(config.reverse_check) << ")";
+  return out.str();
+}
+
+std::string DescribeFeatures(const FeatureMatcherConfig& config) {
+  std::ostringstream out;
+  out << "features(depth=" << config.recursion_depth
+      << ", degree-band=" << config.degree_band
+      << ", max-candidates=" << config.max_candidates
+      << ", min-similarity=" << config.min_similarity
+      << ", min-degree=" << config.min_degree << ")";
+  return out.str();
+}
+
+std::string DescribeBp(const BpConfig& config) {
+  std::ostringstream out;
+  out << "bp(iterations=" << config.iterations
+      << ", damping=" << config.damping << ", prior=" << config.prior
+      << ", min-belief=" << config.min_belief
+      << ", max-sweeps=" << config.max_sweeps
+      << ", max-candidates=" << config.max_candidates << ")";
+  return out.str();
+}
+
+std::string DescribePercolation(const PercolationConfig& config) {
+  std::ostringstream out;
+  out << "percolation(threshold=" << config.threshold
+      << ", min-degree=" << config.min_degree << ")";
+  return out.str();
+}
 
 // Bounds-checked narrowing for int-typed config fields: an out-of-range
 // value is a reportable spec error, never a silent wrap.
@@ -91,7 +192,7 @@ std::unique_ptr<Reconciler> MakeCore(const ReconcilerSpec& spec,
     reader.AddError("parameter 'iterations' must be >= 1");
   }
   if (!reader.Finish(error)) return nullptr;
-  return std::make_unique<CoreReconciler>(config);
+  return MakeCoreReconciler(config);
 }
 
 std::unique_ptr<Reconciler> MakeSimple(const ReconcilerSpec& spec,
@@ -109,7 +210,10 @@ std::unique_ptr<Reconciler> MakeSimple(const ReconcilerSpec& spec,
     reader.AddError("parameter 'iterations' must be >= 1");
   }
   if (!reader.Finish(error)) return nullptr;
-  return std::make_unique<SimpleCommonNeighborsReconciler>(config);
+  // Delegates to UserMatching (bucketing disabled), so the full per-round
+  // emit/scan/select split is populated.
+  return Bind("simple", SimpleCommonNeighborsMatch, DescribeSimple,
+              /*exposes_phase_stats=*/true, config);
 }
 
 std::unique_ptr<Reconciler> MakePropagation(const ReconcilerSpec& spec,
@@ -124,7 +228,8 @@ std::unique_ptr<Reconciler> MakePropagation(const ReconcilerSpec& spec,
     reader.AddError("parameter 'max-sweeps' must be >= 1");
   }
   if (!reader.Finish(error)) return nullptr;
-  return std::make_unique<PropagationReconciler>(config);
+  return Bind("ns09", PropagationMatch, DescribePropagation,
+              /*exposes_phase_stats=*/false, config);
 }
 
 std::unique_ptr<Reconciler> MakeFeatures(const ReconcilerSpec& spec,
@@ -153,7 +258,8 @@ std::unique_ptr<Reconciler> MakeFeatures(const ReconcilerSpec& spec,
     reader.AddError("parameter 'degree-band' must be >= 1");
   }
   if (!reader.Finish(error)) return nullptr;
-  return std::make_unique<StructuralFeatureReconciler>(config);
+  return Bind("features", StructuralFeatureMatch, DescribeFeatures,
+              /*exposes_phase_stats=*/false, config);
 }
 
 std::unique_ptr<Reconciler> MakeBp(const ReconcilerSpec& spec,
@@ -187,7 +293,8 @@ std::unique_ptr<Reconciler> MakeBp(const ReconcilerSpec& spec,
     reader.AddError("parameter 'max-sweeps' must be >= 1");
   }
   if (!reader.Finish(error)) return nullptr;
-  return std::make_unique<BpReconciler>(config);
+  return Bind("bp", BpMatch, DescribeBp, /*exposes_phase_stats=*/false,
+              config);
 }
 
 std::unique_ptr<Reconciler> MakePercolation(const ReconcilerSpec& spec,
@@ -202,59 +309,15 @@ std::unique_ptr<Reconciler> MakePercolation(const ReconcilerSpec& spec,
     reader.AddError("parameter 'threshold' (marks r) must be >= 2");
   }
   if (!reader.Finish(error)) return nullptr;
-  return std::make_unique<PercolationReconciler>(config);
+  return Bind("percolation", PercolationMatch, DescribePercolation,
+              /*exposes_phase_stats=*/false, config);
 }
 
 }  // namespace
 
-std::string CoreReconciler::Describe() const {
-  std::ostringstream out;
-  out << "core(threshold=" << config_.min_score
-      << ", iterations=" << config_.num_iterations
-      << ", bucketing=" << OnOff(config_.use_degree_bucketing) << ")";
-  return out.str();
-}
-
-std::string SimpleCommonNeighborsReconciler::Describe() const {
-  std::ostringstream out;
-  out << "simple(threshold=" << config_.min_score
-      << ", iterations=" << config_.num_iterations << ")";
-  return out.str();
-}
-
-std::string PropagationReconciler::Describe() const {
-  std::ostringstream out;
-  out << "ns09(theta=" << config_.theta
-      << ", max-sweeps=" << config_.max_sweeps
-      << ", reverse-check=" << OnOff(config_.reverse_check) << ")";
-  return out.str();
-}
-
-std::string StructuralFeatureReconciler::Describe() const {
-  std::ostringstream out;
-  out << "features(depth=" << config_.recursion_depth
-      << ", degree-band=" << config_.degree_band
-      << ", max-candidates=" << config_.max_candidates
-      << ", min-similarity=" << config_.min_similarity
-      << ", min-degree=" << config_.min_degree << ")";
-  return out.str();
-}
-
-std::string BpReconciler::Describe() const {
-  std::ostringstream out;
-  out << "bp(iterations=" << config_.iterations
-      << ", damping=" << config_.damping << ", prior=" << config_.prior
-      << ", min-belief=" << config_.min_belief
-      << ", max-sweeps=" << config_.max_sweeps
-      << ", max-candidates=" << config_.max_candidates << ")";
-  return out.str();
-}
-
-std::string PercolationReconciler::Describe() const {
-  std::ostringstream out;
-  out << "percolation(threshold=" << config_.threshold
-      << ", min-degree=" << config_.min_degree << ")";
-  return out.str();
+std::unique_ptr<Reconciler> MakeCoreReconciler(const MatcherConfig& config) {
+  return Bind("core", UserMatching, DescribeCore,
+              /*exposes_phase_stats=*/true, config);
 }
 
 namespace internal {
@@ -268,21 +331,18 @@ void RegisterBuiltinReconcilers(Registry& registry) {
                  "threads, shards, stop-when-stable, checkpoint-dir, "
                  "checkpoint-every, checkpoint-keep, resume, memory-budget, "
                  "score-dir, fault",
-       .threshold_param = "threshold",
        .factory = MakeCore});
   registry.Register(
       {.key = "simple",
        .summary = "common-neighbours ablation: no degree schedule "
                   "(paper §5 Q8)",
        .params = "threshold, iterations, threads",
-       .threshold_param = "threshold",
        .factory = MakeSimple});
   registry.Register(
       {.key = "ns09",
        .summary = "Narayanan-Shmatikov propagation: eccentricity-gated "
                   "cosine scores (S&P 2009)",
        .params = "theta, max-sweeps, reverse-check",
-       .threshold_param = "theta",
        .factory = MakePropagation});
   registry.Register(
       {.key = "features",
@@ -290,7 +350,6 @@ void RegisterBuiltinReconcilers(Registry& registry) {
                   "(Henderson et al., KDD 2011)",
        .params = "depth, degree-band, max-candidates, min-similarity, "
                  "min-degree",
-       .threshold_param = "",
        .factory = MakeFeatures});
   registry.Register(
       {.key = "bp",
@@ -298,14 +357,12 @@ void RegisterBuiltinReconcilers(Registry& registry) {
                   "over witness candidates (Halimi-Ayday)",
        .params = "iterations, damping, prior, min-belief, max-sweeps, "
                  "max-candidates, threads",
-       .threshold_param = "",
        .factory = MakeBp});
   registry.Register(
       {.key = "percolation",
        .summary = "bootstrap percolation matching "
                   "(Yartseva-Grossglauser, COSN 2013)",
        .params = "threshold, min-degree",
-       .threshold_param = "threshold",
        .factory = MakePercolation});
 }
 

@@ -1,159 +1,32 @@
 #ifndef RECONCILE_API_ADAPTERS_H_
 #define RECONCILE_API_ADAPTERS_H_
 
-#include <span>
-#include <string>
-#include <string_view>
-#include <utility>
+#include <memory>
 
 #include "reconcile/api/reconciler.h"
-#include "reconcile/baseline/bp_matcher.h"
-#include "reconcile/baseline/common_neighbors.h"
-#include "reconcile/baseline/feature_matching.h"
-#include "reconcile/baseline/percolation.h"
-#include "reconcile/baseline/propagation.h"
 #include "reconcile/core/matcher.h"
 
 namespace reconcile {
 
-/// Adapter classes wrapping each algorithm's existing config struct and
-/// free-function entry point behind the `Reconciler` interface. Each
-/// adapter's `Run` forwards verbatim — outputs are bit-identical to calling
-/// the free function directly (enforced by api_adapter_differential_test).
+/// The built-in algorithms behind the `Reconciler` interface. adapters.cc
+/// binds each algorithm's free-function entry point to its typed config
+/// through one adapter whose `Run` forwards verbatim, so outputs are
+/// bit-identical to calling the free function directly (enforced by
+/// api_adapter_differential_test). All six are registered in
+/// `Registry::Global()`:
 ///
-/// All six register themselves in `Registry::Global()`; the classes are
-/// also directly constructible for callers that already hold a typed
-/// config. Registry keys and sweep-threshold parameters:
-///
-///   key           wraps                       threshold dimension
-///   core          UserMatching                "threshold" (min_score T)
-///   simple        SimpleCommonNeighborsMatch  "threshold" (min_score)
-///   ns09          PropagationMatch            "theta" (eccentricity bar)
-///   features      StructuralFeatureMatch      none (seed-free)
-///   percolation   PercolationMatch            "threshold" (marks r)
-///   bp            BpMatch                     none (belief floor is a knob)
+///   key           wraps
+///   core          UserMatching
+///   simple        SimpleCommonNeighborsMatch
+///   ns09          PropagationMatch
+///   features      StructuralFeatureMatch
+///   percolation   PercolationMatch
+///   bp            BpMatch
 
-/// "core" — the paper's User-Matching algorithm (§3.2).
-class CoreReconciler : public Reconciler {
- public:
-  explicit CoreReconciler(MatcherConfig config = {}) : config_(config) {}
-
-  MatchResult Run(
-      const Graph& g1, const Graph& g2,
-      std::span<const std::pair<NodeId, NodeId>> seeds) const override {
-    return UserMatching(g1, g2, seeds, config_);
-  }
-  std::string_view name() const override { return "core"; }
-  std::string Describe() const override;
-  bool ExposesPhaseStats() const override { return true; }
-
-  const MatcherConfig& config() const { return config_; }
-
- private:
-  MatcherConfig config_;
-};
-
-/// "simple" — the common-neighbours ablation (§5 Q8).
-class SimpleCommonNeighborsReconciler : public Reconciler {
- public:
-  explicit SimpleCommonNeighborsReconciler(SimpleMatcherConfig config = {})
-      : config_(config) {}
-
-  MatchResult Run(
-      const Graph& g1, const Graph& g2,
-      std::span<const std::pair<NodeId, NodeId>> seeds) const override {
-    return SimpleCommonNeighborsMatch(g1, g2, seeds, config_);
-  }
-  std::string_view name() const override { return "simple"; }
-  std::string Describe() const override;
-  // Delegates to UserMatching (bucketing disabled), so the full per-round
-  // emit/scan/select split is populated.
-  bool ExposesPhaseStats() const override { return true; }
-
-  const SimpleMatcherConfig& config() const { return config_; }
-
- private:
-  SimpleMatcherConfig config_;
-};
-
-/// "ns09" — Narayanan–Shmatikov-style propagation (S&P 2009).
-class PropagationReconciler : public Reconciler {
- public:
-  explicit PropagationReconciler(PropagationConfig config = {})
-      : config_(config) {}
-
-  MatchResult Run(
-      const Graph& g1, const Graph& g2,
-      std::span<const std::pair<NodeId, NodeId>> seeds) const override {
-    return PropagationMatch(g1, g2, seeds, config_);
-  }
-  std::string_view name() const override { return "ns09"; }
-  std::string Describe() const override;
-
-  const PropagationConfig& config() const { return config_; }
-
- private:
-  PropagationConfig config_;
-};
-
-/// "features" — seed-free recursive structural features (Henderson et al.).
-class StructuralFeatureReconciler : public Reconciler {
- public:
-  explicit StructuralFeatureReconciler(FeatureMatcherConfig config = {})
-      : config_(config) {}
-
-  MatchResult Run(
-      const Graph& g1, const Graph& g2,
-      std::span<const std::pair<NodeId, NodeId>> seeds) const override {
-    return StructuralFeatureMatch(g1, g2, seeds, config_);
-  }
-  std::string_view name() const override { return "features"; }
-  std::string Describe() const override;
-
-  const FeatureMatcherConfig& config() const { return config_; }
-
- private:
-  FeatureMatcherConfig config_;
-};
-
-/// "bp" — belief-propagation profile matching (Halimi & Ayday style).
-class BpReconciler : public Reconciler {
- public:
-  explicit BpReconciler(BpConfig config = {}) : config_(config) {}
-
-  MatchResult Run(
-      const Graph& g1, const Graph& g2,
-      std::span<const std::pair<NodeId, NodeId>> seeds) const override {
-    return BpMatch(g1, g2, seeds, config_);
-  }
-  std::string_view name() const override { return "bp"; }
-  std::string Describe() const override;
-
-  const BpConfig& config() const { return config_; }
-
- private:
-  BpConfig config_;
-};
-
-/// "percolation" — bootstrap percolation matching (Yartseva & Grossglauser).
-class PercolationReconciler : public Reconciler {
- public:
-  explicit PercolationReconciler(PercolationConfig config = {})
-      : config_(config) {}
-
-  MatchResult Run(
-      const Graph& g1, const Graph& g2,
-      std::span<const std::pair<NodeId, NodeId>> seeds) const override {
-    return PercolationMatch(g1, g2, seeds, config_);
-  }
-  std::string_view name() const override { return "percolation"; }
-  std::string Describe() const override;
-
-  const PercolationConfig& config() const { return config_; }
-
- private:
-  PercolationConfig config_;
-};
+/// "core" — the paper's User-Matching algorithm (§3.2) with `config`, for
+/// callers that already hold a typed config. Same instance as
+/// `Registry::Create` builds from the equivalent spec.
+std::unique_ptr<Reconciler> MakeCoreReconciler(const MatcherConfig& config);
 
 }  // namespace reconcile
 

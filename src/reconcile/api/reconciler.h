@@ -15,12 +15,12 @@ namespace reconcile {
 /// Uniform interface over every reconciliation algorithm in the library:
 /// the core User-Matching matcher and all comparison baselines. One
 /// `Reconciler` is an *immutable, fully configured* algorithm instance —
-/// construction (directly or via `Registry::Create`) fixes every tuning
-/// knob, and `Run` may be called any number of times, from any thread,
-/// on any graph pair.
+/// construction (via `Registry::Create`, or `MakeCoreReconciler` for a
+/// typed core config) fixes every tuning knob, and `Run` may be called any
+/// number of times, from any thread, on any graph pair.
 ///
 /// This is the seam the paper's comparative claims hang on: the evaluation
-/// harness (`RunExperiment`, `RunSweep`), the CLI and the benches all take a
+/// harness (`RunExperiment`), the CLI and the benches all take a
 /// `Reconciler` rather than a concrete config struct, so every scenario,
 /// metric and table works for every algorithm — including ones registered
 /// by downstream code (see `registry.h` for the extension recipe).

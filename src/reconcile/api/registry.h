@@ -14,21 +14,19 @@ namespace reconcile {
 
 /// String-keyed factory registry mapping algorithm keys to `Reconciler`
 /// builders. `Registry::Global()` comes pre-populated with the library's
-/// five algorithms (adapters.h): "core", "simple", "ns09", "features",
-/// "percolation".
+/// six algorithms (adapters.h): "core", "simple", "ns09", "features",
+/// "percolation", "bp".
 ///
 /// Extension recipe — a new algorithm gets every harness surface (CLI
-/// `--algorithm`, sweeps, `RunExperiment`, metrics) for free:
+/// `--algorithm`, `RunExperiment`, metrics) for free:
 ///
 ///   1. implement `Reconciler` (wrap your config struct + entry point);
 ///   2. register a factory once at startup:
 ///        Registry::Global().Register({.key = "mine",
 ///                                     .summary = "one-line description",
 ///                                     .params = "threshold, iterations",
-///                                     .threshold_param = "threshold",
 ///                                     .factory = MakeMineFromSpec});
-///   3. done: `reconcile_cli --algorithm=mine --param k=v` and
-///      `SweepSpec::algorithms` now accept it.
+///   3. done: `reconcile_cli --algorithm=mine --param k=v` now accepts it.
 class Registry {
  public:
   /// Builds a configured instance from `spec`'s parameter bag. Returns
@@ -45,11 +43,6 @@ class Registry {
     /// shown by `DescribeAll` — keep it next to the factory so the help
     /// text cannot rot out of sync.
     std::string params;
-    /// Name of the parameter a sweep's threshold grid dimension maps onto
-    /// ("threshold" for the witness-count algorithms, "theta" for ns09).
-    /// Empty if the algorithm has no comparable acceptance knob; such
-    /// algorithms run once per seed fraction in threshold sweeps.
-    std::string threshold_param;
     Factory factory;
   };
 

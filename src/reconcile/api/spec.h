@@ -11,10 +11,9 @@ namespace reconcile {
 
 /// Value type naming one algorithm instance: a registry key plus a string
 /// parameter bag. This is the lingua franca between user-facing surfaces
-/// (CLI flags, sweep grids, config files) and `Registry::Create`: every
+/// (CLI flags, config files) and `Registry::Create`: every
 /// algorithm, whatever its native config struct, is constructible from a
-/// `ReconcilerSpec`, so "add a `--param`" and "add a sweep dimension" need
-/// no per-algorithm code.
+/// `ReconcilerSpec`, so "add a `--param`" needs no per-algorithm code.
 ///
 /// Textual form (`Parse` / `ToString`):
 ///

@@ -1,7 +1,5 @@
 #include "reconcile/eval/experiment.h"
 
-#include <sstream>
-
 #include "reconcile/api/adapters.h"
 #include "reconcile/util/timer.h"
 
@@ -28,14 +26,8 @@ ExperimentResult RunExperiment(const RealizationPair& pair,
                                const SeedOptions& seed_options,
                                const MatcherConfig& matcher_config,
                                uint64_t seed) {
-  return RunExperiment(pair, seed_options, CoreReconciler(matcher_config),
+  return RunExperiment(pair, seed_options, *MakeCoreReconciler(matcher_config),
                        seed);
-}
-
-std::string FormatGoodBad(const MatchQuality& q) {
-  std::ostringstream out;
-  out << q.new_good << " good / " << q.new_bad << " bad";
-  return out.str();
 }
 
 }  // namespace reconcile

@@ -2,7 +2,6 @@
 #define RECONCILE_EVAL_EXPERIMENT_H_
 
 #include <cstdint>
-#include <string>
 
 #include "reconcile/api/reconciler.h"
 #include "reconcile/core/matcher.h"
@@ -23,8 +22,7 @@ struct ExperimentResult {
 
 /// Draws seeds with `seed_options` (randomness from `seed`), runs
 /// `reconciler` and evaluates against ground truth. Works for any
-/// registered algorithm — construct the reconciler directly (api/adapters.h)
-/// or through `Registry::Create`.
+/// `Reconciler`, from `Registry::Create` or `MakeCoreReconciler`.
 ExperimentResult RunExperiment(const RealizationPair& pair,
                                const SeedOptions& seed_options,
                                const Reconciler& reconciler, uint64_t seed);
@@ -35,9 +33,6 @@ ExperimentResult RunExperiment(const RealizationPair& pair,
                                const SeedOptions& seed_options,
                                const MatcherConfig& matcher_config,
                                uint64_t seed);
-
-/// Renders "12345 / 99.9%"-style convenience strings used by the benches.
-std::string FormatGoodBad(const MatchQuality& q);
 
 }  // namespace reconcile
 

@@ -71,49 +71,6 @@ std::vector<size_t> DegreeHistogram(const Graph& g) {
   return hist;
 }
 
-size_t CountNodesWithDegreeAtLeast(const Graph& g, NodeId min_degree) {
-  size_t count = 0;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (g.degree(v) >= min_degree) ++count;
-  }
-  return count;
-}
-
-double EstimateClusteringCoefficient(const Graph& g, size_t samples,
-                                     Rng* rng) {
-  RECONCILE_CHECK(rng != nullptr);
-  std::vector<NodeId> eligible;
-  for (NodeId v = 0; v < g.num_nodes(); ++v) {
-    if (g.degree(v) >= 2) eligible.push_back(v);
-  }
-  if (eligible.empty()) return 0.0;
-
-  auto local_cc = [&g](NodeId v) {
-    std::span<const NodeId> nbrs = g.Neighbors(v);
-    size_t closed = 0;
-    for (size_t i = 0; i < nbrs.size(); ++i) {
-      for (size_t j = i + 1; j < nbrs.size(); ++j) {
-        if (g.HasEdge(nbrs[i], nbrs[j])) ++closed;
-      }
-    }
-    size_t wedges = nbrs.size() * (nbrs.size() - 1) / 2;
-    return static_cast<double>(closed) / static_cast<double>(wedges);
-  };
-
-  double sum = 0.0;
-  size_t n = 0;
-  if (eligible.size() <= samples) {
-    for (NodeId v : eligible) sum += local_cc(v);
-    n = eligible.size();
-  } else {
-    for (size_t i = 0; i < samples; ++i) {
-      sum += local_cc(eligible[rng->UniformInt(eligible.size())]);
-    }
-    n = samples;
-  }
-  return sum / static_cast<double>(n);
-}
-
 size_t CountTriangles(const Graph& g) {
   // For each edge (u, v) with u < v, count common neighbours w > v; every
   // triangle is counted exactly once at its smallest-id vertex pair.

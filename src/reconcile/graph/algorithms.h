@@ -6,7 +6,6 @@
 
 #include "reconcile/graph/graph.h"
 #include "reconcile/graph/types.h"
-#include "reconcile/util/rng.h"
 
 namespace reconcile {
 
@@ -27,13 +26,6 @@ size_t LargestComponentSize(const Graph& g);
 
 /// Histogram of node degrees: `result[d]` = number of nodes with degree `d`.
 std::vector<size_t> DegreeHistogram(const Graph& g);
-
-/// Number of nodes with degree >= `min_degree`.
-size_t CountNodesWithDegreeAtLeast(const Graph& g, NodeId min_degree);
-
-/// Average clustering coefficient estimated over `samples` random nodes of
-/// degree >= 2 (exact if the graph has fewer such nodes than `samples`).
-double EstimateClusteringCoefficient(const Graph& g, size_t samples, Rng* rng);
 
 /// Exact triangle count (sum over nodes of wedges closed / 3). Intended for
 /// small/medium graphs used in tests.

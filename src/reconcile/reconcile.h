@@ -69,7 +69,6 @@
 #include "reconcile/eval/experiment.h"   // IWYU pragma: export
 #include "reconcile/eval/match_io.h"     // IWYU pragma: export
 #include "reconcile/eval/metrics.h"      // IWYU pragma: export
-#include "reconcile/eval/sweep.h"        // IWYU pragma: export
 #include "reconcile/eval/table.h"        // IWYU pragma: export
 #include "reconcile/eval/validation.h"   // IWYU pragma: export
 

@@ -49,7 +49,6 @@ class SnapshotWriter {
   void AppendU32(uint32_t value) { AppendBytes(&value, sizeof(value)); }
   void AppendU64(uint64_t value) { AppendBytes(&value, sizeof(value)); }
   void AppendI32(int32_t value) { AppendBytes(&value, sizeof(value)); }
-  void AppendI64(int64_t value) { AppendBytes(&value, sizeof(value)); }
 
   /// Element count (u64) followed by the raw element bytes. `T` must be
   /// trivially copyable.
@@ -85,7 +84,6 @@ class SnapshotReader {
     bool ReadU32(uint32_t* out) { return ReadBytes(out, sizeof(*out)); }
     bool ReadU64(uint64_t* out) { return ReadBytes(out, sizeof(*out)); }
     bool ReadI32(int32_t* out) { return ReadBytes(out, sizeof(*out)); }
-    bool ReadI64(int64_t* out) { return ReadBytes(out, sizeof(*out)); }
 
     /// Counterpart of `SnapshotWriter::AppendVector`. Fails (without
     /// allocating) if the declared element count does not fit in the

@@ -18,9 +18,6 @@ class Timer {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }
 
-  /// Milliseconds elapsed since construction or the last Reset().
-  double Millis() const { return Seconds() * 1e3; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

@@ -1,11 +1,11 @@
 #include "reconcile/api/registry.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include <gtest/gtest.h>
 
-#include "reconcile/api/adapters.h"
 #include "reconcile/api/spec.h"
 
 namespace reconcile {
@@ -14,7 +14,7 @@ namespace {
 TEST(RegistryTest, BuiltinAlgorithmsAreRegistered) {
   const std::vector<std::string> keys = Registry::Global().Keys();
   for (const char* expected :
-       {"core", "simple", "ns09", "features", "percolation"}) {
+       {"core", "simple", "ns09", "features", "percolation", "bp"}) {
     EXPECT_NE(std::find(keys.begin(), keys.end(), expected), keys.end())
         << expected;
   }
@@ -27,6 +27,35 @@ TEST(RegistryTest, EveryRegisteredKeyConstructsFromDefaultSpec) {
     ASSERT_NE(reconciler, nullptr) << key << ": " << error;
     EXPECT_EQ(reconciler->name(), key);
     EXPECT_FALSE(reconciler->Describe().empty()) << key;
+  }
+}
+
+// What `reconcile_cli` prints for each built-in key at its default spec.
+TEST(RegistryTest, BuiltinAdaptersDescribeTheirDefaults) {
+  struct Expected {
+    const char* key;
+    const char* describe;
+    bool phase_stats;
+  };
+  const Expected expected[] = {
+      {"core", "core(threshold=2, iterations=2, bucketing=on)", true},
+      {"simple", "simple(threshold=1, iterations=2)", true},
+      {"ns09", "ns09(theta=0.5, max-sweeps=5, reverse-check=on)", false},
+      {"features",
+       "features(depth=2, degree-band=2, max-candidates=64, "
+       "min-similarity=0.98, min-degree=2)",
+       false},
+      {"bp",
+       "bp(iterations=8, damping=0.5, prior=0.5, min-belief=0.8, "
+       "max-sweeps=5, max-candidates=8)",
+       false},
+      {"percolation", "percolation(threshold=2, min-degree=0)", false}};
+  ASSERT_EQ(Registry::Global().Keys().size(), std::size(expected));
+  for (const Expected& e : expected) {
+    auto reconciler = Registry::Global().CreateOrDie(ReconcilerSpec(e.key));
+    EXPECT_EQ(reconciler->name(), e.key);
+    EXPECT_EQ(reconciler->Describe(), e.describe);
+    EXPECT_EQ(reconciler->ExposesPhaseStats(), e.phase_stats) << e.key;
   }
 }
 
@@ -137,10 +166,8 @@ TEST(RegistryTest, ParamsReachTheWrappedConfig) {
           .Set("threshold", "4")
           .Set("iterations", "1")
           .Set("bucketing", "false"));
-  const auto& core = dynamic_cast<const CoreReconciler&>(*reconciler);
-  EXPECT_EQ(core.config().min_score, 4u);
-  EXPECT_EQ(core.config().num_iterations, 1);
-  EXPECT_FALSE(core.config().use_degree_bucketing);
+  EXPECT_EQ(reconciler->Describe(),
+            "core(threshold=4, iterations=1, bucketing=off)");
 }
 
 TEST(RegistryTest, DescribeAllMentionsEveryKey) {
@@ -154,14 +181,14 @@ TEST(RegistryTest, DuplicateRegistrationDies) {
   Registry registry;
   registry.Register({.key = "x",
                      .summary = "",
-                     .threshold_param = "",
+                     .params = "",
                      .factory = [](const ReconcilerSpec&, std::string*) {
                        return std::unique_ptr<Reconciler>();
                      }});
   EXPECT_DEATH(
       registry.Register({.key = "x",
                          .summary = "",
-                         .threshold_param = "",
+                         .params = "",
                          .factory = [](const ReconcilerSpec&, std::string*) {
                            return std::unique_ptr<Reconciler>();
                          }}),

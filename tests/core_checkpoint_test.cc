@@ -110,7 +110,7 @@ TEST(MatcherStateTest, ResumeEquivalenceAcrossPausePoints) {
   for (int pause_after : {1, 3, 7}) {
     MatcherConfig config;
     config.num_shards = 4;
-    const std::string tag = "p" + std::to_string(pause_after);
+    const std::string tag = std::string("p") + std::to_string(pause_after);
     SCOPED_TRACE(tag);
     CheckResumeEquivalence(w, config, pause_after, tag);
   }

@@ -80,15 +80,5 @@ TEST(ExperimentTest, ConfigOverloadMatchesCoreReconciler) {
   EXPECT_EQ(direct.quality.new_good, via_api.quality.new_good);
 }
 
-TEST(ExperimentTest, FormatGoodBadMentionsCounts) {
-  MatchQuality quality;
-  quality.new_good = 123;
-  quality.new_bad = 4;
-  quality.precision = 123.0 / 127.0;
-  const std::string text = FormatGoodBad(quality);
-  EXPECT_NE(text.find("123"), std::string::npos);
-  EXPECT_NE(text.find("4"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace reconcile

@@ -85,14 +85,6 @@ TEST(DegreeHistogramTest, SumsToNodeCount) {
   EXPECT_EQ(total, g.num_nodes());
 }
 
-TEST(DegreeCountTest, AtLeastThreshold) {
-  Graph g = PathGraph(4);  // degrees: 1,2,2,1
-  EXPECT_EQ(CountNodesWithDegreeAtLeast(g, 0), 4u);
-  EXPECT_EQ(CountNodesWithDegreeAtLeast(g, 1), 4u);
-  EXPECT_EQ(CountNodesWithDegreeAtLeast(g, 2), 2u);
-  EXPECT_EQ(CountNodesWithDegreeAtLeast(g, 3), 0u);
-}
-
 TEST(TriangleTest, CountsExactly) {
   EXPECT_EQ(CountTriangles(TwoTriangles()), 2u);
   EXPECT_EQ(CountTriangles(PathGraph(10)), 0u);
@@ -104,26 +96,6 @@ TEST(TriangleTest, K4HasFourTriangles) {
     for (NodeId v = u + 1; v < 4; ++v) edges.Add(u, v);
   }
   EXPECT_EQ(CountTriangles(Graph::FromEdgeList(std::move(edges))), 4u);
-}
-
-TEST(ClusteringTest, TriangleIsFullyClustered) {
-  Graph g = TwoTriangles();
-  Rng rng(1);
-  EXPECT_DOUBLE_EQ(EstimateClusteringCoefficient(g, 100, &rng), 1.0);
-}
-
-TEST(ClusteringTest, PathHasZeroClustering) {
-  Graph g = PathGraph(10);
-  Rng rng(1);
-  EXPECT_DOUBLE_EQ(EstimateClusteringCoefficient(g, 100, &rng), 0.0);
-}
-
-TEST(ClusteringTest, SamplingStaysInRange) {
-  Graph g = GenerateErdosRenyi(300, 0.05, 13);
-  Rng rng(2);
-  double cc = EstimateClusteringCoefficient(g, 50, &rng);
-  EXPECT_GE(cc, 0.0);
-  EXPECT_LE(cc, 1.0);
 }
 
 }  // namespace

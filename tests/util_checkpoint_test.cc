@@ -46,7 +46,6 @@ void WriteSample(const std::string& path) {
   writer.AppendU32(0xdeadbeefu);
   writer.AppendU64(1ull << 40);
   writer.AppendI32(-12);
-  writer.AppendI64(-(1ll << 35));
   writer.EndSection();
   writer.BeginSection(2);
   writer.AppendVector(std::vector<uint64_t>{1, 2, 3, 5, 8, 13});
@@ -80,17 +79,14 @@ TEST(SnapshotTest, RoundTrip) {
   uint32_t u32 = 0;
   uint64_t u64 = 0;
   int32_t i32 = 0;
-  int64_t i64 = 0;
   EXPECT_TRUE(meta->ReadU8(&u8));
   EXPECT_TRUE(meta->ReadU32(&u32));
   EXPECT_TRUE(meta->ReadU64(&u64));
   EXPECT_TRUE(meta->ReadI32(&i32));
-  EXPECT_TRUE(meta->ReadI64(&i64));
   EXPECT_EQ(u8, 7);
   EXPECT_EQ(u32, 0xdeadbeefu);
   EXPECT_EQ(u64, 1ull << 40);
   EXPECT_EQ(i32, -12);
-  EXPECT_EQ(i64, -(1ll << 35));
   EXPECT_TRUE(meta->AtEnd());
 
   SnapshotReader::Section* data = reader.Find(2);
