@@ -68,9 +68,10 @@ int main() {
     links[u] = result.map_1to2[u];
 
   size_t strong = 0, weak = 0, strong_correct = 0, weak_correct = 0;
+  const std::vector<char> is_seed = result.SeedMask1();
   for (NodeId u = 0; u < pair.g1.num_nodes(); ++u) {
     const NodeId v = result.map_1to2[u];
-    if (v == kInvalidNode || result.IsSeed1(u)) continue;
+    if (v == kInvalidNode || is_seed[u]) continue;
     const uint32_t support =
         CountSimilarityWitnesses(pair.g1, pair.g2, links, u, v);
     const bool correct = pair.map_1to2[u] == v;

@@ -1,6 +1,7 @@
 #include "reconcile/core/matcher_state.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdio>
 
 #include "reconcile/util/checkpoint.h"
@@ -282,23 +283,29 @@ size_t MatcherState::EmitGrain(size_t num_items) const {
 
 // Emits the witness keys of links_[emitted_links_ ..) and parks them in
 // their (level, shard) cells, filling `stats`' emission count and
-// `emit_seconds`. Emission appends packed keys into per-(level, shard)
-// producer chunks — one array store each, the shard being a precomputed
-// per-node lookup. A pair whose two endpoints are both matched is dead —
+// `emit_seconds`. A pair whose two endpoints are both matched is dead —
 // it can never be accepted, and its observations would only touch
 // best-table entries of matched nodes, which the accept pass never reads —
 // and matched-ness only grows within a run, so such pairs are skipped here
 // instead of being sorted and merged only for `CompactScores` to drop
-// them; `PhaseStats::emissions` counts the keys actually appended. The
-// chunks are parked as they are; a chunk whose cell this round does not
-// read (level below `bucket_exponent`) gives back its growth slack first.
+// them; `PhaseStats::emissions` counts the keys actually appended.
+//
+// Both adjacency lists are walked in degree order, so levels never
+// increase along them: for link (a1, a2), one walk of N(a2) finds where
+// each level's segment ends, and for each u in N(a1) the pairs (u, v) of
+// one segment share one cell — (lu, shard(u)) for the v at level >= lu,
+// the segment's own level below it. Each segment is one bulk append into
+// a per-worker producer chunk. The chunks are parked as they are; a chunk
+// whose cell this round does not read (level below `bucket_exponent`)
+// gives back its growth slack first.
 void MatcherState::EmitPendingLinks(int bucket_exponent, PhaseStats* stats) {
   const size_t begin = emitted_links_;
   const size_t end = links_.size();
   if (begin == end) return;
   emitted_links_ = end;
 
-  const NodeId dmin = static_cast<NodeId>(1u) << config_.min_bucket_exponent;
+  // Degree >= 2^min_bucket_exponent, as a level floor.
+  const int min_level = config_.min_bucket_exponent;
   struct RadixDelta {
     std::vector<std::vector<KeyBuffer>> keys;  // [level][shard]
     uint64_t emissions = 0;
@@ -306,26 +313,54 @@ void MatcherState::EmitPendingLinks(int bucket_exponent, PhaseStats* stats) {
   const size_t num_items = end - begin;
 
   Timer emit_timer;
-  auto emit_range = [this, begin, dmin](RadixDelta& delta, size_t lo,
-                                        size_t hi) {
+  auto emit_range = [this, begin, min_level](RadixDelta& delta, size_t lo,
+                                             size_t hi) {
     if (delta.keys.empty()) delta.keys.resize(kNumLevels);
-    auto& keys = delta.keys;
+    // Appends (u, v) for every v in `segment` to cell (level, shard),
+    // dropping the dead pairs when u is matched.
+    auto append = [this, &delta](int level, uint32_t shard, NodeId u,
+                                 bool u_matched,
+                                 std::span<const NodeId> segment) {
+      if (segment.empty()) return;
+      std::vector<KeyBuffer>& cells = delta.keys[static_cast<size_t>(level)];
+      if (cells.empty()) cells.resize(static_cast<size_t>(num_shards_));
+      const uint64_t high = PackPair(u, 0);
+      delta.emissions += cells[shard].Append(
+          segment.size(), [this, high, u_matched, segment](uint64_t* out) {
+            size_t n = 0;
+            if (!u_matched) {
+              for (NodeId v : segment) out[n++] = high | v;
+            } else {
+              for (NodeId v : segment) {
+                if (map_2to1_[v] == kInvalidNode) out[n++] = high | v;
+              }
+            }
+            return n;
+          });
+    };
+    // level_end[l]: how many leading v in N(a2) have level >= l.
+    std::array<size_t, kNumLevels> level_end{};
     for (size_t item = lo; item < hi; ++item) {
       const auto [a1, a2] = links_[begin + item];
+      const std::span<const NodeId> vs = g2_.NeighborsByDegree(a2);
+      if (vs.empty() || level2_[vs.front()] < min_level) continue;
+      const int top2 = level2_[vs.front()];
+      size_t i = 0;
+      for (int level = top2; level >= min_level; --level) {
+        while (i < vs.size() && level2_[vs[i]] >= level) ++i;
+        level_end[static_cast<size_t>(level)] = i;
+      }
       for (NodeId u : g1_.NeighborsByDegree(a1)) {
-        if (g1_.degree(u) < dmin) break;  // prefix is degree-sorted
-        const uint8_t lu = level1_[u];
+        const int lu = level1_[u];
+        if (lu < min_level) break;  // levels never increase along N(a1)
         const uint32_t shard = radix_shard1_[u];
         const bool u_matched = map_1to2_[u] != kInvalidNode;
-        for (NodeId v : g2_.NeighborsByDegree(a2)) {
-          if (g2_.degree(v) < dmin) break;
-          if (u_matched && map_2to1_[v] != kInvalidNode) continue;  // dead
-          const uint8_t level = std::min(lu, level2_[v]);
-          if (keys[level].empty()) {
-            keys[level].resize(static_cast<size_t>(num_shards_));
-          }
-          keys[level][shard].push_back(PackPair(u, v));
-          ++delta.emissions;
+        size_t seg_begin = 0;
+        for (int level = std::min(lu, top2); level >= min_level; --level) {
+          const size_t seg_end = level_end[static_cast<size_t>(level)];
+          append(level, shard, u, u_matched,
+                 vs.subspan(seg_begin, seg_end - seg_begin));
+          seg_begin = seg_end;
         }
       }
     }

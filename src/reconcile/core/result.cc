@@ -1,7 +1,5 @@
 #include "reconcile/core/result.h"
 
-#include <algorithm>
-
 namespace reconcile {
 
 MatchResult::PhaseTimeTotals MatchResult::SumPhaseSeconds() const {
@@ -11,6 +9,7 @@ MatchResult::PhaseTimeTotals MatchResult::SumPhaseSeconds() const {
     totals.merge_seconds += phase.merge_seconds;
     totals.scan_seconds += phase.scan_seconds;
     totals.select_seconds += phase.select_seconds;
+    totals.spill_seconds += phase.spill_seconds;
   }
   return totals;
 }
@@ -25,11 +24,13 @@ size_t MatchResult::NumLinks() const {
 
 size_t MatchResult::NumNewLinks() const { return NumLinks() - seeds.size(); }
 
-bool MatchResult::IsSeed1(NodeId u) const {
-  return std::any_of(seeds.begin(), seeds.end(),
-                     [u](const std::pair<NodeId, NodeId>& s) {
-                       return s.first == u;
-                     });
+std::vector<char> MatchResult::SeedMask1() const {
+  std::vector<char> is_seed(map_1to2.size(), 0);
+  for (const auto& [u, v] : seeds) {
+    (void)v;
+    if (u < is_seed.size()) is_seed[u] = 1;
+  }
+  return is_seed;
 }
 
 }  // namespace reconcile

@@ -73,6 +73,7 @@ struct MatchResult {
     double merge_seconds = 0.0;
     double scan_seconds = 0.0;
     double select_seconds = 0.0;
+    double spill_seconds = 0.0;
   };
   PhaseTimeTotals SumPhaseSeconds() const;
 
@@ -80,8 +81,9 @@ struct MatchResult {
   size_t NumLinks() const;
   /// Links discovered beyond the seeds.
   size_t NumNewLinks() const;
-  /// True if g1 node `u` was a seed endpoint.
-  bool IsSeed1(NodeId u) const;
+  /// Per g1 node (indexed like `map_1to2`): 1 if the node is the g1
+  /// endpoint of a seed link, else 0. One pass over the seeds.
+  std::vector<char> SeedMask1() const;
 };
 
 }  // namespace reconcile

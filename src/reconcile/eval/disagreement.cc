@@ -14,15 +14,10 @@ DisagreementReport CompareMatchings(const RealizationPair& pair,
   RECONCILE_CHECK_EQ(a.map_1to2.size(), n);
   RECONCILE_CHECK_EQ(b.map_1to2.size(), n);
 
-  std::vector<char> is_seed(n, 0);
-  for (const auto& [u, v] : a.seeds) {
-    (void)v;
-    if (u < n) is_seed[u] = 1;
-  }
-  for (const auto& [u, v] : b.seeds) {
-    (void)v;
-    if (u < n) is_seed[u] = 1;
-  }
+  // A node seeded in either run is left out.
+  std::vector<char> is_seed = a.SeedMask1();
+  const std::vector<char> b_seed = b.SeedMask1();
+  for (NodeId u = 0; u < n; ++u) is_seed[u] |= b_seed[u];
 
   DisagreementReport report;
   for (NodeId u = 0; u < n; ++u) {

@@ -10,11 +10,12 @@ bool WriteMatchingText(const MatchResult& result, const std::string& path) {
   if (!out) return false;
   out << "# links=" << result.NumLinks() << " seeds=" << result.seeds.size()
       << "\n";
+  const std::vector<char> is_seed = result.SeedMask1();
   for (NodeId u = 0; u < result.map_1to2.size(); ++u) {
     const NodeId v = result.map_1to2[u];
     if (v == kInvalidNode) continue;
     out << u << " " << v;
-    if (result.IsSeed1(u)) out << " seed";
+    if (is_seed[u]) out << " seed";
     out << "\n";
   }
   return static_cast<bool>(out);

@@ -8,16 +8,6 @@ namespace reconcile {
 
 namespace {
 
-// True if g1 node `u` is an endpoint of a seed link.
-std::vector<char> SeedFlags(const MatchResult& result, size_t n1) {
-  std::vector<char> is_seed(n1, 0);
-  for (const auto& [u, v] : result.seeds) {
-    (void)v;
-    if (u < n1) is_seed[u] = 1;
-  }
-  return is_seed;
-}
-
 bool Identifiable(const RealizationPair& pair, NodeId u) {
   NodeId v = pair.map_1to2[u];
   if (v == kInvalidNode) return false;
@@ -31,7 +21,7 @@ MatchQuality Evaluate(const RealizationPair& pair, const MatchResult& result) {
   MatchQuality q;
   q.num_seeds = result.seeds.size();
 
-  std::vector<char> is_seed = SeedFlags(result, pair.g1.num_nodes());
+  const std::vector<char> is_seed = result.SeedMask1();
 
   size_t identifiable_not_seeded = 0;
   size_t good_links_total = 0;
@@ -77,6 +67,7 @@ std::vector<DegreeBandQuality> EvaluateByDegree(
     const RealizationPair& pair, const MatchResult& result,
     const std::vector<NodeId>& upper_bounds) {
   RECONCILE_CHECK(!upper_bounds.empty());
+  RECONCILE_CHECK_EQ(result.map_1to2.size(), pair.g1.num_nodes());
   RECONCILE_CHECK(std::is_sorted(upper_bounds.begin(), upper_bounds.end()));
 
   std::vector<DegreeBandQuality> bands;
@@ -100,7 +91,7 @@ std::vector<DegreeBandQuality> EvaluateByDegree(
     return nullptr;
   };
 
-  std::vector<char> is_seed = SeedFlags(result, pair.g1.num_nodes());
+  const std::vector<char> is_seed = result.SeedMask1();
   std::vector<size_t> not_seeded(bands.size(), 0);
 
   for (NodeId u = 0; u < pair.g1.num_nodes(); ++u) {

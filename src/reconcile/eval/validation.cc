@@ -115,11 +115,7 @@ ValidationReport ValidateMatching(const RealizationPair& pair,
   ValidationReport report;
   report.delta = config.delta;
 
-  std::vector<char> is_seed(pair.g1.num_nodes(), 0);
-  for (const auto& [u, v] : result.seeds) {
-    (void)v;
-    if (u < pair.g1.num_nodes()) is_seed[u] = 1;
-  }
+  const std::vector<char> is_seed = result.SeedMask1();
 
   // Discovered links (ascending u => a fixed population order) and the
   // recall denominator, in one pass.

@@ -17,10 +17,11 @@ class ThreadPool;
 /// Two adjacency orderings are materialized per node:
 ///  * by ascending neighbour id (`Neighbors`) — enables `HasEdge` via binary
 ///    search and deterministic iteration;
-///  * by descending neighbour degree (`NeighborsByDegree`) — the matcher's
-///    degree-bucketed rounds scan only the prefix of each neighbourhood whose
-///    degree clears the current bucket threshold `2^j`, which is what makes
-///    bucketing cheap.
+///  * by descending neighbour degree (`NeighborsByDegree`) — so the degree
+///    level floor(log2 degree) never increases along the list: the
+///    matcher's witness emission walks only the prefix whose degree clears
+///    its floor `2^min_bucket_exponent` and emits each level's contiguous
+///    segment of that prefix as one run.
 ///
 /// Construction goes through `FromEdgeList`, which canonicalizes the input
 /// (self-loops and duplicate edges removed).

@@ -52,10 +52,16 @@ class KeyBuffer {
   }
   ~KeyBuffer() { std::free(data_); }
 
-  void push_back(uint64_t key) {
-    if (size_ == capacity_) [[unlikely]]
-      Reallocate(std::max<size_t>(64, 2 * capacity_));
-    data_[size_++] = key;
+  /// Bulk append: makes room for `max_keys` more keys, then `fill(out)`
+  /// writes some prefix of `out[0, max_keys)` and returns its length.
+  /// Those keys join the buffer; returns how many did.
+  template <typename Fill>
+  size_t Append(size_t max_keys, Fill&& fill) {
+    if (max_keys > capacity_ - size_) [[unlikely]]
+      Reallocate(std::max({size_t{64}, 2 * capacity_, size_ + max_keys}));
+    const size_t written = fill(data_ + size_);
+    size_ += written;
+    return written;
   }
   void ShrinkToFit() {
     if (capacity_ > size_) Reallocate(size_);

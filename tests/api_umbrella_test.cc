@@ -26,9 +26,10 @@ TEST(ApiUmbrellaTest, EndToEndPipelineThroughOneInclude) {
   // Links are never withdrawn, so every discovered link keeps at least the
   // witnesses it was accepted with under the final mapping.
   size_t discovered = 0;
+  const std::vector<char> is_seed = result.SeedMask1();
   for (NodeId u = 0; u < pair.g1.num_nodes(); ++u) {
     const NodeId v = result.map_1to2[u];
-    if (v == kInvalidNode || result.IsSeed1(u)) continue;
+    if (v == kInvalidNode || is_seed[u]) continue;
     ++discovered;
     EXPECT_GE(CountSimilarityWitnesses(pair.g1, pair.g2, result.map_1to2, u,
                                        v),

@@ -100,8 +100,9 @@ TEST(PercolationTest, MinDegreeFloorFiltersLowDegreeNodes) {
   PercolationConfig config;
   config.min_degree = 5;
   MatchResult result = PercolationMatch(pair.g1, pair.g2, seeds, config);
+  const std::vector<char> is_seed = result.SeedMask1();
   for (NodeId u = 0; u < pair.g1.num_nodes(); ++u) {
-    if (result.map_1to2[u] == kInvalidNode || result.IsSeed1(u)) continue;
+    if (result.map_1to2[u] == kInvalidNode || is_seed[u]) continue;
     EXPECT_GE(pair.g1.degree(u), 5u);
   }
 }

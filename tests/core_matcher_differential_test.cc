@@ -161,9 +161,10 @@ TEST(MatcherDegreeFloorTest, MinBucketExponentExcludesLowDegrees) {
   MatcherConfig config;
   config.min_bucket_exponent = 3;  // degree >= 8
   MatchResult result = UserMatching(pair.g1, pair.g2, seeds, config);
+  const std::vector<char> is_seed = result.SeedMask1();
   for (NodeId u = 0; u < pair.g1.num_nodes(); ++u) {
     const NodeId v = result.map_1to2[u];
-    if (v == kInvalidNode || result.IsSeed1(u)) continue;
+    if (v == kInvalidNode || is_seed[u]) continue;
     EXPECT_GE(pair.g1.degree(u), 8u) << "node " << u;
     EXPECT_GE(pair.g2.degree(v), 8u) << "node " << v;
   }

@@ -85,9 +85,10 @@ TEST(ScoringDifferentialTest, DegreeFloorMatchesPaperOracle) {
   config.min_bucket_exponent = 3;  // degree >= 8
   MatchResult result =
       ExpectMatchesPaper(w.pair.g1, w.pair.g2, w.seeds, config);
+  const std::vector<char> is_seed = result.SeedMask1();
   for (NodeId u = 0; u < w.pair.g1.num_nodes(); ++u) {
     const NodeId v = result.map_1to2[u];
-    if (v == kInvalidNode || result.IsSeed1(u)) continue;
+    if (v == kInvalidNode || is_seed[u]) continue;
     EXPECT_GE(w.pair.g1.degree(u), 8u);
     EXPECT_GE(w.pair.g2.degree(v), 8u);
   }

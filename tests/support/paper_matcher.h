@@ -14,6 +14,12 @@
 //      its score is the unique maximum over every scored pair containing u
 //      and over every scored pair containing v. Matched nodes stay in the
 //      scored pool as blockers.
+//
+// Beside the transcription, not part of it, the oracle also counts the
+// witness keys the production matcher emits per round: its incremental
+// scoring emits each link once, in the first round after the link enters
+// L, over the pairs that clear the degree floor 2^min_bucket_exponent and
+// are not both matched when that round starts.
 #ifndef RECONCILE_TESTS_SUPPORT_PAPER_MATCHER_H_
 #define RECONCILE_TESTS_SUPPORT_PAPER_MATCHER_H_
 
@@ -41,7 +47,32 @@ struct Matching {
   std::vector<NodeId> map_1to2;
   std::vector<NodeId> map_2to1;
   std::vector<size_t> new_links;  // links accepted per round, in order
+  std::vector<size_t> emissions;  // witness keys emitted per round
 };
+
+// The witness keys of links[begin, ..) that the production matcher emits
+// at the start of a round (see the file comment): pairs in N1(a1) x N2(a2)
+// with both degrees >= 2^min_bucket_exponent, not both matched.
+inline size_t CountEmissions(
+    const Graph& g1, const Graph& g2,
+    const std::vector<std::pair<NodeId, NodeId>>& links, size_t begin,
+    const Matching& m, const Options& options) {
+  const uint64_t dmin = uint64_t{1} << options.min_bucket_exponent;
+  size_t count = 0;
+  for (size_t i = begin; i < links.size(); ++i) {
+    const auto [a1, a2] = links[i];
+    for (NodeId u : g1.Neighbors(a1)) {
+      if (g1.degree(u) < dmin) continue;
+      for (NodeId v : g2.Neighbors(a2)) {
+        if (g2.degree(v) < dmin) continue;
+        if (m.map_1to2[u] == kInvalidNode || m.map_2to1[v] == kInvalidNode) {
+          ++count;
+        }
+      }
+    }
+  }
+  return count;
+}
 
 inline Matching UserMatching(
     const Graph& g1, const Graph& g2,
@@ -70,9 +101,14 @@ inline Matching UserMatching(
     sweep.push_back(options.min_bucket_exponent);
   }
 
+  size_t emitted_links = 0;
   for (int iteration = 1; iteration <= options.num_iterations; ++iteration) {
     size_t found = 0;
     for (int j : sweep) {
+      m.emissions.push_back(
+          CountEmissions(g1, g2, links, emitted_links, m, options));
+      emitted_links = links.size();
+
       const uint64_t dmin = uint64_t{1}
                             << std::max(j, options.min_bucket_exponent);
       // One entry per (link, witnessed pair); sorted, equal pairs are

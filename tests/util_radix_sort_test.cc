@@ -145,20 +145,91 @@ TEST(BuildCountRunTest, AlreadySortedAndReversed) {
   ExpectBuildsLikeAMap({keys});
 }
 
+// Appends `keys` in one bulk call that writes all of them.
+void AppendAll(KeyBuffer& buffer, const std::vector<uint64_t>& keys) {
+  const size_t written =
+      buffer.Append(keys.size(), [&keys](uint64_t* out) {
+        std::copy(keys.begin(), keys.end(), out);
+        return keys.size();
+      });
+  EXPECT_EQ(written, keys.size());
+}
+
+std::vector<uint64_t> Multiples(uint64_t count, uint64_t step) {
+  std::vector<uint64_t> keys(count);
+  for (uint64_t i = 0; i < count; ++i) keys[i] = i * step;
+  return keys;
+}
+
 TEST(KeyBufferTest, ShrinkToFitKeepsTheKeys) {
   KeyBuffer buffer;
   EXPECT_TRUE(buffer.empty());
   buffer.ShrinkToFit();
-  for (uint64_t key = 0; key < 1000; ++key) buffer.push_back(key * 7);
+  AppendAll(buffer, Multiples(1000, 7));
   buffer.ShrinkToFit();
   ASSERT_EQ(buffer.size(), 1000u);
   for (uint64_t key = 0; key < 1000; ++key) {
     EXPECT_EQ(buffer.keys()[key], key * 7);
   }
-  buffer.push_back(1);  // grows again after a shrink
+  AppendAll(buffer, {1});  // grows again after a shrink
   KeyBuffer moved = std::move(buffer);
   EXPECT_EQ(moved.size(), 1001u);
   EXPECT_EQ(moved.keys().back(), 1u);
+}
+
+TEST(KeyBufferTest, AppendZeroSlotsLeavesTheBufferAlone) {
+  KeyBuffer buffer;
+  EXPECT_EQ(buffer.Append(0, [](uint64_t*) { return size_t{0}; }), 0u);
+  EXPECT_TRUE(buffer.empty());
+  EXPECT_TRUE(buffer.keys().empty());
+  AppendAll(buffer, {5, 6});
+  EXPECT_EQ(buffer.Append(0, [](uint64_t*) { return size_t{0}; }), 0u);
+  EXPECT_EQ(std::vector<uint64_t>(buffer.keys().begin(), buffer.keys().end()),
+            (std::vector<uint64_t>{5, 6}));
+}
+
+// The filler may write fewer keys than it reserved; only those join.
+TEST(KeyBufferTest, AppendKeepsOnlyTheWrittenPrefix) {
+  KeyBuffer buffer;
+  const size_t written = buffer.Append(10, [](uint64_t* out) {
+    for (uint64_t i = 0; i < 4; ++i) out[i] = 100 + i;
+    return size_t{4};
+  });
+  EXPECT_EQ(written, 4u);
+  AppendAll(buffer, {7});
+  EXPECT_EQ(std::vector<uint64_t>(buffer.keys().begin(), buffer.keys().end()),
+            (std::vector<uint64_t>{100, 101, 102, 103, 7}));
+}
+
+// An append larger than twice the capacity must reserve all of it, not
+// just the usual doubling.
+TEST(KeyBufferTest, AppendGrowsPastTwiceTheCapacity) {
+  KeyBuffer buffer;
+  AppendAll(buffer, Multiples(3, 1));  // capacity 64
+  const std::vector<uint64_t> big = Multiples(10000, 3);
+  AppendAll(buffer, big);
+  ASSERT_EQ(buffer.size(), 10003u);
+  for (size_t i = 0; i < big.size(); ++i) {
+    ASSERT_EQ(buffer.keys()[3 + i], big[i]) << i;
+  }
+  AppendAll(buffer, Multiples(100000, 5));  // from a large capacity too
+  ASSERT_EQ(buffer.size(), 110003u);
+  EXPECT_EQ(buffer.keys().back(), 99999u * 5);
+}
+
+TEST(KeyBufferTest, ShrinkAndMoveAfterABulkAppend) {
+  KeyBuffer buffer;
+  AppendAll(buffer, Multiples(300, 11));
+  buffer.ShrinkToFit();
+  KeyBuffer moved;
+  AppendAll(moved, {1, 2, 3});
+  moved = std::move(buffer);
+  ASSERT_EQ(moved.size(), 300u);
+  EXPECT_EQ(moved.keys()[299], 299u * 11);
+  AppendAll(moved, Multiples(700, 2));  // grows from the shrunk block
+  ASSERT_EQ(moved.size(), 1000u);
+  EXPECT_EQ(moved.keys()[299], 299u * 11);
+  EXPECT_EQ(moved.keys().back(), 699u * 2);
 }
 
 TEST(SortedCountRunTest, CountLookup) {

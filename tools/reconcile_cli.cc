@@ -436,9 +436,10 @@ int RunCli(const Flags& flags) {
   if (reconciler->ExposesPhaseStats() && !result.phases.empty()) {
     const MatchResult::PhaseTimeTotals split = result.SumPhaseSeconds();
     std::printf("  phase split: emit %.2fs | merge %.2fs | scan %.2fs | "
-                "select %.2fs (%d threads)\n",
+                "select %.2fs | spill %.2fs (%d threads)\n",
                 split.emit_seconds, split.merge_seconds, split.scan_seconds,
-                split.select_seconds, result.phases.front().num_threads);
+                split.select_seconds, split.spill_seconds,
+                result.phases.front().num_threads);
   }
   PrintQuality(quality);
 
